@@ -219,11 +219,9 @@ class Adapter:
         next_headers: list[BlockHeader] = []
         total_bytes = 0
 
-        queue: list[Hash256] = [anchor_hash]
-        pos = 0
-        while pos < len(queue) and len(next_headers) < self.config.max_headers:
-            cur = queue[pos]
-            pos += 1
+        for cur in self.tree.bfs(anchor_hash):
+            if len(next_headers) >= self.config.max_headers:
+                break
             parent = self.tree.parent(cur)
             if cur not in processed and (parent in available or parent in included):
                 body = self.block_store.get(cur)
@@ -242,7 +240,6 @@ class Adapter:
                 header = self.tree.header(cur)
                 assert header is not None
                 next_headers.append(header)
-            queue.extend(sorted(self.tree.children(cur)))
         return GetSuccessorsResponse(tuple(blocks), tuple(next_headers))
 
     def _schedule_fetch(self, hash_: Hash256) -> None:

@@ -9,7 +9,8 @@ drive confirmation reporting and anchor advancement.
 
 Depths are memoized per node and invalidated along the ancestor path on
 insertion, so repeated queries after incremental growth stay cheap and
-exactly match a from-scratch traversal.
+exactly match a from-scratch traversal. Cumulative chain work from the
+root is fixed on each node when it is inserted (Bitcoin Core's nChainWork).
 """
 
 from __future__ import annotations
@@ -69,59 +70,51 @@ class WorkRatio:
 
 
 class _Node:
-    __slots__ = ("hash", "prev", "height", "bits", "header", "block", "children", "work")
+    __slots__ = (
+        "hash", "prev", "height", "bits", "header", "block", "children", "work", "chain_work"
+    )
 
     def __init__(
         self,
         hash_: Hash256,
-        prev: Optional[Hash256],
-        height: int,
+        parent: Optional["_Node"],
         bits: int,
         header: Optional[BlockHeader],
         work: int,
     ):
         self.hash = hash_
-        self.prev = prev
-        self.height = height
+        self.prev = parent.hash if parent is not None else None
+        self.height = parent.height + 1 if parent is not None else 0
         self.bits = bits
         self.header = header
         self.block: Optional[Block] = None
         self.children: list[Hash256] = []
         self.work = work
+        self.chain_work = work + (parent.chain_work if parent is not None else 0)
 
 
 class BlockTree:
     """Single-rooted header tree; single-writer, many concurrent readers."""
 
-    def __init__(self, genesis: BlockHeader, work_policy: WorkPolicy = WorkPolicy.TARGET):
+    def __init__(
+        self,
+        genesis: BlockHeader | tuple[Hash256, int],
+        work_policy: WorkPolicy = WorkPolicy.TARGET,
+    ):
+        """Root the tree at `genesis`: a header, or a bare (hash, bits) pair
+        for trees keyed by externally supplied hashes (dump files, synthetic
+        tests), whose proof of work is not rechecked."""
+        if isinstance(genesis, BlockHeader):
+            root, bits, header = genesis.hash(), genesis.bits, genesis
+        else:
+            (root, bits), header = genesis, None
         self.work_policy = work_policy
         self._nodes: dict[Hash256, _Node] = {}
         self._by_height: dict[int, list[Hash256]] = {}
         self._depth_c: dict[Hash256, int] = {}
         self._depth_w: dict[Hash256, int] = {}
-        self.root = genesis.hash()
-        self._put(_Node(self.root, None, 0, genesis.bits, genesis, self._work_of(genesis.bits, self.root)))
-
-    @classmethod
-    def raw(
-        cls,
-        root_hash: Hash256,
-        root_bits: int,
-        work_policy: WorkPolicy = WorkPolicy.TARGET,
-    ) -> "BlockTree":
-        """Build a tree keyed by externally supplied hashes (no headers).
-
-        Used by dump files and synthetic tests; PoW is not rechecked here.
-        """
-        tree = cls.__new__(cls)
-        tree.work_policy = work_policy
-        tree._nodes = {}
-        tree._by_height = {}
-        tree._depth_c = {}
-        tree._depth_w = {}
-        tree.root = root_hash
-        tree._put(_Node(root_hash, None, 0, root_bits, None, tree._work_of(root_bits, root_hash)))
-        return tree
+        self.root = root
+        self._put(_Node(root, None, bits, header, self._work_of(bits, root)))
 
     # -- structure ----------------------------------------------------------
 
@@ -148,23 +141,19 @@ class BlockTree:
 
     def add_header(self, header: BlockHeader) -> Hash256:
         """Insert a header under its parent. Re-inserting is a no-op."""
-        h = header.hash()
-        if h in self._nodes:
-            return h
-        parent = self._node(header.prev)
-        node = _Node(h, header.prev, parent.height + 1, header.bits, header, self._work_of(header.bits, h))
-        self._put(node)
-        parent.children.append(h)
-        self._invalidate_up(header.prev)
-        return h
+        return self._insert(header.hash(), header.prev, header.bits, header)
 
     def add_raw(self, hash_: Hash256, prev: Hash256, bits: int) -> Hash256:
         """Insert a node by explicit hash (dump loading, synthetic trees)."""
+        return self._insert(hash_, prev, bits, None)
+
+    def _insert(
+        self, hash_: Hash256, prev: Hash256, bits: int, header: Optional[BlockHeader]
+    ) -> Hash256:
         if hash_ in self._nodes:
             return hash_
         parent = self._node(prev)
-        node = _Node(hash_, prev, parent.height + 1, bits, None, self._work_of(bits, hash_))
-        self._put(node)
+        self._put(_Node(hash_, parent, bits, header, self._work_of(bits, hash_)))
         parent.children.append(hash_)
         self._invalidate_up(prev)
         return hash_
@@ -209,6 +198,10 @@ class BlockTree:
     def node_work(self, hash_: Hash256) -> int:
         return self._node(hash_).work
 
+    def chain_work(self, hash_: Hash256) -> int:
+        """Total work of the blocks from the root through this one."""
+        return self._node(hash_).chain_work
+
     def set_block(self, hash_: Hash256, block: Block) -> None:
         self._node(hash_).block = block
 
@@ -233,12 +226,17 @@ class BlockTree:
     def heights(self) -> Iterable[int]:
         return self._by_height.keys()
 
-    def ancestors(self, hash_: Hash256) -> Iterator[Hash256]:
-        """Walk parent links up to and including the root."""
-        node = self._node(hash_)
-        while node.prev is not None:
-            yield node.prev
-            node = self._nodes[node.prev]
+    def bfs(self, start: Optional[Hash256] = None) -> Iterator[Hash256]:
+        """The subtree of `start` (the root by default), breadth-first:
+        parents before children, siblings ascending by internal-byte hash."""
+        queue = [self.root if start is None else start]
+        self._node(queue[0])
+        pos = 0
+        while pos < len(queue):
+            h = queue[pos]
+            pos += 1
+            yield h
+            queue.extend(sorted(self._nodes[h].children))
 
     # -- depth and stability --------------------------------------------------
 
@@ -331,6 +329,18 @@ class BlockTree:
         assert isinstance(score, int)
         return score
 
+    def heaviest(self, candidates: Iterable[Hash256]) -> Optional[Hash256]:
+        """The candidate with the greatest work depth, ties to the smallest
+        hash (None when there are no candidates)."""
+        best = None
+        best_depth = -1
+        for h in sorted(candidates):
+            d = self.depth(h, DepthKind.WORK)
+            if d > best_depth:
+                best = h
+                best_depth = d
+        return best
+
     def current_chain(self) -> list[Hash256]:
         """Root-to-tip path maximizing cumulative work depth.
 
@@ -338,18 +348,12 @@ class BlockTree:
         hash, keeping the selection identical across replicas.
         """
         chain = [self.root]
-        node = self._nodes[self.root]
-        while node.children:
-            best = None
-            best_depth = -1
-            for child in sorted(node.children):
-                d = self.depth(child, DepthKind.WORK)
-                if d > best_depth:
-                    best = child
-                    best_depth = d
+        children = self._nodes[self.root].children
+        while children:
+            best = self.heaviest(children)
             assert best is not None
             chain.append(best)
-            node = self._nodes[best]
+            children = self._nodes[best].children
         return chain
 
     def tip(self) -> Hash256:
@@ -358,18 +362,15 @@ class BlockTree:
     # -- dump / load -----------------------------------------------------------
 
     def dump_lines(self) -> list[str]:
-        """One node per line, parents before children."""
+        """One node per line, in `bfs` order."""
         lines = ["blocktree 1"]
-        queue = [self.root]
-        while queue:
-            h = queue.pop(0)
+        for h in self.bfs():
             node = self._nodes[h]
             prev = node.prev.rev_hex() if node.prev is not None else "-"
             has_block = 1 if node.block is not None else 0
             lines.append(
                 f"node {h.rev_hex()} {prev} {node.height} {node.bits:08x} {has_block}"
             )
-            queue.extend(sorted(node.children))
         return lines
 
     @classmethod
@@ -400,7 +401,7 @@ class BlockTree:
             if prev_hex == "-":
                 if tree is not None:
                     raise TreeStructureError(f"line {lineno}: second root")
-                tree = cls.raw(h, bits, work_policy)
+                tree = cls((h, bits), work_policy)
                 if height != 0:
                     raise TreeStructureError(f"line {lineno}: root height must be 0")
             else:

@@ -33,7 +33,7 @@ from btcstate.chain import (
 from btcstate.validation import (
     ChainPolicy,
     ValidationError,
-    check_block_shape,
+    check_block,
     check_header,
 )
 
@@ -283,12 +283,9 @@ class Canister:
         if h in self.tree and self.tree.has_block(h):
             return False
         try:
-            check_block_shape(block)
+            check_block(block, self.tree, self.anchor)
         except ValidationError:
             return False
-        prev = header.prev
-        if prev != self.anchor and not (prev in self.tree and self.tree.has_block(prev)):
-            return False  # parent body must be available for replay order
         if not self._ingest_header(header, now):
             return False
         self.tree.set_block(h, block)
@@ -307,17 +304,10 @@ class Canister:
         while True:
             next_height = self.anchor_height() + 1
             at_height = self.tree.at_height(next_height)
-            candidates = [h for h in at_height if self.tree.has_block(h)]
-            if not candidates:
+            best = self.tree.heaviest(h for h in at_height if self.tree.has_block(h))
+            if best is None:
                 return
-            best = None
-            best_depth = -1
-            for h in sorted(candidates):
-                d = self.tree.depth(h, DepthKind.WORK)
-                if d > best_depth:
-                    best = h
-                    best_depth = d
-            assert best is not None
+            best_depth = self.tree.depth(best, DepthKind.WORK)
             threshold = self.delta * self.tree.node_work(self.anchor)
             if best_depth < threshold:
                 return
@@ -500,12 +490,7 @@ class Canister:
             f"anchor {self.anchor.rev_hex()}",
             f"synced {1 if self.synced else 0}",
         ]
-        order = [self.tree.root]
-        pos = 0
-        while pos < len(order):
-            h = order[pos]
-            pos += 1
-            order.extend(sorted(self.tree.children(h)))
+        order = list(self.tree.bfs())
         for h in order:
             header = self.tree.header(h)
             assert header is not None

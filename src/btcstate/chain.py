@@ -391,12 +391,6 @@ def work_from_hash(block_hash: Hash256) -> int:
     return HASH_SPACE // (block_hash.as_int() + 1)
 
 
-def header_work(header: BlockHeader, policy: WorkPolicy = WorkPolicy.TARGET) -> int:
-    if policy is WorkPolicy.TARGET:
-        return work_from_bits(header.bits)
-    return work_from_hash(header.hash())
-
-
 # --- Address extraction ----------------------------------------------------
 
 _B58_ALPHABET = "123456789ABCDEFGHJKLMNPQRSTUVWXYZabcdefghijkmnopqrstuvwxyz"

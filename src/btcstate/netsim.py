@@ -42,7 +42,6 @@ from btcstate.chain import (
     WorkPolicy,
     ZERO_HASH,
     bits_to_target,
-    header_work,
     merkle_root,
     p2pkh_script,
     sha256d,
@@ -218,7 +217,7 @@ class Adversary:
     def within_budget(self, new_height: int, new_work: int) -> bool:
         world = self.world
         honest_height = world.tree.height(world.honest_tip)
-        honest_work = world.cum_work[world.honest_tip]
+        honest_work = world.tree.chain_work(world.honest_tip)
         return new_height < honest_height + world.params.c_star or new_work < honest_work
 
     def mine(self) -> Optional[Hash256]:
@@ -240,7 +239,7 @@ class Adversary:
             self.corrupting_txid = corrupting.txid()
         # Budget precheck uses the target-implied work; under the hash-based
         # work policy the invariant check after mining is the authority.
-        new_work = world.cum_work[parent] + work_from_bits(bits)
+        new_work = world.tree.chain_work(parent) + work_from_bits(bits)
         if self.config.budget_enforced and not self.within_budget(new_height, new_work):
             self.budget_holds += 1
             return None
@@ -257,12 +256,9 @@ class Adversary:
         honest_height = world.tree.height(world.honest_tip)
         if (
             world.tree.height(tip) >= honest_height + world.params.c_star
-            and world.cum_work[tip] >= world.cum_work[world.honest_tip]
+            and world.tree.chain_work(tip) >= world.tree.chain_work(world.honest_tip)
         ):
             raise BudgetViolation("adversary fork exceeds Definition-style budget")
-
-    def unreleased(self) -> list[Hash256]:
-        return self.fork[self.released :]
 
     def release_all(self) -> list[Hash256]:
         fresh = self.fork[self.released :]
@@ -310,10 +306,6 @@ class SimWorld:
         self.genesis = genesis
         self.tree = BlockTree(genesis.header, work_policy)
         self.tree.set_block(genesis.header.hash(), genesis)
-        self.cum_work: dict[Hash256, int] = {
-            genesis.header.hash(): header_work(genesis.header, work_policy)
-        }
-        self.work_policy = work_policy
         self.honest_tip: Hash256 = genesis.header.hash()
         self.honest_blocks: set[Hash256] = {genesis.header.hash()}
         self.adv_served: set[Hash256] = {genesis.header.hash()}
@@ -441,25 +433,18 @@ class SimWorld:
     def add_block(self, block: Block, honest: bool) -> Hash256:
         h = self.tree.add_header(block.header)
         self.tree.set_block(h, block)
-        self.cum_work[h] = self.cum_work[block.header.prev] + header_work(
-            block.header, self.work_policy
-        )
         if honest:
             self.honest_blocks.add(h)
-            self.honest_tip = self._best_honest_tip()
+            # The honest tip is the honest block with the most chain work,
+            # ties going to the smallest tip hash. honest_blocks only grows
+            # and this tree never drops a node, so one comparison per new
+            # block keeps that maximum exact. The replicas' current_chain
+            # differs on ties: it takes the smallest child hash at the fork.
+            work = self.tree.chain_work(h)
+            tip_work = self.tree.chain_work(self.honest_tip)
+            if work > tip_work or (work == tip_work and h < self.honest_tip):
+                self.honest_tip = h
         return h
-
-    def _best_honest_tip(self) -> Hash256:
-        # Most cumulative work wins; ties break toward the smallest hash,
-        # mirroring the replicas' own selection rule.
-        best = None
-        best_key = None
-        for h in self.honest_blocks:
-            key = (self.cum_work[h], bytes(255 - b for b in h))
-            if best_key is None or key > best_key:
-                best, best_key = h, key
-        assert best is not None
-        return best
 
     def submit_to_miners(self, tx: Transaction) -> None:
         txid = tx.txid()
@@ -504,7 +489,7 @@ class SimWorld:
             self.observe("mine", "adversary", f"{mined.rev_hex()[:16]} height={height}")
             if self.adversary.config.strategy is AdversaryStrategy.WITHHOLD_RELEASE:
                 tip = self.adversary.fork_tip()
-                if self.cum_work[tip] >= self.cum_work[self.honest_tip]:
+                if self.tree.chain_work(tip) >= self.tree.chain_work(self.honest_tip):
                     for h in self.adversary.release_all():
                         self.adv_served.add(h)
                         self._announce(h, corrupted_side=True)

@@ -173,19 +173,10 @@ def check_block_shape(block: Block) -> None:
         raise ValidationError(ViolationCode.MERKLE_MISMATCH, "merkle root does not match header")
 
 
-def check_block(
-    block: Block,
-    tree: BlockTree,
-    policy: ChainPolicy,
-    now: float,
-    anchor: Optional[Hash256] = None,
-    require_parent_body: bool = False,
-) -> None:
-    """Full block check: header conditions, shape, and (optionally) that the
-    parent body is available or the parent is the given anchor."""
-    check_header(block.header, tree, policy, now)
+def check_block(block: Block, tree: BlockTree, anchor: Hash256) -> None:
+    """Block shape, then the parent-body rule: the parent must be the anchor
+    or hold its body in the tree, so blocks replay in chain order."""
     check_block_shape(block)
-    if require_parent_body:
-        prev = block.header.prev
-        if prev != anchor and not (prev in tree and tree.has_block(prev)):
-            raise ValidationError(ViolationCode.MISSING_PARENT_BODY, "parent block not available")
+    prev = block.header.prev
+    if prev != anchor and not (prev in tree and tree.has_block(prev)):
+        raise ValidationError(ViolationCode.MISSING_PARENT_BODY, "parent block not available")

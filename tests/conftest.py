@@ -50,7 +50,7 @@ def make_tree(
     """Raw tree from (child, parent) name pairs; the root is named 'g'."""
     bits = bits or {}
     ids = {"g": name_hash("g")}
-    tree = BlockTree.raw(ids["g"], bits.get("g", EASY_BITS), work_policy)
+    tree = BlockTree((ids["g"], bits.get("g", EASY_BITS)), work_policy)
     for child, parent in edges:
         ids[child] = name_hash(child)
         tree.add_raw(ids[child], ids[parent], bits.get(child, EASY_BITS))
@@ -114,7 +114,7 @@ def random_tree(
     work_policy: WorkPolicy = WorkPolicy.TARGET,
 ) -> BlockTree:
     size = rng.randrange(1, max_nodes + 1)
-    tree = BlockTree.raw(name_hash("r0"), rng.choice(bits_choices), work_policy)
+    tree = BlockTree((name_hash("r0"), rng.choice(bits_choices)), work_policy)
     nodes = [tree.root]
     for i in range(1, size):
         eligible = [n for n in nodes if len(tree.children(n)) < max_fanout]

@@ -193,7 +193,7 @@ def test_incremental_equals_bruteforce_after_each_insertion():
     rng = random.Random(99)
     for _ in range(12):
         size = rng.randrange(5, 45)
-        tree = BlockTree.raw(name_hash("i0"), EASY_BITS)
+        tree = BlockTree((name_hash("i0"), EASY_BITS))
         nodes = [tree.root]
         for i in range(1, size):
             parent = nodes[rng.randrange(len(nodes))]
@@ -217,10 +217,80 @@ def test_removal_invalidates_depths():
     assert tree.depth(ids["a1"], CONF) == 1
 
 
+def path_work(tree: BlockTree, h: Hash256) -> int:
+    total = 0
+    while h is not None:
+        total += tree.node_work(h)
+        h = tree.parent(h)
+    return total
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_chain_work_is_node_work_summed_from_root(seed):
+    rng = random.Random(seed)
+    tree = random_tree(
+        rng,
+        max_nodes=80,
+        bits_choices=(EASY_BITS, HARDER_BITS),
+        work_policy=rng.choice(list(WorkPolicy)),
+    )
+    for h in tree.hashes():
+        assert tree.chain_work(h) == path_work(tree, h)
+    others = sorted(h for h in tree.hashes() if h != tree.root)
+    if not others:
+        return
+    tree.remove_subtree(rng.choice(others))
+    survivors = sorted(tree.hashes())
+    for i in range(5):
+        tree.add_raw(name_hash(f"late{i}"), rng.choice(survivors), HARDER_BITS)
+    for h in tree.hashes():
+        assert tree.chain_work(h) == path_work(tree, h)
+
+
 def test_remove_root_rejected():
     tree, ids = make_tree([])
     with pytest.raises(TreeStructureError):
         tree.remove_subtree(ids["g"])
+
+
+# -- breadth-first order and the heaviest pick ---------------------------------------
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_bfs_yields_subtree_parents_first_siblings_ascending(seed):
+    rng = random.Random(seed)
+    tree = random_tree(rng, max_nodes=80)
+    start = rng.choice(sorted(tree.hashes()))
+    order = list(tree.bfs(start))
+    subtree = set()
+    stack = [start]
+    while stack:
+        h = stack.pop()
+        subtree.add(h)
+        stack.extend(tree.children(h))
+    assert len(order) == len(subtree) and set(order) == subtree
+    assert order[0] == start
+    pos = {h: i for i, h in enumerate(order)}
+    for h in order[1:]:
+        assert pos[tree.parent(h)] < pos[h]
+    # level by level; within a level by the parent's place, then by hash
+    assert order == sorted(order, key=lambda h: (tree.height(h), pos.get(tree.parent(h), -1), h))
+    assert list(tree.bfs()) == list(tree.bfs(tree.root))
+
+
+def test_bfs_unknown_start_rejected():
+    tree, _ = two_fork_tree()
+    with pytest.raises(UnknownBlockError):
+        list(tree.bfs(name_hash("absent")))
+
+
+def test_heaviest_takes_most_work_depth_then_smallest_hash():
+    tree, ids = make_tree([("a1", "g"), ("a2", "a1"), ("b1", "g"), ("c1", "g")])
+    assert tree.heaviest([ids["b1"], ids["a1"], ids["c1"]]) == ids["a1"]
+    assert tree.heaviest([ids["c1"], ids["b1"]]) == min(ids["b1"], ids["c1"])
+    assert tree.heaviest([]) is None
 
 
 # -- uniqueness of stable blocks -----------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from btcstate.blocktree import BlockTree
 from btcstate.chain import (
     Block,
     BlockHeader,
@@ -24,7 +25,6 @@ from btcstate.chain import (
     WorkPolicy,
     ZERO_HASH,
     bits_to_target,
-    header_work,
     merkle_root,
     p2pkh_script,
     script_address,
@@ -312,8 +312,9 @@ def test_hash_policy_work_decreases_with_hash():
 
 def test_header_work_policies_differ():
     header = zero_header(bits=0x207FFFFF, nonce=5)
-    assert header_work(header, WorkPolicy.TARGET) == work_from_bits(0x207FFFFF)
-    assert header_work(header, WorkPolicy.HASH) == work_from_hash(header.hash())
+    h = header.hash()
+    assert BlockTree(header, WorkPolicy.TARGET).node_work(h) == work_from_bits(0x207FFFFF)
+    assert BlockTree(header, WorkPolicy.HASH).node_work(h) == work_from_hash(h)
 
 
 # -- addresses ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ experiments, and end-to-end sync liveness."""
 import pytest
 
 from btcstate.blocktree import DepthKind
+from btcstate.chain import Hash256, WorkPolicy
 from btcstate.netsim import (
     AdversaryConfig,
     AdversaryStrategy,
@@ -139,8 +140,51 @@ def test_budget_invariant_checked_during_run():
     honest_h = world.honest_height()
     fork_h = world.tree.height(adv.fork_tip())
     assert fork_h < honest_h + params.c_star or (
-        world.cum_work[adv.fork_tip()] < world.cum_work[world.honest_tip]
+        world.tree.chain_work(adv.fork_tip()) < world.tree.chain_work(world.honest_tip)
     )
+
+
+def brute_honest_tip(world: SimWorld) -> Hash256:
+    """Scan every honest block: most work summed along its path from the
+    root, ties to the smallest hash."""
+    best, best_key = None, None
+    for h in world.honest_blocks:
+        work = 0
+        cursor = h
+        while cursor is not None:
+            work += world.tree.node_work(cursor)
+            cursor = world.tree.parent(cursor)
+        key = (work, bytes(255 - b for b in h))
+        if best_key is None or key > best_key:
+            best, best_key = h, key
+    return best
+
+
+@pytest.mark.parametrize("work_policy", [WorkPolicy.TARGET, WorkPolicy.HASH])
+def test_honest_tip_is_heaviest_honest_block_after_every_block(work_policy):
+    params = small_params(adversary_hash=0.3, c_star=2, phi=0.34, ensure_honest_peer=True)
+    world = SimWorld(
+        params,
+        seed=17,
+        delta=3,
+        adversary=AdversaryConfig(strategy=AdversaryStrategy.WITHHOLD_RELEASE),
+        work_policy=work_policy,
+    )
+    add_block = world.add_block
+    added = []
+
+    def add_and_check(block, honest):
+        h = add_block(block, honest)
+        added.append(honest)
+        assert world.honest_tip == brute_honest_tip(world)
+        return h
+
+    world.add_block = add_and_check
+    world.run_until(lambda: world.honest_height() >= 8, max_duration=1e7)
+    world.inject_fork(world.honest_height() - 1, 1)  # a rival of the tip's height
+    world.inject_fork(world.honest_height() - 2, 3)  # a longer branch lower down
+    world.run_until(lambda: world.honest_height() >= 14, max_duration=1e7)
+    assert added.count(True) >= 14 and False in added
 
 
 # -- peer sampling ---------------------------------------------------------------

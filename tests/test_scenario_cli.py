@@ -1,5 +1,6 @@
 """Scenario parsing, the runner, and the command-line interface."""
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -152,25 +153,57 @@ def test_bundled_scenarios_present():
         assert expected in names
 
 
-@pytest.mark.parametrize("name", [
-    "sync-linear",
-    "fork-above-anchor",
-    "fork-attack",
-    "downtime-attack",
-    "pagination-stress",
-    "eclipse-mc",
-    "downtime-mc",
-])
-def test_every_bundled_scenario_green_within_budget(name):
+# SHA-256 of each bundled scenario's report.csv and observations.csv at its
+# default seed. A refactor must leave both byte-identical; an intended
+# output format change updates these with a CHANGES.md entry saying why.
+BUNDLED_OUTPUT_SHA256 = {
+    "sync-linear": (
+        "c69edfa15efac8ed7819a85572b0228177c2bfc9441a826b352828375cc564ce",
+        "a3e6f1d99028e432d6ed548e6c05443c74c813363e2aa0a0c55026daa69236e9",
+    ),
+    "fork-above-anchor": (
+        "7da5de0b32f7eec01e13d8b72c7281107842d7658e6f0d509923034ba52c959a",
+        "861c3cdf30f7ee12dd54bbea6b43913824fcf6855b5c5acb0c43cb765b2928dd",
+    ),
+    "fork-attack": (
+        "a891cd88a159efca23e1b214c475df1bcd019cf5854f04278f979dfc90d712a2",
+        "4dca655ab45cdaa6cb591af012d55df7c023c8efb1c39fdf8e7c8978fc30ba3b",
+    ),
+    "downtime-attack": (
+        "fb120ecefbadeb92637aff40d7c25c3d15d0e1910bf4bb35f7331782f145b7bf",
+        "369066071df6a710d3047743a3f2905c753f4145f38557d7f218fec8cd9b76e3",
+    ),
+    "pagination-stress": (
+        "be08c0b181185d3683049de46ec7a3af29753cc0fd895e7d1f2c85abf8e57d84",
+        "99a477039a333918147fc34e7212d70ed6e2ac1c81cc734e3602e68e403e4648",
+    ),
+    "eclipse-mc": (
+        "2bcd61f265771eb4804b8c872f12130e0823d0910e35360136c93295277c8e6b",
+        "eb1b4b9e249843751f7ba537f2a72c6c68c3da484395a6742c8e1074a97da5fb",
+    ),
+    "downtime-mc": (
+        "63c808f944d4312ba5061c1eb1e859ff04596ce93f3b1c87fe7e7e2f6621859d",
+        "4004b575506982fedfca20472d37c6917033aac8803a765b27b542525b4f4be0",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(BUNDLED_OUTPUT_SHA256))
+def test_every_bundled_scenario_green_within_budget(name, tmp_path):
     import time
 
     from btcstate.cli import load_scenario_text
 
     started = time.monotonic()
-    result = run_scenario_text(load_scenario_text(name))
+    result = run_scenario_text(load_scenario_text(name), out_dir=tmp_path)
     elapsed = time.monotonic() - started
     assert result.ok, result.failures
     assert elapsed < 120.0
+    digests = tuple(
+        hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+        for f in ("report.csv", "observations.csv")
+    )
+    assert digests == BUNDLED_OUTPUT_SHA256[name]
 
 
 def test_wire_trace_flag():

@@ -204,11 +204,11 @@ def test_block_ok(builder):
     policy = ChainPolicy.for_network(NetworkKind.REGTEST)
     block = builder.extend()
     tree = BlockTree(builder.genesis.header)
-    check_block(block, tree, policy, NOW, anchor=tree.root, require_parent_body=True)
+    check_header(block.header, tree, policy, NOW)
+    check_block(block, tree, tree.root)
 
 
 def test_block_merkle_mismatch(builder):
-    policy = ChainPolicy.for_network(NetworkKind.REGTEST)
     block = builder.extend()
     # perturb the coinbase so its txid changes but the header commitment stays
     cb = block.transactions[0]
@@ -216,7 +216,7 @@ def test_block_merkle_mismatch(builder):
     bad = Block(block.header, (perturbed,) + block.transactions[1:])
     tree = BlockTree(builder.genesis.header)
     with pytest.raises(ValidationError) as err:
-        check_block(bad, tree, policy, NOW)
+        check_block(bad, tree, tree.root)
     assert err.value.code is ViolationCode.MERKLE_MISMATCH
 
 
@@ -230,20 +230,22 @@ def test_block_with_invalid_spend_is_ok_by_design(builder):
     )
     block = builder.extend(extra_txs=(bogus,))
     tree = BlockTree(builder.genesis.header)
-    check_block(block, tree, policy, NOW, anchor=tree.root, require_parent_body=True)
+    check_header(block.header, tree, policy, NOW)
+    check_block(block, tree, tree.root)
 
 
 def test_block_missing_parent_body(builder):
-    policy = ChainPolicy.for_network(NetworkKind.REGTEST)
     b1 = builder.extend()
     b2 = builder.extend()
     tree = BlockTree(builder.genesis.header)
     tree.add_header(b1.header)
     with pytest.raises(ValidationError) as err:
-        check_block(b2, tree, policy, NOW, anchor=tree.root, require_parent_body=True)
+        check_block(b2, tree, tree.root)
     assert err.value.code is ViolationCode.MISSING_PARENT_BODY
+    # a parent that is the anchor needs no body; any other needs one held
+    check_block(b2, tree, b1.header.hash())
     tree.set_block(b1.header.hash(), b1)
-    check_block(b2, tree, policy, NOW, anchor=tree.root, require_parent_body=True)
+    check_block(b2, tree, tree.root)
 
 
 def test_block_shape_rules():
