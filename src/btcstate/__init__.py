@@ -22,7 +22,6 @@ from btcstate.chain import (
     Transaction,
     TxIn,
     TxOut,
-    WorkPolicy,
 )
 from btcstate.blocktree import BlockTree, DepthKind
 
@@ -37,7 +36,6 @@ __all__ = [
     "Transaction",
     "TxIn",
     "TxOut",
-    "WorkPolicy",
 ]
 
 __version__ = "0.1.0"

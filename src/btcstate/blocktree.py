@@ -1,11 +1,11 @@
 """Rooted trees of block headers with depth and stability queries.
 
 Depth of a node is the maximum cumulative cost over paths to any tip in
-its subtree, where cost is 1 per block (confirmation counting) or the
-block's hash work (fork choice). The stability score of a block is its
-depth clipped by its lead over every other block at the same height; a
-block on a losing fork scores negative. These are the quantities that
-drive confirmation reporting and anchor advancement.
+its subtree, where cost is 1 per block (confirmation counting) or the work
+its difficulty target implies (fork choice). The stability score of a
+block is its depth clipped by its lead over every other block at the same
+height; a block on a losing fork scores negative. These are the quantities
+that drive confirmation reporting and anchor advancement.
 
 Depths are memoized per node and invalidated along the ancestor path on
 insertion, so repeated queries after incremental growth stay cheap and
@@ -19,14 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Optional
 
-from btcstate.chain import (
-    Block,
-    BlockHeader,
-    Hash256,
-    WorkPolicy,
-    work_from_bits,
-    work_from_hash,
-)
+from btcstate.chain import Block, BlockHeader, Hash256, work_from_bits
 
 
 class UnknownBlockError(KeyError):
@@ -39,7 +32,7 @@ class TreeStructureError(ValueError):
 
 class DepthKind(Enum):
     CONFIRMATION = "confirmation"  # every block costs 1
-    WORK = "work"  # every block costs its hash work
+    WORK = "work"  # every block costs the work its target implies
 
 
 @dataclass(frozen=True)
@@ -80,7 +73,6 @@ class _Node:
         parent: Optional["_Node"],
         bits: int,
         header: Optional[BlockHeader],
-        work: int,
     ):
         self.hash = hash_
         self.prev = parent.hash if parent is not None else None
@@ -89,18 +81,14 @@ class _Node:
         self.header = header
         self.block: Optional[Block] = None
         self.children: list[Hash256] = []
-        self.work = work
-        self.chain_work = work + (parent.chain_work if parent is not None else 0)
+        self.work = work_from_bits(bits)
+        self.chain_work = self.work + (parent.chain_work if parent is not None else 0)
 
 
 class BlockTree:
     """Single-rooted header tree; single-writer, many concurrent readers."""
 
-    def __init__(
-        self,
-        genesis: BlockHeader | tuple[Hash256, int],
-        work_policy: WorkPolicy = WorkPolicy.TARGET,
-    ):
+    def __init__(self, genesis: BlockHeader | tuple[Hash256, int]):
         """Root the tree at `genesis`: a header, or a bare (hash, bits) pair
         for trees keyed by externally supplied hashes (dump files, synthetic
         tests), whose proof of work is not rechecked."""
@@ -108,20 +96,14 @@ class BlockTree:
             root, bits, header = genesis.hash(), genesis.bits, genesis
         else:
             (root, bits), header = genesis, None
-        self.work_policy = work_policy
         self._nodes: dict[Hash256, _Node] = {}
         self._by_height: dict[int, list[Hash256]] = {}
         self._depth_c: dict[Hash256, int] = {}
         self._depth_w: dict[Hash256, int] = {}
         self.root = root
-        self._put(_Node(root, None, bits, header, self._work_of(bits, root)))
+        self._put(_Node(root, None, bits, header))
 
     # -- structure ----------------------------------------------------------
-
-    def _work_of(self, bits: int, hash_: Hash256) -> int:
-        if self.work_policy is WorkPolicy.TARGET:
-            return work_from_bits(bits)
-        return work_from_hash(hash_)
 
     def _put(self, node: _Node) -> None:
         self._nodes[node.hash] = node
@@ -153,7 +135,7 @@ class BlockTree:
         if hash_ in self._nodes:
             return hash_
         parent = self._node(prev)
-        self._put(_Node(hash_, parent, bits, header, self._work_of(bits, hash_)))
+        self._put(_Node(hash_, parent, bits, header))
         parent.children.append(hash_)
         self._invalidate_up(prev)
         return hash_
@@ -297,31 +279,12 @@ class BlockTree:
         delta: int,
         kind: DepthKind,
         reference: Optional[Hash256] = None,
-        require_separation: bool = True,
     ) -> bool:
-        """Whether the block's depth and its lead over every same-height
-        rival both reach `delta`.
-
-        With require_separation False only the depth condition is checked
-        (the weaker guard some policies use for work-based advancement).
-        """
+        """Whether the block's stability score reaches `delta`: its depth
+        and its lead over every same-height rival both do."""
         if delta < 0:
             raise ValueError("delta must be non-negative")
-        node = self._node(hash_)
-        if kind is DepthKind.CONFIRMATION:
-            threshold = delta
-        else:
-            ref = reference if reference is not None else self.root
-            threshold = delta * self._node(ref).work
-        d = self.depth(hash_, kind)
-        if d < threshold:
-            return False
-        if not require_separation:
-            return True
-        for rival in self._by_height.get(node.height, ()):
-            if rival != hash_ and d - self.depth(rival, kind) < threshold:
-                return False
-        return True
+        return self.stability(hash_, kind, reference) >= delta
 
     def confirmations(self, hash_: Hash256) -> int:
         """Confirmation count of a block: its confirmation-based stability."""
@@ -356,9 +319,6 @@ class BlockTree:
             children = self._nodes[best].children
         return chain
 
-    def tip(self) -> Hash256:
-        return self.current_chain()[-1]
-
     # -- dump / load -----------------------------------------------------------
 
     def dump_lines(self) -> list[str]:
@@ -374,9 +334,7 @@ class BlockTree:
         return lines
 
     @classmethod
-    def from_dump(
-        cls, lines: Iterable[str], work_policy: WorkPolicy = WorkPolicy.TARGET
-    ) -> "BlockTree":
+    def from_dump(cls, lines: Iterable[str]) -> "BlockTree":
         tree: Optional[BlockTree] = None
         count = 0
         for lineno, raw in enumerate(lines, start=1):
@@ -401,7 +359,7 @@ class BlockTree:
             if prev_hex == "-":
                 if tree is not None:
                     raise TreeStructureError(f"line {lineno}: second root")
-                tree = cls((h, bits), work_policy)
+                tree = cls((h, bits))
                 if height != 0:
                     raise TreeStructureError(f"line {lineno}: root height must be 0")
             else:

@@ -27,7 +27,6 @@ from btcstate.chain import (
     SerializationError,
     Transaction,
     TxOut,
-    WorkPolicy,
     script_address,
 )
 from btcstate.validation import (
@@ -40,6 +39,8 @@ from btcstate.validation import (
 DEFAULT_DELTA = 144
 DEFAULT_TAU = 2
 DEFAULT_PAGE_SIZE = 1000
+
+SNAPSHOT_MAGIC = "btcstate-snapshot 2"
 
 
 class ApiError(Exception):
@@ -189,16 +190,19 @@ class Canister:
         tau: int = DEFAULT_TAU,
         policy: Optional[ChainPolicy] = None,
         page_size: int = DEFAULT_PAGE_SIZE,
-        work_policy: WorkPolicy = WorkPolicy.TARGET,
-        require_separation: bool = True,
     ):
+        if delta < 1:
+            raise ValueError(f"delta must be at least 1, not {delta}")
+        if tau < 0:
+            raise ValueError(f"tau must be non-negative, not {tau}")
+        if page_size < 1:
+            raise ValueError(f"page size must be at least 1, not {page_size}")
         self.network = network
         self.delta = delta
         self.tau = tau
         self.policy = policy if policy is not None else ChainPolicy.for_network(network)
         self.page_size = page_size
-        self.require_separation = require_separation
-        self.tree = BlockTree(genesis, work_policy)
+        self.tree = BlockTree(genesis)
         self.anchor: Hash256 = genesis.hash()
         self.utxos = UtxoSet(network)
         self.outbound_txs: deque[bytes] = deque()
@@ -293,11 +297,9 @@ class Canister:
         return True
 
     def _advance_anchor(self) -> None:
-        """Advance while the best block right above the anchor is stable.
+        """Advance while the best block right above the anchor is δ-stable,
+        in work relative to the current anchor block's work.
 
-        Stability is measured in work relative to the current anchor block's
-        work: depth at least delta times that work and, unless separation
-        checking is disabled, the same margin over every same-height rival.
         Each advancement folds the block into the UTXO set, prunes rival
         branches at that height, and drops the block body.
         """
@@ -305,16 +307,10 @@ class Canister:
             next_height = self.anchor_height() + 1
             at_height = self.tree.at_height(next_height)
             best = self.tree.heaviest(h for h in at_height if self.tree.has_block(h))
-            if best is None:
+            if best is None or not self.tree.is_delta_stable(
+                best, self.delta, DepthKind.WORK, reference=self.anchor
+            ):
                 return
-            best_depth = self.tree.depth(best, DepthKind.WORK)
-            threshold = self.delta * self.tree.node_work(self.anchor)
-            if best_depth < threshold:
-                return
-            if self.require_separation:
-                for rival in at_height:
-                    if rival != best and best_depth - self.tree.depth(rival, DepthKind.WORK) < threshold:
-                        return
             block = self.tree.block(best)
             assert block is not None
             self.anomaly_count += self.utxos.apply_block(block, next_height)
@@ -480,13 +476,11 @@ class Canister:
 
     def snapshot_lines(self) -> list[str]:
         lines = [
-            "btcstate-snapshot 1",
+            SNAPSHOT_MAGIC,
             f"network {self.network.value}",
             f"delta {self.delta}",
             f"tau {self.tau}",
             f"page-size {self.page_size}",
-            f"separation {1 if self.require_separation else 0}",
-            f"work-policy {self.tree.work_policy.value}",
             f"anchor {self.anchor.rev_hex()}",
             f"synced {1 if self.synced else 0}",
         ]
@@ -516,7 +510,9 @@ class Canister:
     def from_snapshot(cls, lines: Iterable[str]) -> "Canister":
         it = iter(lines)
         header_line = next(it, "").strip()
-        if header_line != "btcstate-snapshot 1":
+        if header_line != SNAPSHOT_MAGIC:
+            if header_line.startswith("btcstate-snapshot "):
+                raise ValueError(f"unsupported snapshot version {header_line!r}")
             raise ValueError("not a state snapshot (bad magic)")
         fields: dict[str, str] = {}
         headers: list[BlockHeader] = []
@@ -556,8 +552,6 @@ class Canister:
             delta=int(fields["delta"]),
             tau=int(fields["tau"]),
             page_size=int(fields["page-size"]),
-            work_policy=WorkPolicy(fields["work-policy"]),
-            require_separation=fields.get("separation", "1") == "1",
         )
         for header in headers[1:]:
             state.tree.add_header(header)
@@ -567,6 +561,8 @@ class Canister:
         for outpoint, txout, height in utxo_lines:
             state.utxos.add(outpoint, txout, height)
         state.anchor = Hash256.from_rev_hex(fields["anchor"])
+        if state.anchor not in state.tree:
+            raise ValueError(f"anchor {fields['anchor']} is not in the snapshot's tree")
         state.synced = fields.get("synced", "1") == "1"
         state.outbound_txs.extend(queued)
         return state

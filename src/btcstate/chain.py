@@ -75,20 +75,6 @@ class NetworkKind(Enum):
             raise ValueError(f"unknown network {text!r}") from None
 
 
-class WorkPolicy(Enum):
-    """How per-block hash work is measured.
-
-    TARGET uses the expected work implied by the difficulty target
-    (floor(2^256 / (target + 1))); HASH uses the achieved header hash
-    (floor(2^256 / (hash + 1))), which is strictly larger for luckier
-    hashes. Both are monotone: a numerically smaller hash or target
-    never yields less work.
-    """
-
-    TARGET = "target"
-    HASH = "hash"
-
-
 # --- CompactSize varints -------------------------------------------------
 
 
@@ -384,11 +370,6 @@ def work_from_target(target: int) -> int:
 
 def work_from_bits(bits: int) -> int:
     return work_from_target(bits_to_target(bits))
-
-
-def work_from_hash(block_hash: Hash256) -> int:
-    """Work credited for the achieved hash itself; smaller hash, more work."""
-    return HASH_SPACE // (block_hash.as_int() + 1)
 
 
 # --- Address extraction ----------------------------------------------------

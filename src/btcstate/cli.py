@@ -78,7 +78,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     try:
         runner = ScenarioRunner(scenario, seed=args.seed, out_dir=out_dir)
         result = runner.run()
-    except ScenarioParseError as exc:
+    except ValueError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(f"scenario {result.scenario} seed={result.seed}")

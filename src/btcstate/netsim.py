@@ -39,7 +39,6 @@ from btcstate.chain import (
     Transaction,
     TxIn,
     TxOut,
-    WorkPolicy,
     ZERO_HASH,
     bits_to_target,
     merkle_root,
@@ -237,8 +236,6 @@ class Adversary:
             )
             txs.append(corrupting)
             self.corrupting_txid = corrupting.txid()
-        # Budget precheck uses the target-implied work; under the hash-based
-        # work policy the invariant check after mining is the authority.
         new_work = world.tree.chain_work(parent) + work_from_bits(bits)
         if self.config.budget_enforced and not self.within_budget(new_height, new_work):
             self.budget_holds += 1
@@ -291,8 +288,6 @@ class SimWorld:
         page_size: int = 1000,
         checkpoint_height: int = 1 << 31,
         adversary: Optional[AdversaryConfig] = None,
-        require_separation: bool = True,
-        work_policy: WorkPolicy = WorkPolicy.TARGET,
         trace_wire: bool = False,
     ):
         params.validate()
@@ -304,7 +299,7 @@ class SimWorld:
 
         genesis = regtest_genesis_block()
         self.genesis = genesis
-        self.tree = BlockTree(genesis.header, work_policy)
+        self.tree = BlockTree(genesis.header)
         self.tree.set_block(genesis.header.hash(), genesis)
         self.honest_tip: Hash256 = genesis.header.hash()
         self.honest_blocks: set[Hash256] = {genesis.header.hash()}
@@ -326,8 +321,6 @@ class SimWorld:
             tau=tau,
             policy=self.policy,
             page_size=page_size,
-            work_policy=work_policy,
-            require_separation=require_separation,
         )
 
         self.adapters: list[Adapter] = []
@@ -527,8 +520,10 @@ class SimWorld:
         """Mine a competing honest-side branch off the current chain at the
         given height, modeling a natural reorganization race."""
         chain = [h for h in self._honest_chain()]
-        if branch_height >= len(chain):
-            raise ValueError("branch height beyond honest chain")
+        if not 0 <= branch_height < len(chain):
+            raise ValueError(
+                f"branch height {branch_height} outside the honest chain (0..{len(chain) - 1})"
+            )
         parent = chain[branch_height]
         self._fork_counter += 1
         made = []

@@ -83,7 +83,6 @@ class Scenario:
     tau: int = 2
     page_size: int = 1000
     checkpoint_height: int = 1 << 31
-    require_separation: bool = True
     adversary: AdversaryConfig = field(default_factory=AdversaryConfig)
     script: list[Action] = field(default_factory=list)
 
@@ -208,8 +207,6 @@ def parse_scenario(text: str) -> Scenario:
                     scenario.page_size = int(value)
                 elif key == "checkpoint-height":
                     scenario.checkpoint_height = int(value)
-                elif key == "separation":
-                    scenario.require_separation = _parse_bool(value, lineno)
                 else:
                     raise ScenarioParseError(lineno, f"unknown canister key {key!r}")
             elif section == "adversary":
@@ -325,7 +322,6 @@ class ScenarioRunner:
             page_size=scenario.page_size,
             checkpoint_height=scenario.checkpoint_height,
             adversary=scenario.adversary,
-            require_separation=scenario.require_separation,
             trace_wire=scenario.trace_wire,
         )
         self.extra_metrics: dict[str, float] = {}
@@ -388,7 +384,10 @@ class ScenarioRunner:
             branch = int(args[0])
             if branch < 0:  # relative to the current honest tip
                 branch = world.honest_height() + branch
-            world.inject_fork(branch, int(args[1]))
+            try:
+                world.inject_fork(branch, int(args[1]))
+            except ValueError as exc:
+                raise ScenarioParseError(lineno, str(exc)) from None
         elif op == "start-downtime":
             world.start_downtime()
         elif op == "stop-downtime":

@@ -15,12 +15,10 @@ from btcstate.chain import (
     Transaction,
     TxIn,
     TxOut,
-    WorkPolicy,
     merkle_root,
     p2pkh_script,
     sha256d,
     work_from_bits,
-    work_from_hash,
 )
 from btcstate.netsim import (
     COINBASE_VALUE,
@@ -45,12 +43,11 @@ def name_hash(name: str) -> Hash256:
 def make_tree(
     edges: list[tuple[str, str]],
     bits: dict[str, int] | None = None,
-    work_policy: WorkPolicy = WorkPolicy.TARGET,
 ) -> tuple[BlockTree, dict[str, Hash256]]:
     """Raw tree from (child, parent) name pairs; the root is named 'g'."""
     bits = bits or {}
     ids = {"g": name_hash("g")}
-    tree = BlockTree((ids["g"], bits.get("g", EASY_BITS)), work_policy)
+    tree = BlockTree((ids["g"], bits.get("g", EASY_BITS)))
     for child, parent in edges:
         ids[child] = name_hash(child)
         tree.add_raw(ids[child], ids[parent], bits.get(child, EASY_BITS))
@@ -61,12 +58,7 @@ def make_tree(
 
 
 def brute_depth(tree: BlockTree, node: Hash256, kind: DepthKind) -> int:
-    if kind is DepthKind.CONFIRMATION:
-        cost = 1
-    elif tree.work_policy is WorkPolicy.TARGET:
-        cost = work_from_bits(tree.bits(node))
-    else:
-        cost = work_from_hash(node)
+    cost = 1 if kind is DepthKind.CONFIRMATION else work_from_bits(tree.bits(node))
     children = tree.children(node)
     if not children:
         return cost
@@ -88,10 +80,7 @@ def brute_best_path(tree: BlockTree) -> list[Hash256]:
     paths: list[tuple[int, list[Hash256]]] = []
 
     def walk(node: Hash256, acc: list[Hash256], work: int) -> None:
-        if tree.work_policy is WorkPolicy.TARGET:
-            work += work_from_bits(tree.bits(node))
-        else:
-            work += work_from_hash(node)
+        work += work_from_bits(tree.bits(node))
         acc = acc + [node]
         children = tree.children(node)
         if not children:
@@ -111,10 +100,9 @@ def random_tree(
     max_nodes: int = 200,
     max_fanout: int = 4,
     bits_choices: tuple[int, ...] = (EASY_BITS,),
-    work_policy: WorkPolicy = WorkPolicy.TARGET,
 ) -> BlockTree:
     size = rng.randrange(1, max_nodes + 1)
-    tree = BlockTree((name_hash("r0"), rng.choice(bits_choices)), work_policy)
+    tree = BlockTree((name_hash("r0"), rng.choice(bits_choices)))
     nodes = [tree.root]
     for i in range(1, size):
         eligible = [n for n in nodes if len(tree.children(n)) < max_fanout]

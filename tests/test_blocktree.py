@@ -13,7 +13,7 @@ from btcstate.blocktree import (
     UnknownBlockError,
     WorkRatio,
 )
-from btcstate.chain import Hash256, WorkPolicy, sha256d, work_from_bits
+from btcstate.chain import Hash256, sha256d, work_from_bits
 
 from conftest import (
     EASY_BITS,
@@ -67,11 +67,6 @@ def test_work_depth_uses_bits():
     assert tree.depth(ids["g"], WORK) == expected
 
 
-def test_work_depth_hash_policy():
-    tree, ids = make_tree([("a", "g")], work_policy=WorkPolicy.HASH)
-    assert tree.depth(ids["g"], WORK) == brute_depth(tree, ids["g"], WORK)
-
-
 # -- stability ----------------------------------------------------------------
 
 
@@ -122,9 +117,29 @@ def test_delta_stable_thresholds():
 
 def test_delta_stable_separation_flag():
     tree, ids = two_fork_tree()
-    # depth alone reaches 3, but the rival separation is only 2
+    # depth alone reaches 3, but the lead over the rival b1 is only 2, and
+    # the lead is always required
+    assert tree.depth(ids["a1"], CONF) == 3
     assert not tree.is_delta_stable(ids["a1"], 3, CONF)
-    assert tree.is_delta_stable(ids["a1"], 3, CONF, require_separation=False)
+    assert tree.is_delta_stable(ids["a1"], 2, CONF)
+    w = work_from_bits(EASY_BITS)
+    assert tree.depth(ids["a1"], WORK) == 3 * w
+    assert not tree.is_delta_stable(ids["a1"], 3, WORK)
+    assert tree.is_delta_stable(ids["a1"], 2, WORK)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_delta_stable_equals_brute_stability_reaching_delta(seed):
+    tree = random_tree(
+        random.Random(seed), max_nodes=50, bits_choices=(EASY_BITS, HARDER_BITS)
+    )
+    root_work = work_from_bits(tree.bits(tree.root))
+    for h in tree.hashes():
+        for kind, unit in ((CONF, 1), (WORK, root_work)):
+            score = brute_stability(tree, h, kind)
+            for delta in range(9):
+                assert tree.is_delta_stable(h, delta, kind) == (score >= delta * unit)
 
 
 def test_delta_stable_monotone_on_random_trees():
@@ -233,7 +248,6 @@ def test_chain_work_is_node_work_summed_from_root(seed):
         rng,
         max_nodes=80,
         bits_choices=(EASY_BITS, HARDER_BITS),
-        work_policy=rng.choice(list(WorkPolicy)),
     )
     for h in tree.hashes():
         assert tree.chain_work(h) == path_work(tree, h)

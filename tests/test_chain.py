@@ -22,7 +22,6 @@ from btcstate.chain import (
     Transaction,
     TxIn,
     TxOut,
-    WorkPolicy,
     ZERO_HASH,
     bits_to_target,
     merkle_root,
@@ -31,7 +30,6 @@ from btcstate.chain import (
     sha256d,
     target_to_bits,
     work_from_bits,
-    work_from_hash,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -304,17 +302,22 @@ def test_deserializers_reject_garbage_cleanly(data):
             pass
 
 
-def test_hash_policy_work_decreases_with_hash():
-    lucky = Hash256(b"\x01" + b"\x00" * 31)
-    unlucky = Hash256(b"\xff" * 32)
-    assert work_from_hash(lucky) > work_from_hash(unlucky)
-
-
 def test_header_work_policies_differ():
-    header = zero_header(bits=0x207FFFFF, nonce=5)
+    # a node is credited the work its target implies, never the larger
+    # work its achieved (below-target) hash would suggest
+    target = bits_to_target(0x207FFFFF)
+    header = next(
+        hd
+        for hd in (zero_header(bits=0x207FFFFF, nonce=n) for n in range(64))
+        if hd.hash().as_int() < target
+    )
     h = header.hash()
-    assert BlockTree(header, WorkPolicy.TARGET).node_work(h) == work_from_bits(0x207FFFFF)
-    assert BlockTree(header, WorkPolicy.HASH).node_work(h) == work_from_hash(h)
+    tree = BlockTree(header)
+    assert tree.node_work(h) == work_from_bits(0x207FFFFF)
+    assert tree.node_work(h) < HASH_SPACE // (h.as_int() + 1)
+    child = zero_header(prev=h, bits=0x1D00FFFF)
+    tree.add_header(child)
+    assert tree.node_work(child.hash()) == work_from_bits(0x1D00FFFF)
 
 
 # -- addresses ----------------------------------------------------------------------

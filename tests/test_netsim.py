@@ -4,7 +4,7 @@ experiments, and end-to-end sync liveness."""
 import pytest
 
 from btcstate.blocktree import DepthKind
-from btcstate.chain import Hash256, WorkPolicy
+from btcstate.chain import Hash256
 from btcstate.netsim import (
     AdversaryConfig,
     AdversaryStrategy,
@@ -160,15 +160,13 @@ def brute_honest_tip(world: SimWorld) -> Hash256:
     return best
 
 
-@pytest.mark.parametrize("work_policy", [WorkPolicy.TARGET, WorkPolicy.HASH])
-def test_honest_tip_is_heaviest_honest_block_after_every_block(work_policy):
+def test_honest_tip_is_heaviest_honest_block_after_every_block():
     params = small_params(adversary_hash=0.3, c_star=2, phi=0.34, ensure_honest_peer=True)
     world = SimWorld(
         params,
         seed=17,
         delta=3,
         adversary=AdversaryConfig(strategy=AdversaryStrategy.WITHHOLD_RELEASE),
-        work_policy=work_policy,
     )
     add_block = world.add_block
     added = []

@@ -87,6 +87,12 @@ def test_parse_invalid_params_rejected():
         parse_scenario("[params]\nn 3\nf 1\n")  # f >= n/3
 
 
+def test_parse_separation_key_is_unknown():
+    # the rival lead of the stability rule is always required
+    with pytest.raises(ScenarioParseError, match="line 3: unknown canister key 'separation'"):
+        parse_scenario("[canister]\ndelta 3\nseparation off\n")
+
+
 def test_assertion_arithmetic():
     metrics = {"a": 10, "b": 4}
     ok, _ = eval_assertion(["a", "-", "b", "==", "6"], metrics, 1)
@@ -231,6 +237,25 @@ def test_cli_run_exit_codes(tmp_path):
     assert not (tmp_path / "broken-out").exists()
 
     assert main(["run", str(tmp_path / "missing.scn")]) == 2
+
+
+def test_cli_run_bad_parameters_are_scenario_errors(tmp_path, capsys):
+    # invalid values found while building or running the scenario: one
+    # line on stderr and the usage exit code, never a traceback
+    assert main(["run", "pagination-stress", "--page-size", "0"]) == 2
+    assert main(["run", "pagination-stress", "--delta", "0"]) == 2
+    far_fork = tmp_path / "far-fork.scn"
+    far_fork.write_text(FAST_SCENARIO.replace("mine 8\n", "mine 8\ninject-fork 99 1\n"))
+    assert main(["run", str(far_fork)]) == 2
+    before_genesis = tmp_path / "before-genesis.scn"
+    before_genesis.write_text(FAST_SCENARIO.replace("mine 8\n", "mine 8\ninject-fork -99 1\n"))
+    assert main(["run", str(before_genesis)]) == 2
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert len(lines) == 4 and all(l.startswith("scenario error: ") for l in lines)
+    assert "page size" in lines[0] and "delta" in lines[1]
+    assert "branch height 99 outside the honest chain" in lines[2]
+    assert "Traceback" not in err
 
 
 def test_cli_run_bundled_by_name(capsys):
@@ -393,3 +418,17 @@ def test_cli_api_against_snapshot(tmp_path, capsys):
 
     rc = main(["api", str(tmp_path / "nope.snap"), "get_balance", alice])
     assert rc == 2
+
+    # a snapshot whose anchor is not in its tree, or of the old version
+    capsys.readouterr()
+    text = snap.read_text()
+    stray = "ab" * 32
+    anchor_line = [l for l in text.splitlines() if l.startswith("anchor ")][0]
+    (tmp_path / "stray.txt").write_text(text.replace(anchor_line, f"anchor {stray}"))
+    assert main(["api", str(tmp_path / "stray.txt"), "get_balance", alice]) == 2
+    (tmp_path / "v1.txt").write_text(text.replace("btcstate-snapshot 2", "btcstate-snapshot 1"))
+    assert main(["api", str(tmp_path / "v1.txt"), "get_balance", alice]) == 2
+    err = capsys.readouterr().err
+    assert f"bad snapshot: anchor {stray}" in err
+    assert "bad snapshot: unsupported snapshot version" in err
+    assert "Traceback" not in err
