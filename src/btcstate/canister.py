@@ -5,6 +5,9 @@ the highest block considered stable under the work-based stability rule
 (threshold delta, 144 in production). Full blocks above the anchor are kept
 separately so any reorganization above the anchor resolves automatically;
 queries overlay those unstable blocks on the materialized set per request.
+Each unstable block's overlay (its outputs by address and the outpoints it
+spends) is computed once, on the first query that needs it, and kept until
+the block's body is dropped.
 
 Responses from the sync endpoint are applied one at a time in simulator
 order; the whole state is deterministic given the message sequence.
@@ -12,8 +15,9 @@ order; the whole state is deterministic given the message sequence.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from btcstate.adapter import GetSuccessorsRequest, GetSuccessorsResponse
 from btcstate.blocktree import BlockTree, DepthKind
@@ -156,19 +160,45 @@ class UtxoSet:
         return anomalies
 
 
-_PAGE_TAG = "p1"
+class OverlayDelta(NamedTuple):
+    """What one unstable block changes for queries: its outputs grouped by
+    address, each as (outpoint, output, height), and the outpoints it
+    spends. Every txid and address of the block is derived once, here."""
+
+    created: dict[str, tuple[tuple[OutPoint, TxOut, int], ...]]
+    spent: frozenset[OutPoint]
+
+    @classmethod
+    def of_block(cls, block: Block, height: int, network: NetworkKind) -> "OverlayDelta":
+        created: dict[str, list[tuple[OutPoint, TxOut, int]]] = {}
+        spent: list[OutPoint] = []
+        for tx in block.transactions:
+            if not tx.is_coinbase():
+                spent.extend(txin.outpoint for txin in tx.inputs)
+            txid = tx.txid()
+            for vout, txout in enumerate(tx.outputs):
+                address = sys.intern(script_address(txout.script_pubkey, network))
+                created.setdefault(address, []).append((OutPoint(txid, vout), txout, height))
+        return cls({a: tuple(entries) for a, entries in created.items()}, frozenset(spent))
 
 
-def _encode_page_token(min_conf: int, utxo: Utxo) -> str:
-    return f"{_PAGE_TAG}:{min_conf}:{utxo.height}:{utxo.outpoint.txid.hex()}:{utxo.outpoint.vout}"
+_PAGE_TAG = "p2"
 
 
-def _decode_page_token(token: str) -> tuple[int, tuple[int, bytes, int]]:
+def _encode_page_token(tip: Hash256, utxo: Utxo) -> str:
+    return (
+        f"{_PAGE_TAG}:{tip.rev_hex()}:{utxo.height}:"
+        f"{utxo.outpoint.txid.hex()}:{utxo.outpoint.vout}"
+    )
+
+
+def _decode_page_token(token: str) -> tuple[Hash256, tuple[int, bytes, int]]:
+    """The tip the listing was cut from and the page key of its last entry."""
     parts = token.split(":")
     if len(parts) != 5 or parts[0] != _PAGE_TAG:
         raise FilterRejectedError("unrecognized page token")
     try:
-        min_conf = int(parts[1])
+        tip = Hash256.from_rev_hex(parts[1])
         height = int(parts[2])
         txid = bytes.fromhex(parts[3])
         vout = int(parts[4])
@@ -176,7 +206,7 @@ def _decode_page_token(token: str) -> tuple[int, tuple[int, bytes, int]]:
         raise FilterRejectedError("corrupt page token") from None
     if len(txid) != 32:
         raise FilterRejectedError("corrupt page token")
-    return min_conf, (-height, txid, vout)
+    return tip, (-height, txid, vout)
 
 
 class Canister:
@@ -205,6 +235,8 @@ class Canister:
         self.tree = BlockTree(genesis)
         self.anchor: Hash256 = genesis.hash()
         self.utxos = UtxoSet(network)
+        # Overlay deltas of bodied blocks above the anchor, built on first use.
+        self.deltas: dict[Hash256, OverlayDelta] = {}
         self.outbound_txs: deque[bytes] = deque()
         self.synced = True
         self.anomaly_count = 0
@@ -301,8 +333,10 @@ class Canister:
         in work relative to the current anchor block's work.
 
         Each advancement folds the block into the UTXO set, prunes rival
-        branches at that height, and drops the block body.
+        branches at that height, and drops the block body; overlay deltas
+        of the blocks whose bodies are gone go with them.
         """
+        start = self.anchor
         while True:
             next_height = self.anchor_height() + 1
             at_height = self.tree.at_height(next_height)
@@ -310,7 +344,7 @@ class Canister:
             if best is None or not self.tree.is_delta_stable(
                 best, self.delta, DepthKind.WORK, reference=self.anchor
             ):
-                return
+                break
             block = self.tree.block(best)
             assert block is not None
             self.anomaly_count += self.utxos.apply_block(block, next_height)
@@ -319,6 +353,10 @@ class Canister:
                     self.tree.remove_subtree(rival)
             self.tree.drop_block(best)
             self.anchor = best
+        if self.anchor != start:
+            self.deltas = {
+                h: d for h, d in self.deltas.items() if h in self.tree and self.tree.has_block(h)
+            }
 
     # -- query helpers ---------------------------------------------------------
 
@@ -343,28 +381,47 @@ class Canister:
             tip = h
         return applied, tip
 
+    def _chain_to(self, tip: Hash256) -> list[Hash256]:
+        """Unstable blocks to overlay for a listing cut from `tip`, which
+        must still be on the selected chain at or above the anchor with
+        every block up to it bodied."""
+        chain = self.tree.current_chain()
+        anchor_pos = chain.index(self.anchor)
+        try:
+            tip_pos = chain.index(tip, anchor_pos)
+        except ValueError:
+            raise FilterRejectedError("page token's tip left the selected chain") from None
+        applied = chain[anchor_pos + 1 : tip_pos + 1]
+        if not all(self.tree.has_block(h) for h in applied):
+            raise FilterRejectedError("page token's tip is above the held blocks")
+        return applied
+
+    def _delta(self, h: Hash256) -> OverlayDelta:
+        delta = self.deltas.get(h)
+        if delta is None:
+            block = self.tree.block(h)
+            assert block is not None
+            delta = OverlayDelta.of_block(block, self.tree.height(h), self.network)
+            self.deltas[h] = delta
+        return delta
+
     def _address_entries(
         self, address: str, applied: list[Hash256]
     ) -> list[Utxo]:
-        spent: set[OutPoint] = set()
+        deltas = [self._delta(h) for h in applied]
         created: dict[OutPoint, tuple[TxOut, int]] = {}
-        for h in applied:
-            block = self.tree.block(h)
-            assert block is not None
-            height = self.tree.height(h)
-            for tx in block.transactions:
-                if not tx.is_coinbase():
-                    for txin in tx.inputs:
-                        spent.add(txin.outpoint)
-                txid = tx.txid()
-                for vout, txout in enumerate(tx.outputs):
-                    if script_address(txout.script_pubkey, self.network) == address:
-                        created[OutPoint(txid, vout)] = (txout, height)
-        entries = [
-            Utxo(op, txout.value, height)
-            for op, txout, height in self.utxos.address_utxos(address)
-            if op not in spent
-        ]
+        for delta in deltas:
+            for op, txout, height in delta.created.get(address, ()):
+                created[op] = (txout, height)
+        held = self.utxos.address_utxos(address)
+        # Only this address's outpoints matter: each intersection walks the
+        # smaller side, so the cost follows the answer, not the block size.
+        candidates = {op for op, _, _ in held}
+        candidates.update(created)
+        spent: set[OutPoint] = set()
+        for delta in deltas:
+            spent.update(candidates.intersection(delta.spent))
+        entries = [Utxo(op, txout.value, height) for op, txout, height in held if op not in spent]
         entries.extend(
             Utxo(op, txout.value, height)
             for op, (txout, height) in created.items()
@@ -404,17 +461,23 @@ class Canister:
         overlay to blocks with at least that many confirmations; it is
         rejected above the stability threshold because spends already
         folded into the materialized set could not be excluded.
+
+        A page token carries the tip its listing was cut from, and a
+        continuation overlays exactly up to that tip; once the tip has left
+        the selected chain above the anchor, the token is rejected rather
+        than mixing two chain states in one walk.
         """
         self._check_available(network)
         if page is not None and min_confirmations is not None:
             raise FilterRejectedError("filter takes confirmations or a page token, not both")
         after_key = None
         if page is not None:
-            token_conf, after_key = _decode_page_token(page)
-            min_confirmations = token_conf if token_conf > 0 else None
-        if min_confirmations is not None:
-            self._check_min_conf(min_confirmations)
-        applied, tip = self._selected_chain(min_confirmations)
+            tip, after_key = _decode_page_token(page)
+            applied = self._chain_to(tip)
+        else:
+            if min_confirmations is not None:
+                self._check_min_conf(min_confirmations)
+            applied, tip = self._selected_chain(min_confirmations)
         entries = self._address_entries(address, applied)
         if after_key is not None:
             entries = [
@@ -425,7 +488,7 @@ class Canister:
         page_entries = entries[: self.page_size]
         next_token = None
         if len(entries) > self.page_size:
-            next_token = _encode_page_token(min_confirmations or 0, page_entries[-1])
+            next_token = _encode_page_token(tip, page_entries[-1])
         return UtxosPage(
             tuple(page_entries), tip, self.tree.height(tip), next_token
         )
@@ -543,6 +606,8 @@ class Canister:
                 queued.append(bytes.fromhex(value))
             else:
                 fields[key] = value
+        else:
+            raise ValueError("snapshot cut off before end")
         if not headers:
             raise ValueError("snapshot has no headers")
         network = NetworkKind.from_str(fields["network"])

@@ -36,6 +36,8 @@ def sha256d(data: bytes) -> bytes:
 class Hash256(bytes):
     """A 32-byte double-SHA256 digest in internal (wire) byte order."""
 
+    __slots__ = ()
+
     def __new__(cls, data: bytes) -> "Hash256":
         if len(data) != 32:
             raise ValueError(f"Hash256 needs exactly 32 bytes, got {len(data)}")
@@ -139,7 +141,7 @@ class ByteReader:
 # --- Block header --------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlockHeader:
     """The 80-byte header: version, prev, merkle root, time, bits, nonce."""
 
@@ -179,7 +181,7 @@ class BlockHeader:
 # --- Transactions --------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OutPoint:
     """Reference to a previous transaction output."""
 
@@ -194,20 +196,20 @@ class OutPoint:
         return cls(ZERO_HASH, _UINT32_MAX)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TxIn:
     outpoint: OutPoint
     script_sig: bytes = b""
     sequence: int = _UINT32_MAX
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TxOut:
     value: int
     script_pubkey: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
     """A plain (pre-segwit layout) transaction; txid is the double-SHA256
     of the canonical serialization."""
@@ -288,7 +290,7 @@ def merkle_root(txids: list[Hash256]) -> Hash256:
     return Hash256(level[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     header: BlockHeader
     transactions: tuple[Transaction, ...]

@@ -154,6 +154,9 @@ def _format_stability(value) -> str:
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
+    if args.delta < 0:
+        print("delta must be non-negative", file=sys.stderr)
+        return EXIT_USAGE
     path = Path(args.dump)
     if not path.exists():
         print(f"no such file: {path}", file=sys.stderr)

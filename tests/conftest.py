@@ -17,6 +17,7 @@ from btcstate.chain import (
     TxOut,
     merkle_root,
     p2pkh_script,
+    script_address,
     sha256d,
     work_from_bits,
 )
@@ -120,6 +121,40 @@ def random_tree(
             tree.depth(probe, DepthKind.CONFIRMATION)
             tree.depth(probe, DepthKind.WORK)
     return tree
+
+
+def overlay_oracle(canister, address: str, min_conf: int | None = None) -> list[tuple]:
+    """UTXOs of an address as (outpoint, value, height) in page order, by a
+    fresh scan: the selected chain's bodied blocks above the anchor (cut at
+    the first with fewer than `min_conf` confirmations) are re-hashed and
+    re-addressed in full and overlaid on a full scan of the materialized set.
+    """
+    tree = canister.tree
+    chain = tree.current_chain()
+    applied = []
+    for h in chain[chain.index(canister.anchor) + 1 :]:
+        if not tree.has_block(h) or (min_conf is not None and tree.confirmations(h) < min_conf):
+            break
+        applied.append(h)
+    spent: set[OutPoint] = set()
+    created: dict[OutPoint, tuple[TxOut, int]] = {}
+    for h in applied:
+        for tx in tree.block(h).transactions:
+            if not tx.is_coinbase():
+                spent.update(txin.outpoint for txin in tx.inputs)
+            txid = tx.txid()
+            for vout, txout in enumerate(tx.outputs):
+                if script_address(txout.script_pubkey, canister.network) == address:
+                    created[OutPoint(txid, vout)] = (txout, tree.height(h))
+    held = [
+        (op, txout.value, height)
+        for op, (txout, height) in canister.utxos.by_outpoint.items()
+        if script_address(txout.script_pubkey, canister.network) == address
+    ]
+    entries = [e for e in held if e[0] not in spent]
+    entries.extend((op, txout.value, height) for op, (txout, height) in created.items() if op not in spent)
+    entries.sort(key=lambda e: (-e[2], bytes(e[0].txid), e[0].vout))
+    return entries
 
 
 # -- builder for fully valid regtest chains -----------------------------------

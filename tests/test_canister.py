@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from btcstate import canister as canister_module
 from btcstate.adapter import GetSuccessorsResponse
 from btcstate.canister import (
     ApiUnavailableError,
@@ -27,7 +28,7 @@ from btcstate.chain import (
 )
 from btcstate.netsim import make_coinbase, replay_utxo_set
 
-from conftest import NOW, ChainBuilder
+from conftest import NOW, ChainBuilder, overlay_oracle
 
 NET = NetworkKind.REGTEST
 
@@ -410,12 +411,204 @@ def test_balance_equals_page_sum_for_random_addresses(builder):
         assert total == canister.get_balance(address, NET)
 
 
+def walk(canister, address, page):
+    """Every page from `page` on, following the continuation tokens."""
+    pages = [page]
+    while page.next_page is not None:
+        page = canister.get_utxos(address, NET, page=page.next_page)
+        pages.append(page)
+    return pages
+
+
+def listed(pages) -> list[tuple]:
+    return [(u.outpoint, u.value, u.height) for page in pages for u in page.utxos]
+
+
+def pay_probe(builder, source_block, count):
+    source = builder.coinbase_outpoint(source_block)
+    return builder.spend(source, [(100 + i, PROBE_SCRIPT) for i in range(count)])
+
+
 def test_bad_page_token_rejected(builder):
-    canister = make_canister(builder)
+    canister = make_canister(builder, delta=10, page_size=2)
+    blocks = builder.build(1)
+    blocks.append(builder.extend(extra_txs=(pay_probe(builder, blocks[0], 5),)))
+    respond(canister, blocks)
     with pytest.raises(FilterRejectedError):
         canister.get_utxos(PROBE, NET, page="junk")
     with pytest.raises(FilterRejectedError):
         canister.get_utxos(PROBE, NET, min_confirmations=1, page="p1:0:1:ff:0")
+    token = canister.get_utxos(PROBE, NET).next_page
+    assert token.startswith(f"p2:{blocks[-1].header.hash().rev_hex()}:2:")
+    _, tip, height, txid, vout = token.split(":")
+    # a token of the earlier format, which named no tip, is refused
+    with pytest.raises(FilterRejectedError, match="unrecognized"):
+        canister.get_utxos(PROBE, NET, page=f"p1:0:{height}:{txid}:{vout}")
+    with pytest.raises(FilterRejectedError, match="corrupt"):
+        canister.get_utxos(PROBE, NET, page=f"p2:{tip[:-2]}:{height}:{txid}:{vout}")
+    stray = Hash256(sha256d(b"stray")).rev_hex()
+    with pytest.raises(FilterRejectedError, match="left the selected chain"):
+        canister.get_utxos(PROBE, NET, page=f"p2:{stray}:{height}:{txid}:{vout}")
+    # a forged tip on the selected chain whose body is not held
+    header_only = builder.extend()
+    respond(canister, headers=[header_only])
+    forged = header_only.header.hash().rev_hex()
+    with pytest.raises(FilterRejectedError, match="above the held blocks"):
+        canister.get_utxos(PROBE, NET, page=f"p2:{forged}:{height}:{txid}:{vout}")
+
+
+def test_page_token_rejected_after_reorg_between_pages(builder):
+    canister = make_canister(builder, delta=10, page_size=2)
+    trunk = builder.build(2)
+    fork_point = trunk[-1].header.hash()
+    paying = builder.extend(parent=fork_point, extra_txs=(pay_probe(builder, trunk[0], 5),))
+    respond(canister, trunk + [paying])
+    first = canister.get_utxos(PROBE, NET)
+    assert first.tip_hash == paying.header.hash()
+    assert first.next_page is not None
+    # a heavier branch off the fork point replaces the paying block
+    rivals = builder.build(2, parent=fork_point)
+    respond(canister, rivals)
+    assert canister.tree.current_chain()[-1] == rivals[-1].header.hash()
+    with pytest.raises(FilterRejectedError, match="left the selected chain"):
+        canister.get_utxos(PROBE, NET, page=first.next_page)
+    assert canister.get_utxos(PROBE, NET).utxos == ()
+
+
+def test_page_token_overlays_exactly_up_to_its_tip(builder):
+    canister = make_canister(builder, delta=10, page_size=2)
+    blocks = builder.build(1)
+    blocks.append(builder.extend(extra_txs=(pay_probe(builder, blocks[0], 5),)))
+    respond(canister, blocks)
+    expected = overlay_oracle(canister, PROBE)
+    first = canister.get_utxos(PROBE, NET)
+    # the chain grows between pages: the new block spends the entry the
+    # walk lists last and pays the probe address again
+    last = expected[-1][0]
+    respend = Transaction(1, (TxIn(last, b"sig"),), (TxOut(50, PROBE_SCRIPT),))
+    respond(canister, [builder.extend(extra_txs=(respend,))])
+    pages = walk(canister, PROBE, first)
+    assert listed(pages) == expected
+    assert {page.tip_hash for page in pages} == {blocks[-1].header.hash()}
+    assert listed(walk(canister, PROBE, canister.get_utxos(PROBE, NET))) != expected
+
+
+def test_page_token_rejected_once_anchor_passes_its_tip(builder):
+    canister = make_canister(builder, delta=2, page_size=2)
+    blocks = builder.build(1)
+    blocks.append(builder.extend(extra_txs=(pay_probe(builder, blocks[0], 5),)))
+    respond(canister, blocks)
+    first = canister.get_utxos(PROBE, NET)
+    assert canister.anchor_height() < first.tip_height
+    respond(canister, builder.build(1))
+    # the anchor reached the tip: the materialized set is still that state
+    assert canister.anchor == first.tip_hash
+    second = canister.get_utxos(PROBE, NET, page=first.next_page)
+    respond(canister, builder.build(1))
+    assert canister.anchor_height() > first.tip_height
+    with pytest.raises(FilterRejectedError, match="left the selected chain"):
+        canister.get_utxos(PROBE, NET, page=second.next_page)
+
+
+def test_repeated_queries_rederive_no_txid_or_address(builder, monkeypatch):
+    canister = make_canister(builder, delta=10, page_size=3)
+    sources = builder.build(3)
+    paying = [builder.extend(extra_txs=(pay_probe(builder, block, 4),)) for block in sources]
+    respond(canister, sources + paying)
+    lines = canister.snapshot_lines()
+    warm = Canister.from_snapshot(lines)
+    cold = Canister.from_snapshot(lines)
+    calls = {"script_address": 0, "txid": 0}
+    real_address, real_txid = canister_module.script_address, Transaction.txid
+
+    def counting_address(script, network):
+        calls["script_address"] += 1
+        return real_address(script, network)
+
+    def counting_txid(tx):
+        calls["txid"] += 1
+        return real_txid(tx)
+
+    monkeypatch.setattr(canister_module, "script_address", counting_address)
+    monkeypatch.setattr(Transaction, "txid", counting_txid)
+
+    def counted(query):
+        calls.update(script_address=0, txid=0)
+        result = query()
+        return result, dict(calls)
+
+    balance, first = counted(lambda: warm.get_balance(PROBE, NET))
+    assert balance == 3 * (100 + 101 + 102 + 103)
+    assert first["script_address"] > 0 and first["txid"] > 0
+    none = {"script_address": 0, "txid": 0}
+    assert counted(lambda: warm.get_balance(PROBE, NET)) == (balance, none)
+    # another address, a filter and a whole walk reuse the same deltas
+    other = addr_of(p2pkh_script(b"\x07" * 20))
+    assert counted(lambda: warm.get_balance(other, NET, min_confirmations=2)) == (0, none)
+    assert counted(lambda: len(walk(warm, PROBE, warm.get_utxos(PROBE, NET))))[1] == none
+    # a cold state builds its deltas on the first page; later pages reuse them
+    page, built = counted(lambda: cold.get_utxos(PROBE, NET))
+    assert built == first
+    while page.next_page is not None:
+        page, later = counted(lambda: cold.get_utxos(PROBE, NET, page=page.next_page))
+        assert later == none
+
+
+def test_overlay_matches_oracle_over_random_histories():
+    """Forks, reorgs, anchor advances and snapshot round trips, with every
+    balance and page walk checked against a fresh scan after each step."""
+    reorgs = advances = round_trips = 0
+    for seed in range(6):
+        rng = random.Random(seed)
+        builder = ChainBuilder()
+        canister = make_canister(builder, delta=3, page_size=2)
+        scripts = [p2pkh_script(sha256d(b"prop%d" % i)[:20]) for i in range(4)]
+        addresses = [addr_of(script) for script in scripts]
+        outputs: list[OutPoint] = []  # every output built so far, on any branch
+        for step in range(40):
+            if step and rng.random() < 0.1:
+                reorgs += canister.reorgs
+                canister = Canister.from_snapshot(canister.snapshot_lines())
+                round_trips += 1
+            else:
+                held = [canister.anchor] + [
+                    h for h in canister.tree.hashes() if canister.tree.has_block(h)
+                ]
+                parent = rng.choice(held) if rng.random() < 0.3 else None
+                txs = []
+                for _ in range(rng.randrange(4)):
+                    if not outputs:
+                        break
+                    sources = rng.sample(outputs, min(len(outputs), rng.randrange(1, 3)))
+                    pays = [
+                        TxOut(rng.randrange(1, 10_000), rng.choice(scripts))
+                        for _ in range(rng.randrange(1, 4))
+                    ]
+                    txs.append(Transaction(1, tuple(TxIn(op, b"sig") for op in sources), tuple(pays)))
+                block = builder.extend(parent=parent, extra_txs=tuple(txs))
+                for tx in block.transactions:
+                    outputs.extend(OutPoint(tx.txid(), i) for i in range(len(tx.outputs)))
+                before = canister.anchor
+                respond(canister, [block])
+                advances += canister.anchor != before
+            assert canister.synced
+            above = canister.anchor_height()
+            bodied = {
+                h
+                for h in canister.tree.hashes()
+                if canister.tree.has_block(h) and canister.tree.height(h) > above
+            }
+            assert set(canister.deltas) <= bodied
+            for address in addresses:
+                for min_conf in (None, 1, 2, canister.delta):
+                    expected = overlay_oracle(canister, address, min_conf)
+                    total = sum(value for _, value, _ in expected)
+                    assert canister.get_balance(address, NET, min_conf) == total
+                    first = canister.get_utxos(address, NET, min_confirmations=min_conf)
+                    assert listed(walk(canister, address, first)) == expected
+            assert set(canister.deltas) <= bodied
+        reorgs += canister.reorgs
+    assert reorgs > 0 and advances > 0 and round_trips > 0
 
 
 # -- send_transaction -----------------------------------------------------------------
@@ -552,6 +745,16 @@ def snapshot_with(builder, *replacements: str) -> list[str]:
         [i] = [i for i, old in enumerate(lines) if old.split()[0] == new.split()[0]]
         lines[i] = new
     return lines
+
+
+def test_snapshot_cut_off_before_end_rejected(builder):
+    lines = snapshot_with(builder)
+    assert lines[-1] == "end"
+    with pytest.raises(ValueError, match="snapshot cut off before end"):
+        Canister.from_snapshot(lines[:-1])
+    with pytest.raises(ValueError, match="snapshot cut off before end"):
+        Canister.from_snapshot(lines[:7])
+    Canister.from_snapshot(lines)
 
 
 def test_snapshot_version_1_rejected(builder):

@@ -328,6 +328,15 @@ def test_cli_inspect_single_node(tmp_path, capsys):
     assert " 1 " in out
 
 
+def test_cli_inspect_negative_delta_is_usage_error(capsys):
+    assert main(["inspect", str(FIXTURES / "two_fork_tree.txt"), "--delta", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "delta must be non-negative"
+    assert "Traceback" not in captured.err
+    assert main(["inspect", str(FIXTURES / "two_fork_tree.txt"), "--delta", "0"]) == 0
+
+
 def test_cli_inspect_errors(tmp_path):
     assert main(["inspect", str(tmp_path / "absent.txt")]) == 2
     empty = tmp_path / "empty.txt"
@@ -428,7 +437,11 @@ def test_cli_api_against_snapshot(tmp_path, capsys):
     assert main(["api", str(tmp_path / "stray.txt"), "get_balance", alice]) == 2
     (tmp_path / "v1.txt").write_text(text.replace("btcstate-snapshot 2", "btcstate-snapshot 1"))
     assert main(["api", str(tmp_path / "v1.txt"), "get_balance", alice]) == 2
+    assert text.endswith("end\n")
+    (tmp_path / "cut.txt").write_text(text[: -len("end\n")])
+    assert main(["api", str(tmp_path / "cut.txt"), "get_balance", alice]) == 2
     err = capsys.readouterr().err
     assert f"bad snapshot: anchor {stray}" in err
     assert "bad snapshot: unsupported snapshot version" in err
+    assert "bad snapshot: snapshot cut off before end" in err
     assert "Traceback" not in err
