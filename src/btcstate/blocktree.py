@@ -10,7 +10,9 @@ that drive confirmation reporting and anchor advancement.
 Depths are memoized per node and invalidated along the ancestor path on
 insertion, so repeated queries after incremental growth stay cheap and
 exactly match a from-scratch traversal. Cumulative chain work from the
-root is fixed on each node when it is inserted (Bitcoin Core's nChainWork).
+root is fixed on each node when it is inserted (Bitcoin Core's nChainWork),
+and the selected tip is kept as nodes come and go, so reading the selected
+chain walks only the part of it the caller asks for.
 """
 
 from __future__ import annotations
@@ -102,6 +104,9 @@ class BlockTree:
         self._depth_w: dict[Hash256, int] = {}
         self.root = root
         self._put(_Node(root, None, bits, header))
+        # The end of the selected chain: the most chain work, ties to the
+        # smaller child hash where the two paths split.
+        self.tip = root
 
     # -- structure ----------------------------------------------------------
 
@@ -135,9 +140,12 @@ class BlockTree:
         if hash_ in self._nodes:
             return hash_
         parent = self._node(prev)
-        self._put(_Node(hash_, parent, bits, header))
+        node = _Node(hash_, parent, bits, header)
+        self._put(node)
         parent.children.append(hash_)
         self._invalidate_up(prev)
+        if self._beats(node, self._nodes[self.tip]):
+            self.tip = hash_
         return hash_
 
     def remove_subtree(self, hash_: Hash256) -> int:
@@ -160,6 +168,12 @@ class BlockTree:
             stack.extend(n.children)
             removed += 1
         self._invalidate_up(node.prev)
+        if self.tip not in self._nodes:
+            best = self._nodes[self.root]
+            for n in self._nodes.values():
+                if self._beats(n, best):
+                    best = n
+            self.tip = best.hash
         return removed
 
     def header(self, hash_: Hash256) -> Optional[BlockHeader]:
@@ -223,7 +237,9 @@ class BlockTree:
     # -- depth and stability --------------------------------------------------
 
     def _invalidate_up(self, hash_: Optional[Hash256]) -> None:
-        while hash_ is not None:
+        # `depth` caches a node only after all its children, so a node held
+        # in neither cache has no cached ancestor either: stop there.
+        while hash_ is not None and (hash_ in self._depth_c or hash_ in self._depth_w):
             self._depth_c.pop(hash_, None)
             self._depth_w.pop(hash_, None)
             hash_ = self._nodes[hash_].prev
@@ -304,19 +320,46 @@ class BlockTree:
                 best_depth = d
         return best
 
+    def _beats(self, a: _Node, b: _Node) -> bool:
+        """Whether `a` ends a better chain than `b`: more chain work, or as
+        much and the smaller child hash where the two paths split (the
+        order `current_chain` picks in)."""
+        if a.chain_work != b.chain_work:
+            return a.chain_work > b.chain_work
+        while a.height > b.height:
+            a = self._nodes[a.prev]
+        while b.height > a.height:
+            b = self._nodes[b.prev]
+        if a is b:
+            return False
+        while a.prev != b.prev:
+            a, b = self._nodes[a.prev], self._nodes[b.prev]
+        return a.hash < b.hash
+
+    def path_to(self, hash_: Hash256, since: Optional[Hash256] = None) -> Optional[list[Hash256]]:
+        """The blocks from `since` (the root by default) to `hash_`, both
+        included, in chain order; None when `since` is not `hash_` or one
+        of its ancestors. Walks only the blocks between the two."""
+        node = self._node(hash_)
+        stop = self._node(self.root if since is None else since)
+        path = []
+        while node.height > stop.height:
+            path.append(node.hash)
+            node = self._nodes[node.prev]
+        if node is not stop:
+            return None
+        path.append(node.hash)
+        path.reverse()
+        return path
+
     def current_chain(self) -> list[Hash256]:
         """Root-to-tip path maximizing cumulative work depth.
 
         Ties at any step break toward the child with the smallest header
         hash, keeping the selection identical across replicas.
         """
-        chain = [self.root]
-        children = self._nodes[self.root].children
-        while children:
-            best = self.heaviest(children)
-            assert best is not None
-            chain.append(best)
-            children = self._nodes[best].children
+        chain = self.path_to(self.tip)
+        assert chain is not None
         return chain
 
     # -- dump / load -----------------------------------------------------------

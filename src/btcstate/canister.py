@@ -287,7 +287,7 @@ class Canister:
         the lowest unstable block is work-stable, append reported headers,
         and recompute the synced flag. Invalid items are skipped one by
         one; a bad pair never poisons the rest of the response."""
-        old_tip = self.tree.current_chain()[-1]
+        old_tip = self.tree.tip
         for block, header in resp.blocks:
             if self._ingest_block(block, header, now):
                 self._advance_anchor()
@@ -295,7 +295,7 @@ class Canister:
             self._ingest_header(header, now)
         gap = self.tree.max_height() - self.max_body_height()
         self.synced = gap <= self.tau
-        if old_tip not in set(self.tree.current_chain()):
+        if old_tip not in self.tree or self.tree.path_to(self.tree.tip, old_tip) is None:
             self.reorgs += 1
 
     def _ingest_header(self, header: BlockHeader, now: float) -> bool:
@@ -360,6 +360,13 @@ class Canister:
 
     # -- query helpers ---------------------------------------------------------
 
+    def _chain_from_anchor(self) -> list[Hash256]:
+        """The selected chain from the anchor to the tip, walked down from
+        the tip."""
+        chain = self.tree.path_to(self.tree.tip, self.anchor)
+        assert chain is not None, "the selected tip descends from the anchor"
+        return chain
+
     def _selected_chain(self, min_conf: Optional[int]) -> tuple[list[Hash256], Hash256]:
         """Unstable blocks to overlay (in chain order) and the tip of the
         chain the result reflects.
@@ -368,11 +375,9 @@ class Canister:
         whose confirmation count falls short; the materialized prefix up to
         the anchor is always included since it cannot be unwound.
         """
-        chain = self.tree.current_chain()
-        anchor_pos = chain.index(self.anchor)
         applied: list[Hash256] = []
         tip = self.anchor
-        for h in chain[anchor_pos + 1 :]:
+        for h in self._chain_from_anchor()[1:]:
             if not self.tree.has_block(h):
                 break
             if min_conf is not None and self.tree.confirmations(h) < min_conf:
@@ -385,13 +390,12 @@ class Canister:
         """Unstable blocks to overlay for a listing cut from `tip`, which
         must still be on the selected chain at or above the anchor with
         every block up to it bodied."""
-        chain = self.tree.current_chain()
-        anchor_pos = chain.index(self.anchor)
+        chain = self._chain_from_anchor()
         try:
-            tip_pos = chain.index(tip, anchor_pos)
+            tip_pos = chain.index(tip)
         except ValueError:
             raise FilterRejectedError("page token's tip left the selected chain") from None
-        applied = chain[anchor_pos + 1 : tip_pos + 1]
+        applied = chain[1 : tip_pos + 1]
         if not all(self.tree.has_block(h) for h in applied):
             raise FilterRejectedError("page token's tip is above the held blocks")
         return applied
@@ -533,7 +537,7 @@ class Canister:
         return None
 
     def current_tip_height(self) -> int:
-        return self.tree.height(self.tree.current_chain()[-1])
+        return self.tree.height(self.tree.tip)
 
     # -- snapshot ---------------------------------------------------------------
 
@@ -628,6 +632,8 @@ class Canister:
         state.anchor = Hash256.from_rev_hex(fields["anchor"])
         if state.anchor not in state.tree:
             raise ValueError(f"anchor {fields['anchor']} is not in the snapshot's tree")
+        if state.tree.path_to(state.tree.tip, state.anchor) is None:
+            raise ValueError(f"anchor {fields['anchor']} is not on the snapshot's selected chain")
         state.synced = fields.get("synced", "1") == "1"
         state.outbound_txs.extend(queued)
         return state

@@ -302,6 +302,8 @@ class SimWorld:
         self.tree = BlockTree(genesis.header)
         self.tree.set_block(genesis.header.hash(), genesis)
         self.honest_tip: Hash256 = genesis.header.hash()
+        # The honest chain from genesis to honest_tip, indexed by height.
+        self.honest_chain: list[Hash256] = [self.honest_tip]
         self.honest_blocks: set[Hash256] = {genesis.header.hash()}
         self.adv_served: set[Hash256] = {genesis.header.hash()}
 
@@ -436,8 +438,25 @@ class SimWorld:
             work = self.tree.chain_work(h)
             tip_work = self.tree.chain_work(self.honest_tip)
             if work > tip_work or (work == tip_work and h < self.honest_tip):
-                self.honest_tip = h
+                self._set_honest_tip(h)
         return h
+
+    def _set_honest_tip(self, tip: Hash256) -> None:
+        """Move the honest tip, keeping honest_chain in step: walk back from
+        the new tip to the first block already on the chain, cut the chain
+        there and append the walked blocks."""
+        chain = self.honest_chain
+        fresh = []
+        h: Optional[Hash256] = tip
+        while h is not None:
+            height = self.tree.height(h)
+            if height < len(chain) and chain[height] == h:
+                break
+            fresh.append(h)
+            h = self.tree.parent(h)
+        del chain[self.tree.height(fresh[-1]) :]
+        chain.extend(reversed(fresh))
+        self.honest_tip = tip
 
     def submit_to_miners(self, tx: Transaction) -> None:
         txid = tx.txid()
@@ -519,12 +538,10 @@ class SimWorld:
     def inject_fork(self, branch_height: int, length: int) -> list[Hash256]:
         """Mine a competing honest-side branch off the current chain at the
         given height, modeling a natural reorganization race."""
-        chain = [h for h in self._honest_chain()]
-        if not 0 <= branch_height < len(chain):
-            raise ValueError(
-                f"branch height {branch_height} outside the honest chain (0..{len(chain) - 1})"
-            )
-        parent = chain[branch_height]
+        top = len(self.honest_chain) - 1
+        if not 0 <= branch_height <= top:
+            raise ValueError(f"branch height {branch_height} outside the honest chain (0..{top})")
+        parent = self.honest_chain[branch_height]
         self._fork_counter += 1
         made = []
         for i in range(length):
@@ -537,15 +554,6 @@ class SimWorld:
             self.observe("mine", "fork", f"{parent.rev_hex()[:16]} height={height}")
             self._announce(parent, corrupted_side=False)
         return made
-
-    def _honest_chain(self) -> list[Hash256]:
-        chain = [self.honest_tip]
-        while True:
-            prev = self.tree.parent(chain[-1])
-            if prev is None:
-                break
-            chain.append(prev)
-        return list(reversed(chain))
 
     # -- subnet rounds ------------------------------------------------------------
 
@@ -621,7 +629,7 @@ class SimWorld:
         if self.anchor_divergence:
             return
         anchor_height = self.canister.anchor_height()
-        honest = self._honest_chain()
+        honest = self.honest_chain
         if anchor_height < len(honest) and honest[anchor_height] != self.canister.anchor:
             self.anchor_divergence = True
             self.observe(

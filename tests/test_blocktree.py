@@ -201,6 +201,47 @@ def test_current_chain_total_work_is_max_over_leaves():
         assert chain == brute_best_path(tree)
 
 
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_kept_tip_and_depths_match_brute_force_through_inserts_and_removals(seed):
+    # Mostly equal-work blocks, so tied tips are common; depth queries are
+    # interleaved so that inserts and removals meet warm caches.
+    rng = random.Random(seed)
+    tree = random_tree(rng, max_nodes=40, bits_choices=(EASY_BITS, EASY_BITS, HARDER_BITS))
+
+    def check() -> None:
+        best = brute_best_path(tree)
+        assert tree.tip == best[-1]
+        assert tree.current_chain() == best
+
+    check()
+    for i in range(60):
+        nodes = sorted(tree.hashes())
+        roll = rng.random()
+        if roll < 0.15 and len(nodes) > 1:
+            tree.remove_subtree(rng.choice([h for h in nodes if h != tree.root]))
+        elif roll < 0.2 and tree.tip != tree.root:
+            tree.remove_subtree(tree.tip)
+        else:
+            parent = tree.tip if rng.random() < 0.3 else rng.choice(nodes)
+            tree.add_raw(name_hash(f"op{i}"), parent, rng.choice((EASY_BITS, EASY_BITS, HARDER_BITS)))
+        check()
+        for h in rng.sample(sorted(tree.hashes()), min(3, len(tree))):
+            kind = rng.choice((CONF, WORK))
+            assert tree.depth(h, kind) == brute_depth(tree, h, kind)
+
+
+def test_path_to_walks_between_ancestor_and_node():
+    tree, ids = two_fork_tree()
+    assert tree.path_to(ids["a3"]) == [ids["g"], ids["a1"], ids["a2"], ids["a3"]]
+    assert tree.path_to(ids["a3"], ids["a1"]) == [ids["a1"], ids["a2"], ids["a3"]]
+    assert tree.path_to(ids["a2"], ids["a2"]) == [ids["a2"]]
+    assert tree.path_to(ids["a3"], ids["b1"]) is None  # a rival, not an ancestor
+    assert tree.path_to(ids["a1"], ids["a3"]) is None  # a descendant
+    with pytest.raises(UnknownBlockError):
+        tree.path_to(ids["a3"], name_hash("nowhere"))
+
+
 # -- incremental vs brute force -----------------------------------------------------
 
 

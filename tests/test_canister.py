@@ -772,6 +772,17 @@ def test_snapshot_anchor_missing_from_tree_rejected(builder):
         Canister.from_snapshot(lines)
 
 
+def test_snapshot_anchor_off_selected_chain_rejected(builder):
+    # a heavier branch from genesis, which the state machine would have
+    # pruned, puts the selected tip off the anchor's chain
+    lines = snapshot_with(builder)
+    rival = builder.build(6, parent=builder.genesis.header.hash())
+    last_header = max(i for i, line in enumerate(lines) if line.startswith("header "))
+    lines[last_header + 1 : last_header + 1] = [f"header {b.header.to_bytes().hex()}" for b in rival]
+    with pytest.raises(ValueError, match="not on the snapshot's selected chain"):
+        Canister.from_snapshot(lines)
+
+
 @pytest.mark.parametrize("line", ["delta -5", "delta 0", "tau -1", "page-size 0"])
 def test_snapshot_bad_parameter_rejected(builder, line):
     with pytest.raises(ValueError):

@@ -63,7 +63,7 @@ def test_liveness_sync_smoke():
     canister = world.canister
     # the replica's chain is a prefix of (or equal to) the miners' chain
     chain = canister.tree.current_chain()
-    honest = world._honest_chain()
+    honest = world.honest_chain
     assert chain == honest[: len(chain)]
     assert world.honest_height() - canister.current_tip_height() <= canister.tau + 1
     assert canister.synced
@@ -175,6 +175,7 @@ def test_honest_tip_is_heaviest_honest_block_after_every_block():
         h = add_block(block, honest)
         added.append(honest)
         assert world.honest_tip == brute_honest_tip(world)
+        assert world.honest_chain == world.tree.path_to(world.honest_tip)
         return h
 
     world.add_block = add_and_check
