@@ -110,6 +110,9 @@ class Adapter:
         self.tx_cache: dict[Hash256, _TxCacheEntry] = {}
         self.pending_fetch: set[Hash256] = set()
         self._announced_by: dict[Hash256, int] = {}
+        # Peers already asked for headers because of an unconnected header,
+        # by that header's hash, until the header connects.
+        self._orphan_asks: dict[Hash256, set[int]] = {}
         self._outbox: list[tuple[int, wire.Message]] = []
         self._rr = 0  # round-robin cursor for fetch fallback
 
@@ -147,8 +150,10 @@ class Adapter:
 
     def _connect(self, peer: int) -> None:
         self.peers.add(peer)
-        have = frozenset(self.tree.hashes())
-        self._send(peer, wire.GetHeaders(have))
+        self._ask_headers(peer)
+
+    def _ask_headers(self, peer: int) -> None:
+        self._send(peer, wire.GetHeaders(frozenset(self.tree.hashes())))
 
     def drop_peer(self, peer: int, now: float) -> None:
         """Remove a lost or misbehaving connection and replace it. The peer
@@ -287,16 +292,29 @@ class Adapter:
             return
         if isinstance(msg, wire.HeadersMsg):
             fresh = 0
+            unasked_orphan = False
             for header in msg.headers:
                 h = header.hash()
                 known = h in self.tree
-                if self.accept_header(header, now) is None and not known:
+                violation = self.accept_header(header, now)
+                if violation is ViolationCode.ORPHAN:
+                    asked = self._orphan_asks.setdefault(h, set())
+                    unasked_orphan |= peer not in asked
+                    asked.add(peer)
+                elif violation is None and not known:
                     fresh += 1
+                    self._orphan_asks.pop(h, None)
                     self._announced_by[h] = peer
                     if h not in self.block_store:
                         self._schedule_fetch(h)
-            if fresh and len(msg.headers) >= HEADERS_BATCH:
-                self._send(peer, wire.GetHeaders(frozenset(self.tree.hashes())))
+            # A header whose parent we lack arrived ahead of it: ask the
+            # peer for every header we are missing, which it sends in
+            # height order (Bitcoin Core's unconnecting-headers handling).
+            # Once per header and peer, so a peer that serves a branch
+            # without its base cannot draw the same request forever. A full
+            # batch means the peer may hold more than it sent.
+            if unasked_orphan or (fresh and len(msg.headers) >= HEADERS_BATCH):
+                self._ask_headers(peer)
         elif isinstance(msg, wire.BlockMsg):
             self.pending_fetch.discard(msg.block.header.hash())
             self.store_block(msg.block)

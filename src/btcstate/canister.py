@@ -162,24 +162,32 @@ class UtxoSet:
 
 class OverlayDelta(NamedTuple):
     """What one unstable block changes for queries: its outputs grouped by
-    address, each as (outpoint, output, height), and the outpoints it
-    spends. Every txid and address of the block is derived once, here."""
+    address, each as (outpoint, output, height), the outpoints it spends,
+    and its txids. Every txid and address of the block is derived once,
+    here."""
 
     created: dict[str, tuple[tuple[OutPoint, TxOut, int], ...]]
     spent: frozenset[OutPoint]
+    txids: frozenset[Hash256]
 
     @classmethod
     def of_block(cls, block: Block, height: int, network: NetworkKind) -> "OverlayDelta":
         created: dict[str, list[tuple[OutPoint, TxOut, int]]] = {}
         spent: list[OutPoint] = []
+        txids: list[Hash256] = []
         for tx in block.transactions:
             if not tx.is_coinbase():
                 spent.extend(txin.outpoint for txin in tx.inputs)
             txid = tx.txid()
+            txids.append(txid)
             for vout, txout in enumerate(tx.outputs):
                 address = sys.intern(script_address(txout.script_pubkey, network))
                 created.setdefault(address, []).append((OutPoint(txid, vout), txout, height))
-        return cls({a: tuple(entries) for a, entries in created.items()}, frozenset(spent))
+        return cls(
+            {a: tuple(entries) for a, entries in created.items()},
+            frozenset(spent),
+            frozenset(txids),
+        )
 
 
 _PAGE_TAG = "p2"
@@ -530,9 +538,7 @@ class Canister:
     def confirmations_of_tx(self, txid: Hash256) -> Optional[int]:
         """Confirmation count of the unstable block containing txid, if any."""
         for h in self._bodied_hashes():
-            block = self.tree.block(h)
-            assert block is not None
-            if any(tx.txid() == txid for tx in block.transactions):
+            if txid in self._delta(h).txids:
                 return self.tree.confirmations(h)
         return None
 

@@ -372,6 +372,43 @@ def test_headers_message_inserts_all(builder):
     assert all(b.header.hash() in adapter.tree for b in blocks)
 
 
+def test_unconnecting_header_asks_that_peer_for_headers(builder):
+    adapter = make_adapter(builder, preset_peers=(4, 5))
+    adapter.discover_peers(0.0)
+    adapter.take_outbox()
+    b1, b2 = builder.build(2)
+    adapter.on_peer_message(4, wire.HeadersMsg((b2.header,)), NOW)  # b2 overtook b1
+    assert b2.header.hash() not in adapter.tree
+    [(peer, ask)] = adapter.take_outbox()
+    assert peer == 4 and isinstance(ask, wire.GetHeaders)
+    assert ask.have == frozenset(adapter.tree.hashes())
+    # the peer answers with every header the adapter lacks, in height order
+    adapter.on_peer_message(4, wire.HeadersMsg((b1.header, b2.header)), NOW)
+    assert b1.header.hash() in adapter.tree and b2.header.hash() in adapter.tree
+    assert not any(isinstance(m, wire.GetHeaders) for _, m in adapter.take_outbox())
+
+
+def test_unconnecting_header_asked_about_once_per_peer(builder):
+    # a peer that serves a branch without its base can only ever answer
+    # with headers that still do not connect
+    adapter = make_adapter(builder, preset_peers=(4, 5))
+    adapter.discover_peers(0.0)
+    adapter.take_outbox()
+    _, b2, b3 = builder.build(3)
+
+    def asks():
+        return [peer for peer, m in adapter.take_outbox() if isinstance(m, wire.GetHeaders)]
+
+    adapter.on_peer_message(4, wire.HeadersMsg((b2.header,)), NOW)
+    assert asks() == [4]
+    adapter.on_peer_message(4, wire.HeadersMsg((b2.header,)), NOW)
+    assert asks() == []
+    adapter.on_peer_message(5, wire.HeadersMsg((b2.header,)), NOW)
+    assert asks() == [5]
+    adapter.on_peer_message(4, wire.HeadersMsg((b2.header, b3.header)), NOW)
+    assert asks() == [4]  # b3 is a new unconnected header
+
+
 def test_block_for_unknown_header_ignored(builder):
     adapter = make_adapter(builder, preset_peers=(4,))
     adapter.discover_peers(0.0)

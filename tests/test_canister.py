@@ -554,6 +554,32 @@ def test_repeated_queries_rederive_no_txid_or_address(builder, monkeypatch):
         assert later == none
 
 
+def test_repeated_confirmations_of_tx_rehash_nothing(builder, monkeypatch):
+    canister = make_canister(builder, delta=10)
+    sources = builder.build(2)
+    payment = pay_probe(builder, sources[0], 2)
+    paying = builder.extend(extra_txs=(payment,))
+    respond(canister, sources + [paying] + builder.build(2))
+    txid, unknown = payment.txid(), Hash256(sha256d(b"unknown"))
+    calls = {"txid": 0}
+    real_txid = Transaction.txid
+
+    def counting_txid(tx):
+        calls["txid"] += 1
+        return real_txid(tx)
+
+    monkeypatch.setattr(Transaction, "txid", counting_txid)
+    want = canister.tree.confirmations(paying.header.hash())
+    assert want == 3
+    assert canister.confirmations_of_tx(txid) == want
+    assert canister.confirmations_of_tx(unknown) is None
+    assert calls["txid"] > 0
+    calls["txid"] = 0
+    assert canister.confirmations_of_tx(txid) == want
+    assert canister.confirmations_of_tx(unknown) is None
+    assert calls["txid"] == 0
+
+
 def test_overlay_matches_oracle_over_random_histories():
     """Forks, reorgs, anchor advances and snapshot round trips, with every
     balance and page walk checked against a fresh scan after each step."""

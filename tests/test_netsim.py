@@ -334,3 +334,59 @@ def test_transaction_relay_path():
     start_height = world.honest_height()
     world.run_until(lambda: world.honest_height() >= start_height + 3, max_duration=1e7)
     assert tx.txid() in world._mined_txids
+
+
+# -- sync at production depth (delta 144, the benchmark's network shape) -----------
+
+
+def production_world(seed: int) -> SimWorld:
+    params = SimParams(
+        n=4, f=0, ell=2, phi=0.0, peer_count=8, honest_block_interval=120.0, round_interval=40.0
+    )
+    return SimWorld(params, seed, delta=144)
+
+
+def test_out_of_order_headers_do_not_stall_sync():
+    # Without recovery from unconnecting headers this world stalls at height
+    # 353 with all four adapters behind and 432 failed rounds.
+    world = production_world(2004)
+    world.run_until(lambda: world.honest_height() >= 400)
+    canister = world.canister
+    top = world.honest_height()
+    assert world.run_until(
+        lambda: canister.max_body_height() == top and canister.synced, max_duration=2000
+    )
+    assert all(a.tree.max_height() == top for a in world.adapters)
+    assert world.rounds_failed == 0
+
+
+def test_sync_tree_work_per_block_flat_in_chain_length(monkeypatch):
+    """Tree work per mined block follows the unstable region, not the chain:
+    no root-to-tip walk on the update path, and depth and heaviest calls
+    per block from N = 400 to 800 within 1.3x of those from 200 to 400."""
+    from btcstate.blocktree import BlockTree
+
+    calls = {"depth": 0, "heaviest": 0, "current_chain": 0}
+    for name in calls:
+        real = getattr(BlockTree, name)
+
+        def counted(self, *args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(BlockTree, name, counted)
+    world = production_world(1000)
+
+    def mine_to(height: int) -> dict[str, float]:
+        start = world.honest_height()
+        for name in calls:
+            calls[name] = 0
+        assert world.run_until(lambda: world.honest_height() >= height)
+        return {name: n / (height - start) for name, n in calls.items()}
+
+    mine_to(200)
+    first = mine_to(400)
+    second = mine_to(800)
+    assert first["current_chain"] == second["current_chain"] == 0
+    assert world.canister.anchor_height() > 400
+    assert second["depth"] + second["heaviest"] <= 1.3 * (first["depth"] + first["heaviest"])

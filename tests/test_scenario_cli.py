@@ -168,16 +168,16 @@ BUNDLED_OUTPUT_SHA256 = {
         "a3e6f1d99028e432d6ed548e6c05443c74c813363e2aa0a0c55026daa69236e9",
     ),
     "fork-above-anchor": (
-        "7da5de0b32f7eec01e13d8b72c7281107842d7658e6f0d509923034ba52c959a",
-        "861c3cdf30f7ee12dd54bbea6b43913824fcf6855b5c5acb0c43cb765b2928dd",
+        "370cff98435199051fb7360239d5b204752a3416fa2998abcef74f5574e18433",
+        "ef3c8a3a35088eb6b5ec6a242c01f0aa40804c5d8b5122fdece7091be1822532",
     ),
     "fork-attack": (
         "a891cd88a159efca23e1b214c475df1bcd019cf5854f04278f979dfc90d712a2",
         "4dca655ab45cdaa6cb591af012d55df7c023c8efb1c39fdf8e7c8978fc30ba3b",
     ),
     "downtime-attack": (
-        "fb120ecefbadeb92637aff40d7c25c3d15d0e1910bf4bb35f7331782f145b7bf",
-        "369066071df6a710d3047743a3f2905c753f4145f38557d7f218fec8cd9b76e3",
+        "5775aeb0a47ffc1bcd89fa0f0ef8491adc0973de8e3acb94a5dc3d3ecfc6e4a1",
+        "4b9fdf731b98fb079ab1e5cc2f9364d1458047cfc57cd5f1a8e727bf68029391",
     ),
     "pagination-stress": (
         "be08c0b181185d3683049de46ec7a3af29753cc0fd895e7d1f2c85abf8e57d84",
