@@ -102,6 +102,9 @@ class BlockTree:
         self._by_height: dict[int, list[Hash256]] = {}
         self._depth_c: dict[Hash256, int] = {}
         self._depth_w: dict[Hash256, int] = {}
+        # Every height from 0 up to this one holds a node: each node's
+        # parent sits one height below it.
+        self._max_height = 0
         self.root = root
         self._put(_Node(root, None, bits, header))
         # The end of the selected chain: the most chain work, ties to the
@@ -113,6 +116,8 @@ class BlockTree:
     def _put(self, node: _Node) -> None:
         self._nodes[node.hash] = node
         self._by_height.setdefault(node.height, []).append(node.hash)
+        if node.height > self._max_height:
+            self._max_height = node.height
 
     def __contains__(self, hash_: Hash256) -> bool:
         return hash_ in self._nodes
@@ -167,6 +172,8 @@ class BlockTree:
             self._depth_w.pop(h, None)
             stack.extend(n.children)
             removed += 1
+        while self._max_height not in self._by_height:
+            self._max_height -= 1
         self._invalidate_up(node.prev)
         if self.tip not in self._nodes:
             best = self._nodes[self.root]
@@ -217,7 +224,7 @@ class BlockTree:
         return list(self._by_height.get(height, ()))
 
     def max_height(self) -> int:
-        return max(self._by_height)
+        return self._max_height
 
     def heights(self) -> Iterable[int]:
         return self._by_height.keys()

@@ -447,14 +447,11 @@ class SimWorld:
         there and append the walked blocks."""
         chain = self.honest_chain
         fresh = []
-        h: Optional[Hash256] = tip
-        while h is not None:
-            height = self.tree.height(h)
-            if height < len(chain) and chain[height] == h:
-                break
+        h = tip
+        while not (self.tree.height(h) < len(chain) and chain[self.tree.height(h)] == h):
             fresh.append(h)
-            h = self.tree.parent(h)
-        del chain[self.tree.height(fresh[-1]) :]
+            h = self.tree.parent(h)  # genesis is always on the chain
+        del chain[self.tree.height(h) + 1 :]
         chain.extend(reversed(fresh))
         self.honest_tip = tip
 

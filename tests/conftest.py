@@ -193,7 +193,7 @@ class ChainBuilder:
         block = Block(header, txs)
         h = self.tree.add_header(header)
         self.blocks[h] = block
-        if h == self.tree.current_chain()[-1]:
+        if h == self.tree.tip:
             self.tip = h
         return block
 

@@ -203,7 +203,7 @@ def test_current_chain_total_work_is_max_over_leaves():
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
-def test_kept_tip_and_depths_match_brute_force_through_inserts_and_removals(seed):
+def test_kept_tip_height_and_depths_match_brute_force_through_inserts_and_removals(seed):
     # Mostly equal-work blocks, so tied tips are common; depth queries are
     # interleaved so that inserts and removals meet warm caches.
     rng = random.Random(seed)
@@ -213,6 +213,7 @@ def test_kept_tip_and_depths_match_brute_force_through_inserts_and_removals(seed
         best = brute_best_path(tree)
         assert tree.tip == best[-1]
         assert tree.current_chain() == best
+        assert tree.max_height() == max(tree.height(h) for h in tree.hashes())
 
     check()
     for i in range(60):
