@@ -3,7 +3,7 @@ experiments, and end-to-end sync liveness."""
 
 import pytest
 
-from btcstate.blocktree import DepthKind
+from btcstate.blocktree import BlockTree, DepthKind
 from btcstate.chain import Hash256
 from btcstate.netsim import (
     AdversaryConfig,
@@ -364,8 +364,6 @@ def test_sync_tree_work_per_block_flat_in_chain_length(monkeypatch):
     """Tree work per mined block follows the unstable region, not the chain:
     no root-to-tip walk on the update path, and depth and heaviest calls
     per block from N = 400 to 800 within 1.3x of those from 200 to 400."""
-    from btcstate.blocktree import BlockTree
-
     calls = {"depth": 0, "heaviest": 0, "current_chain": 0}
     for name in calls:
         real = getattr(BlockTree, name)
