@@ -9,6 +9,17 @@ Each unstable block's overlay (its outputs by address and the outpoints it
 spends) is computed once, on the first query that needs it, and kept until
 the block's body is dropped.
 
+An address's materialized outputs are listed once, on the first query that
+needs them, sorted by the page key (height descending, then txid and
+output index) together with their total value; every later write keeps that
+listing current with a bisected insert or delete. Every overlay output lies
+above the anchor and every materialized output at or below it, so a listing
+is the overlay's unspent outputs followed by the kept listing minus the
+outpoints the overlay spends, with no merge. A page token names the key of
+the last entry served, and its continuation bisects to that key, so a full
+walk is linear in its entries, and a balance is the kept total corrected by
+the overlay alone.
+
 Responses from the sync endpoint are applied one at a time in simulator
 order; the whole state is deterministic given the message sequence.
 """
@@ -16,7 +27,9 @@ order; the whole state is deterministic given the message sequence.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left, bisect_right, insort
 from collections import deque
+from itertools import starmap
 from typing import Iterable, NamedTuple, Optional
 
 from btcstate.adapter import GetSuccessorsRequest, GetSuccessorsResponse
@@ -45,6 +58,11 @@ DEFAULT_TAU = 2
 DEFAULT_PAGE_SIZE = 1000
 
 SNAPSHOT_MAGIC = "btcstate-snapshot 2"
+
+
+class SnapshotError(ValueError):
+    """A state snapshot that cannot be loaded; the message names the
+    offending line or field."""
 
 
 class ApiError(Exception):
@@ -106,40 +124,90 @@ class UtxosPage:
         self.next_page = next_page
 
 
+# One unspent output as listed: (outpoint, value, height).
+Row = tuple[OutPoint, int, int]
+
+
+def _page_key(row: Row) -> tuple[int, bytes, int]:
+    """Listing order: height descending, then txid bytes, then output index."""
+    outpoint = row[0]
+    return (-row[2], outpoint.txid, outpoint.vout)
+
+
+class Listing:
+    """One address's materialized outputs in page order, and their total."""
+
+    __slots__ = ("rows", "total")
+
+    def __init__(self, rows: list[Row], total: int):
+        self.rows = rows
+        self.total = total
+
+
+_NO_LISTING = Listing((), 0)  # shared by every address with no outputs; a tuple, so never written
+
+
 class UtxoSet:
-    """Outpoint-indexed unspent outputs with an address index for retrieval."""
+    """Outpoint-indexed unspent outputs with an address index for retrieval,
+    and a kept listing for each address a query has asked for."""
 
     def __init__(self, network: NetworkKind):
         self.network = network
         self.by_outpoint: dict[OutPoint, tuple[TxOut, int]] = {}
         self.by_address: dict[str, set[OutPoint]] = {}
+        # Built on an address's first query and kept current by every write.
+        self.listings: dict[str, Listing] = {}
 
     def __len__(self) -> int:
         return len(self.by_outpoint)
 
     def add(self, outpoint: OutPoint, txout: TxOut, height: int) -> None:
+        if outpoint in self.by_outpoint:
+            self.remove(outpoint)  # a repeated txid replaces the older output
         self.by_outpoint[outpoint] = (txout, height)
         address = script_address(txout.script_pubkey, self.network)
         self.by_address.setdefault(address, set()).add(outpoint)
+        listing = self.listings.get(address)
+        if listing is not None:
+            insort(listing.rows, (outpoint, txout.value, height), key=_page_key)
+            listing.total += txout.value
 
     def remove(self, outpoint: OutPoint) -> bool:
         entry = self.by_outpoint.pop(outpoint, None)
         if entry is None:
             return False
-        address = script_address(entry[0].script_pubkey, self.network)
+        txout, height = entry
+        address = script_address(txout.script_pubkey, self.network)
         bucket = self.by_address.get(address)
         if bucket is not None:
             bucket.discard(outpoint)
             if not bucket:
                 del self.by_address[address]
+        listing = self.listings.get(address)
+        if listing is not None:
+            if bucket:
+                rows = listing.rows
+                del rows[bisect_left(rows, (-height, outpoint.txid, outpoint.vout), key=_page_key)]
+                listing.total -= txout.value
+            else:
+                del self.listings[address]
         return True
 
-    def address_utxos(self, address: str) -> list[tuple[OutPoint, TxOut, int]]:
-        out = []
-        for outpoint in self.by_address.get(address, ()):
-            txout, height = self.by_outpoint[outpoint]
-            out.append((outpoint, txout, height))
-        return out
+    def listing(self, address: str) -> Listing:
+        """The address's kept listing, built on first use. An address with
+        no outputs gets an empty listing that is not kept."""
+        listing = self.listings.get(address)
+        if listing is None:
+            bucket = self.by_address.get(address)
+            if not bucket:
+                return _NO_LISTING
+            rows = []
+            for outpoint in bucket:
+                txout, height = self.by_outpoint[outpoint]
+                rows.append((outpoint, txout.value, height))
+            rows.sort(key=_page_key)
+            listing = self.listings[address] = Listing(rows, sum(row[1] for row in rows))
+        return listing
 
     def apply_block(self, block: Block, height: int) -> int:
         """Spend the inputs and insert the outputs of every transaction.
@@ -162,17 +230,17 @@ class UtxoSet:
 
 class OverlayDelta(NamedTuple):
     """What one unstable block changes for queries: its outputs grouped by
-    address, each as (outpoint, output, height), the outpoints it spends,
+    address, each address's rows in page order, the outpoints it spends,
     and its txids. Every txid and address of the block is derived once,
     here."""
 
-    created: dict[str, tuple[tuple[OutPoint, TxOut, int], ...]]
+    created: dict[str, tuple[Row, ...]]
     spent: frozenset[OutPoint]
     txids: frozenset[Hash256]
 
     @classmethod
     def of_block(cls, block: Block, height: int, network: NetworkKind) -> "OverlayDelta":
-        created: dict[str, list[tuple[OutPoint, TxOut, int]]] = {}
+        created: dict[str, list[Row]] = {}
         spent: list[OutPoint] = []
         txids: list[Hash256] = []
         for tx in block.transactions:
@@ -182,9 +250,9 @@ class OverlayDelta(NamedTuple):
             txids.append(txid)
             for vout, txout in enumerate(tx.outputs):
                 address = sys.intern(script_address(txout.script_pubkey, network))
-                created.setdefault(address, []).append((OutPoint(txid, vout), txout, height))
+                created.setdefault(address, []).append((OutPoint(txid, vout), txout.value, height))
         return cls(
-            {a: tuple(entries) for a, entries in created.items()},
+            {a: tuple(sorted(rows, key=_page_key)) for a, rows in created.items()},
             frozenset(spent),
             frozenset(txids),
         )
@@ -417,30 +485,74 @@ class Canister:
             self.deltas[h] = delta
         return delta
 
-    def _address_entries(
-        self, address: str, applied: list[Hash256]
-    ) -> list[Utxo]:
+    def _overlay(self, address: str, applied: list[Hash256]) -> tuple[list[Row], set[OutPoint]]:
+        """The address's unspent rows created by the applied blocks, in page
+        order, and its materialized outpoints that those blocks spend."""
         deltas = [self._delta(h) for h in applied]
-        created: dict[OutPoint, tuple[TxOut, int]] = {}
+        # Highest block first: each block's rows are already in page order.
+        created: list[Row] = []
+        for delta in reversed(deltas):
+            created.extend(delta.created.get(address, ()))
+        fresh = {row[0] for row in created}
+        if len(fresh) < len(created):  # a repeated txid: its latest outputs win
+            latest: dict[OutPoint, Row] = {}
+            for row in created:
+                latest.setdefault(row[0], row)
+            created = list(latest.values())
+        # Intersect sets only (a dict operand would be walked in full), so
+        # each intersection walks the smaller side: the cost follows the
+        # answer, not the block size.
+        held = self.utxos.by_address.get(address)
+        spent_held: set[OutPoint] = set()
+        spent_fresh: set[OutPoint] = set()
         for delta in deltas:
-            for op, txout, height in delta.created.get(address, ()):
-                created[op] = (txout, height)
-        held = self.utxos.address_utxos(address)
-        # Only this address's outpoints matter: each intersection walks the
-        # smaller side, so the cost follows the answer, not the block size.
-        candidates = {op for op, _, _ in held}
-        candidates.update(created)
-        spent: set[OutPoint] = set()
-        for delta in deltas:
-            spent.update(candidates.intersection(delta.spent))
-        entries = [Utxo(op, txout.value, height) for op, txout, height in held if op not in spent]
-        entries.extend(
-            Utxo(op, txout.value, height)
-            for op, (txout, height) in created.items()
-            if op not in spent
-        )
-        entries.sort(key=lambda u: (-u.height, bytes(u.outpoint.txid), u.outpoint.vout))
-        return entries
+            if held:
+                spent_held |= delta.spent & held
+            if fresh:
+                spent_fresh |= delta.spent & fresh
+        if spent_fresh:
+            created = [row for row in created if row[0] not in spent_fresh]
+        return created, spent_held
+
+    def _rows(
+        self,
+        address: str,
+        applied: list[Hash256],
+        after_key: Optional[tuple[int, bytes, int]] = None,
+        limit: Optional[int] = None,
+    ) -> list[Row]:
+        """The address's unspent rows in page order, after `after_key`, at
+        most `limit` of them: the overlay's rows, then the kept listing
+        minus the outpoints the overlay spends. Only the rows returned are
+        copied, and each spent outpoint costs one bisect."""
+        created, spent = self._overlay(address, applied)
+        held = self.utxos.listing(address).rows
+        start = 0
+        if after_key is not None:
+            created = created[bisect_right(created, after_key, key=_page_key) :]
+            start = bisect_right(held, after_key, key=_page_key)
+        if limit is None:
+            limit = len(created) + len(held)
+        rows = created[:limit]
+        room = limit - len(rows)
+        window = held[start : start + room + len(spent)]
+        if spent:
+            # Cut the spent rows out by position, found by bisecting to
+            # their keys, rather than testing every row of the window.
+            by_outpoint = self.utxos.by_outpoint
+            cuts = sorted(
+                (
+                    bisect_left(held, (-by_outpoint[op][1], op.txid, op.vout), key=_page_key)
+                    for op in spent
+                ),
+                reverse=True,
+            )
+            end = start + len(window)
+            for cut in cuts:
+                if start <= cut < end:
+                    del window[cut - start]
+        rows.extend(window[:room])
+        return rows
 
     def _check_available(self, network: NetworkKind) -> None:
         if network is not self.network:
@@ -455,6 +567,16 @@ class Canister:
             raise FilterRejectedError(
                 f"min_confirmations {min_conf} exceeds the stability threshold {self.delta}"
             )
+
+    def _applied(
+        self, network: NetworkKind, min_confirmations: Optional[int]
+    ) -> tuple[list[Hash256], Hash256]:
+        """The checks every fresh query makes, then the blocks it overlays
+        and the tip its answer reflects."""
+        self._check_available(network)
+        if min_confirmations is not None:
+            self._check_min_conf(min_confirmations)
+        return self._selected_chain(min_confirmations)
 
     # -- public API -----------------------------------------------------------
 
@@ -479,31 +601,32 @@ class Canister:
         the selected chain above the anchor, the token is rejected rather
         than mixing two chain states in one walk.
         """
-        self._check_available(network)
-        if page is not None and min_confirmations is not None:
-            raise FilterRejectedError("filter takes confirmations or a page token, not both")
-        after_key = None
-        if page is not None:
+        if page is None:
+            applied, tip = self._applied(network, min_confirmations)
+            after_key = None
+        else:
+            self._check_available(network)
+            if min_confirmations is not None:
+                raise FilterRejectedError("filter takes confirmations or a page token, not both")
             tip, after_key = _decode_page_token(page)
             applied = self._chain_to(tip)
-        else:
-            if min_confirmations is not None:
-                self._check_min_conf(min_confirmations)
-            applied, tip = self._selected_chain(min_confirmations)
-        entries = self._address_entries(address, applied)
-        if after_key is not None:
-            entries = [
-                u
-                for u in entries
-                if (-u.height, bytes(u.outpoint.txid), u.outpoint.vout) > after_key
-            ]
-        page_entries = entries[: self.page_size]
+        rows = self._rows(address, applied, after_key, self.page_size + 1)
+        utxos = tuple(starmap(Utxo, rows[: self.page_size]))
         next_token = None
-        if len(entries) > self.page_size:
-            next_token = _encode_page_token(tip, page_entries[-1])
-        return UtxosPage(
-            tuple(page_entries), tip, self.tree.height(tip), next_token
-        )
+        if len(rows) > self.page_size:
+            next_token = _encode_page_token(tip, utxos[-1])
+        return UtxosPage(utxos, tip, self.tree.height(tip), next_token)
+
+    def list_utxos(
+        self,
+        address: str,
+        network: NetworkKind,
+        min_confirmations: Optional[int] = None,
+    ) -> tuple[Utxo, ...]:
+        """Every UTXO a get_utxos walk over the same selection pages
+        through, in one unpaginated listing."""
+        applied, _ = self._applied(network, min_confirmations)
+        return tuple(starmap(Utxo, self._rows(address, applied)))
 
     def get_balance(
         self,
@@ -511,12 +634,17 @@ class Canister:
         network: NetworkKind,
         min_confirmations: Optional[int] = None,
     ) -> int:
-        """Total satoshi over the same selection as get_utxos, unpaginated."""
-        self._check_available(network)
-        if min_confirmations is not None:
-            self._check_min_conf(min_confirmations)
-        applied, _ = self._selected_chain(min_confirmations)
-        return sum(u.value for u in self._address_entries(address, applied))
+        """Total satoshi over the same selection as get_utxos, unpaginated:
+        the kept total, less what the overlay spends of it, plus what the
+        overlay creates and leaves unspent."""
+        applied, _ = self._applied(network, min_confirmations)
+        created, spent = self._overlay(address, applied)
+        by_outpoint = self.utxos.by_outpoint
+        return (
+            self.utxos.listing(address).total
+            - sum(by_outpoint[op][0].value for op in spent)
+            + sum(row[1] for row in created)
+        )
 
     def send_transaction(self, tx_bytes: bytes, network: NetworkKind) -> Hash256:
         """Queue a syntactically valid transaction for relay on the next
@@ -581,65 +709,105 @@ class Canister:
 
     @classmethod
     def from_snapshot(cls, lines: Iterable[str]) -> "Canister":
-        it = iter(lines)
-        header_line = next(it, "").strip()
-        if header_line != SNAPSHOT_MAGIC:
-            if header_line.startswith("btcstate-snapshot "):
-                raise ValueError(f"unsupported snapshot version {header_line!r}")
-            raise ValueError("not a state snapshot (bad magic)")
-        fields: dict[str, str] = {}
-        headers: list[BlockHeader] = []
-        blocks: list[Block] = []
-        utxo_lines: list[tuple[OutPoint, TxOut, int]] = []
+        """Load a state written by snapshot_lines. Anything malformed raises
+        SnapshotError, naming the line (counted from 1) or the field."""
+        numbered = enumerate(lines, start=1)
+        magic = next(numbered, (1, ""))[1].strip()
+        if magic != SNAPSHOT_MAGIC:
+            if magic.startswith("btcstate-snapshot "):
+                raise SnapshotError(f"unsupported snapshot version {magic!r}")
+            raise SnapshotError("not a state snapshot (bad magic)")
+        fields: dict[str, tuple[int, str]] = {}
+        headers: list[tuple[int, BlockHeader]] = []
+        blocks: list[tuple[int, Block]] = []
+        utxo_lines: list[tuple[int, OutPoint, TxOut, int]] = []
         queued: list[bytes] = []
-        for raw in it:
+        for lineno, raw in numbered:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             if line == "end":
                 break
             key, _, value = line.partition(" ")
-            if key == "header":
-                headers.append(BlockHeader.from_bytes(bytes.fromhex(value)))
-            elif key == "block":
-                blocks.append(Block.from_bytes(bytes.fromhex(value)))
-            elif key == "utxo":
-                txid_hex, vout, amount, script_hex, height = value.split()
-                utxo_lines.append(
-                    (
-                        OutPoint(Hash256.from_rev_hex(txid_hex), int(vout)),
-                        TxOut(int(amount), bytes.fromhex(script_hex)),
-                        int(height),
+            try:
+                if key == "header":
+                    headers.append((lineno, BlockHeader.from_bytes(bytes.fromhex(value))))
+                elif key == "block":
+                    blocks.append((lineno, Block.from_bytes(bytes.fromhex(value))))
+                elif key == "utxo":
+                    parts = value.split()
+                    if len(parts) != 5:
+                        raise ValueError(f"needs 5 fields, got {len(parts)}")
+                    txid_hex, vout, amount, script_hex, height = parts
+                    utxo_lines.append(
+                        (
+                            lineno,
+                            OutPoint(Hash256.from_rev_hex(txid_hex), int(vout)),
+                            TxOut(int(amount), bytes.fromhex(script_hex)),
+                            int(height),
+                        )
                     )
-                )
-            elif key == "queued-tx":
-                queued.append(bytes.fromhex(value))
-            else:
-                fields[key] = value
+                elif key == "queued-tx":
+                    queued.append(bytes.fromhex(value))
+                else:
+                    fields[key] = (lineno, value)
+            except ValueError as exc:
+                raise SnapshotError(f"line {lineno}: bad {key} line: {exc}") from None
         else:
-            raise ValueError("snapshot cut off before end")
+            raise SnapshotError("snapshot cut off before end")
         if not headers:
-            raise ValueError("snapshot has no headers")
-        network = NetworkKind.from_str(fields["network"])
-        state = cls(
-            headers[0],
-            network,
-            delta=int(fields["delta"]),
-            tau=int(fields["tau"]),
-            page_size=int(fields["page-size"]),
-        )
-        for header in headers[1:]:
-            state.tree.add_header(header)
-        for block in blocks:
+            raise SnapshotError("snapshot has no headers")
+        network = _snapshot_field(fields, "network", NetworkKind.from_str)
+        delta = _snapshot_field(fields, "delta", int)
+        tau = _snapshot_field(fields, "tau", int)
+        page_size = _snapshot_field(fields, "page-size", int)
+        try:
+            state = cls(headers[0][1], network, delta=delta, tau=tau, page_size=page_size)
+        except ValueError as exc:
+            raise SnapshotError(str(exc)) from None
+        for lineno, header in headers[1:]:
+            if header.prev not in state.tree:
+                raise SnapshotError(
+                    f"line {lineno}: header {header.hash().rev_hex()} has unknown parent "
+                    f"{header.prev.rev_hex()}"
+                )
+            try:
+                state.tree.add_header(header)
+            except ValueError as exc:
+                raise SnapshotError(f"line {lineno}: bad header line: {exc}") from None
+        for lineno, block in blocks:
             h = block.header.hash()
+            if h not in state.tree:
+                raise SnapshotError(f"line {lineno}: block {h.rev_hex()} has no header line")
             state.tree.set_block(h, block)
-        for outpoint, txout, height in utxo_lines:
-            state.utxos.add(outpoint, txout, height)
-        state.anchor = Hash256.from_rev_hex(fields["anchor"])
+        state.anchor = _snapshot_field(fields, "anchor", Hash256.from_rev_hex)
         if state.anchor not in state.tree:
-            raise ValueError(f"anchor {fields['anchor']} is not in the snapshot's tree")
+            raise SnapshotError(f"anchor {state.anchor.rev_hex()} is not in the snapshot's tree")
         if state.tree.path_to(state.tree.tip, state.anchor) is None:
-            raise ValueError(f"anchor {fields['anchor']} is not on the snapshot's selected chain")
-        state.synced = fields.get("synced", "1") == "1"
+            raise SnapshotError(
+                f"anchor {state.anchor.rev_hex()} is not on the snapshot's selected chain"
+            )
+        # Queries list materialized outputs after the overlay's, which
+        # holds only if none of them lies above the anchor.
+        top = state.anchor_height()
+        for lineno, outpoint, txout, height in utxo_lines:
+            if height > top:
+                raise SnapshotError(
+                    f"line {lineno}: utxo height {height} is above the anchor's height {top}"
+                )
+            state.utxos.add(outpoint, txout, height)
+        state.synced = fields.get("synced", (0, "1"))[1] == "1"
         state.outbound_txs.extend(queued)
         return state
+
+
+def _snapshot_field(fields: dict[str, tuple[int, str]], name: str, parse):
+    """A snapshot field's value, parsed; SnapshotError names the field's
+    line when it is missing or does not parse."""
+    if name not in fields:
+        raise SnapshotError(f"missing {name} line")
+    lineno, value = fields[name]
+    try:
+        return parse(value)
+    except ValueError as exc:
+        raise SnapshotError(f"line {lineno}: bad {name} {value!r}: {exc}") from None

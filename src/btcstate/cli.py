@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Optional
 
 from btcstate.blocktree import BlockTree, DepthKind, TreeStructureError, WorkRatio
-from btcstate.canister import ApiError, Canister
+from btcstate.canister import ApiError, Canister, SnapshotError
 from btcstate.chain import NetworkKind
 from btcstate.netsim import (
     downtime_analytic,
@@ -193,7 +193,7 @@ def _cmd_api(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     try:
         state = Canister.from_snapshot(path.read_text().splitlines())
-    except (ValueError, KeyError) as exc:
+    except (SnapshotError, UnicodeDecodeError) as exc:
         print(f"bad snapshot: {exc}", file=sys.stderr)
         return EXIT_USAGE
     network = NetworkKind.from_str(args.network) if args.network else state.network

@@ -520,16 +520,13 @@ class ScenarioRunner:
             if page.next_page is None:
                 break
             token = page.next_page
-        saved = canister.page_size
-        canister.page_size = len(collected) + 1_000_000
-        whole = canister.get_utxos(address, network, min_confirmations=min_conf)
-        canister.page_size = saved
+        whole = canister.list_utxos(address, network, min_confirmations=min_conf)
         keys = [(-u.height, bytes(u.outpoint.txid), u.outpoint.vout) for u in collected]
         paging_ok = (
             keys == sorted(keys)
             and len(set(keys)) == len(keys)
             and [(u.outpoint, u.value, u.height) for u in collected]
-            == [(u.outpoint, u.value, u.height) for u in whole.utxos]
+            == [(u.outpoint, u.value, u.height) for u in whole]
         )
         self.extra_metrics[f"utxos_{name}"] = len(collected)
         self.extra_metrics[f"utxo_pages_{name}"] = pages

@@ -1,6 +1,7 @@
 """The replicated state machine: response processing, anchor advancement,
 UTXO maintenance, and the public API."""
 
+import math
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from btcstate.canister import (
     FilterRejectedError,
     MalformedTransactionError,
     NetworkMismatchError,
+    SnapshotError,
     UtxoSet,
 )
 from btcstate.chain import (
@@ -226,8 +228,13 @@ def test_apply_block_spend_moves_value(builder):
     anomalies = utxos.apply_block(b2, 2)
     assert anomalies == 0
     assert source[0] not in utxos.by_outpoint
-    probe_entries = utxos.address_utxos(PROBE)
-    assert sorted(e[1].value for e in probe_entries) == [1000, 2000]
+    assert sorted(utxos.by_outpoint[op][0].value for op in utxos.by_address[PROBE]) == [1000, 2000]
+    listing = utxos.listing(PROBE)
+    assert [(op.txid, value, height) for op, value, height in listing.rows] == [
+        (spend.txid(), 1000, 2),
+        (spend.txid(), 2000, 2),
+    ]
+    assert listing.total == 3000
 
 
 def test_apply_block_unknown_outpoint_counts_anomaly(builder):
@@ -379,6 +386,7 @@ def test_pagination_union_equals_oracle(builder):
     assert [(u.outpoint, u.value, u.height) for u in collected] == [
         (u.outpoint, u.value, u.height) for u in whole.utxos
     ]
+    assert canister.list_utxos(PROBE, NET) == whole.utxos
     heights = [u.height for u in collected]
     assert heights == sorted(heights, reverse=True)
     assert len({(u.outpoint.txid, u.outpoint.vout) for u in collected}) == 37
@@ -580,10 +588,106 @@ def test_repeated_confirmations_of_tx_rehash_nothing(builder, monkeypatch):
     assert calls["txid"] == 0
 
 
+def test_walks_and_balances_build_utxos_only_for_the_answer(builder, monkeypatch):
+    canister = make_canister(builder, delta=2, page_size=3)
+    sources = builder.build(4)
+    paying = [builder.extend(extra_txs=(pay_probe(builder, block, 4),)) for block in sources[:3]]
+    respond(canister, sources + paying + builder.build(2))
+    held = sorted(canister.utxos.by_address[PROBE], key=lambda op: (op.txid, op.vout))
+    # the overlay pays the probe address and spends one of its held outputs
+    respend = Transaction(1, (TxIn(held[0], b"sig"),), (TxOut(77, PROBE_SCRIPT),))
+    respond(canister, [builder.extend(extra_txs=(pay_probe(builder, sources[3], 4), respend))])
+    expected = overlay_oracle(canister, PROBE)
+    assert len(expected) == 16  # four payments of four, one output spent, one paid back
+    assert any(height > canister.anchor_height() for _, _, height in expected)
+    assert any(height <= canister.anchor_height() for _, _, height in expected)
+    cold = Canister.from_snapshot(canister.snapshot_lines())
+    calls = {"Utxo": 0, "Listing": 0}
+    real_utxo, real_listing = canister_module.Utxo, canister_module.Listing
+
+    def counting_utxo(*args):
+        calls["Utxo"] += 1
+        return real_utxo(*args)
+
+    def counting_listing(*args):
+        calls["Listing"] += 1
+        return real_listing(*args)
+
+    monkeypatch.setattr(canister_module, "Utxo", counting_utxo)
+    monkeypatch.setattr(canister_module, "Listing", counting_listing)
+
+    def counted(query):
+        calls.update(Utxo=0, Listing=0)
+        result = query()
+        return result, dict(calls)
+
+    k, p = len(expected), canister.page_size
+    linear = k + math.ceil(k / p)
+    total = sum(value for _, value, _ in expected)
+    # a balance builds the listing once and no Utxo, then neither
+    assert counted(lambda: cold.get_balance(PROBE, NET)) == (total, {"Utxo": 0, "Listing": 1})
+    assert counted(lambda: cold.get_balance(PROBE, NET)) == (total, {"Utxo": 0, "Listing": 0})
+    # a full walk builds the listing once and a Utxo per entry served
+    pages, first = counted(lambda: walk(canister, PROBE, canister.get_utxos(PROBE, NET)))
+    assert listed(pages) == expected and len(pages) == math.ceil(k / p)
+    assert first["Listing"] == 1 and first["Utxo"] <= linear
+    # a repeated walk rebuilds nothing
+    pages, again = counted(lambda: walk(canister, PROBE, canister.get_utxos(PROBE, NET)))
+    assert listed(pages) == expected
+    assert again["Listing"] == 0 and again["Utxo"] <= linear
+    assert counted(lambda: canister.get_balance(PROBE, NET)) == (total, {"Utxo": 0, "Listing": 0})
+
+
+def assert_listings_kept(utxos: UtxoSet) -> None:
+    """Every kept listing equals a fresh sort of its address's outpoints,
+    and its kept total their summed value."""
+    for address, listing in utxos.listings.items():
+        assert address in utxos.by_address
+        fresh = sorted(
+            (
+                (op, utxos.by_outpoint[op][0].value, utxos.by_outpoint[op][1])
+                for op in utxos.by_address[address]
+            ),
+            key=lambda row: (-row[2], bytes(row[0].txid), row[0].vout),
+        )
+        assert listing.rows == fresh
+        assert listing.total == sum(value for _, value, _ in fresh)
+
+
+def test_repeated_transaction_keeps_the_latest_outputs(builder):
+    # nothing stops a block from repeating an earlier transaction; its
+    # outputs then replace the earlier ones under the same outpoints
+    canister = make_canister(builder, delta=3, page_size=2)
+    sources = builder.build(2)
+    pay = pay_probe(builder, sources[0], 3)
+    twice = [builder.extend(extra_txs=(pay,)), builder.extend(extra_txs=(pay,))]
+    respond(canister, sources + twice)
+    first, second = (canister.tree.height(block.header.hash()) for block in twice)
+
+    def check(heights):
+        expected = overlay_oracle(canister, PROBE)
+        assert [height for _, _, height in expected] == heights
+        assert listed(walk(canister, PROBE, canister.get_utxos(PROBE, NET))) == expected
+        assert canister.get_balance(PROBE, NET) == sum(value for _, value, _ in expected)
+        assert_listings_kept(canister.utxos)
+
+    assert canister.anchor_height() < first
+    check([second] * 3)  # both copies overlaid: the later one is listed
+    respond(canister, builder.build(1))
+    assert canister.anchor_height() == first
+    check([second] * 3 + [first] * 3)  # one materialized, one overlaid
+    assert PROBE in canister.utxos.listings
+    respond(canister, builder.build(1))
+    assert canister.anchor_height() == second
+    check([second] * 3)  # the kept listing swapped the older copy out
+
+
 def test_overlay_matches_oracle_over_random_histories():
     """Forks, reorgs, anchor advances and snapshot round trips, with every
-    balance and page walk checked against a fresh scan after each step."""
+    balance and page walk checked against a fresh scan after each step, and
+    every kept listing against a fresh sort of its address's outputs."""
     reorgs = advances = round_trips = 0
+    kept_adds = kept_spends = 0  # writes that updated a kept listing in place
     for seed in range(6):
         rng = random.Random(seed)
         builder = ChainBuilder()
@@ -615,8 +719,15 @@ def test_overlay_matches_oracle_over_random_histories():
                 for tx in block.transactions:
                     outputs.extend(OutPoint(tx.txid(), i) for i in range(len(tx.outputs)))
                 before = canister.anchor
+                kept = {a: set(listing.rows) for a, listing in canister.utxos.listings.items()}
                 respond(canister, [block])
                 advances += canister.anchor != before
+                for address, rows in kept.items():
+                    listing = canister.utxos.listings.get(address)
+                    if listing is not None:  # kept through the writes, not rebuilt
+                        kept_adds += bool(set(listing.rows) - rows)
+                        kept_spends += bool(rows - set(listing.rows))
+            assert_listings_kept(canister.utxos)
             assert canister.synced
             above = canister.anchor_height()
             bodied = {
@@ -633,8 +744,10 @@ def test_overlay_matches_oracle_over_random_histories():
                     first = canister.get_utxos(address, NET, min_confirmations=min_conf)
                     assert listed(walk(canister, address, first)) == expected
             assert set(canister.deltas) <= bodied
+            assert_listings_kept(canister.utxos)
         reorgs += canister.reorgs
     assert reorgs > 0 and advances > 0 and round_trips > 0
+    assert kept_adds > 0 and kept_spends > 0
 
 
 # -- send_transaction -----------------------------------------------------------------
@@ -807,6 +920,22 @@ def test_snapshot_anchor_off_selected_chain_rejected(builder):
     lines[last_header + 1 : last_header + 1] = [f"header {b.header.to_bytes().hex()}" for b in rival]
     with pytest.raises(ValueError, match="not on the snapshot's selected chain"):
         Canister.from_snapshot(lines)
+
+
+def test_snapshot_errors_name_the_line(builder):
+    lines = snapshot_with(builder)
+    # a materialized output above the anchor would break the listing order
+    i = next(i for i, line in enumerate(lines) if line.startswith("utxo "))
+    raised = lines[:i] + [lines[i].rsplit(" ", 1)[0] + " 99"] + lines[i + 1 :]
+    with pytest.raises(SnapshotError, match=f"^line {i + 1}: utxo height 99 is above"):
+        Canister.from_snapshot(raised)
+    # the tip's header is gone but its body is still there
+    last = max(i for i, line in enumerate(lines) if line.startswith("header "))
+    headless = lines[:last] + lines[last + 1 :]
+    header_hex = lines[last].split()[1]
+    body = next(i for i, line in enumerate(headless) if line.startswith(f"block {header_hex}"))
+    with pytest.raises(SnapshotError, match=f"^line {body + 1}: block .* has no header line"):
+        Canister.from_snapshot(headless)
 
 
 @pytest.mark.parametrize("line", ["delta -5", "delta 0", "tau -1", "page-size 0"])

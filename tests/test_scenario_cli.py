@@ -445,3 +445,53 @@ def test_cli_api_against_snapshot(tmp_path, capsys):
     assert "bad snapshot: unsupported snapshot version" in err
     assert "bad snapshot: snapshot cut off before end" in err
     assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def saved_state(tmp_path_factory):
+    """The snapshot text SNAPSHOT_SCENARIO saves, and alice's address."""
+    from btcstate.scenario import ScenarioRunner
+
+    out = tmp_path_factory.mktemp("saved")
+    runner = ScenarioRunner(parse_scenario(SNAPSHOT_SCENARIO), out_dir=out)
+    assert runner.run().ok
+    return (out / "snap.txt").read_text().splitlines(), runner.address_for("alice")
+
+
+def api_on_broken(tmp_path, capsys, address, lines) -> str:
+    """Run `btcstate api get_balance` on a broken snapshot; it must be a
+    usage error with no traceback. Returns the error output."""
+    path = tmp_path / "broken.txt"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["api", str(path), "get_balance", address]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return err
+
+
+def test_cli_api_snapshot_missing_field(saved_state, tmp_path, capsys):
+    lines, alice = saved_state
+    lines = [line for line in lines if not line.startswith("delta ")]
+    err = api_on_broken(tmp_path, capsys, alice, lines)
+    assert "bad snapshot: missing delta line" in err
+
+
+def test_cli_api_snapshot_short_utxo_line(saved_state, tmp_path, capsys):
+    lines, alice = saved_state
+    lines = list(lines)
+    i = next(i for i, line in enumerate(lines) if line.startswith("utxo "))
+    lines[i] = lines[i].rsplit(" ", 1)[0]
+    err = api_on_broken(tmp_path, capsys, alice, lines)
+    assert f"bad snapshot: line {i + 1}: bad utxo line: needs 5 fields, got 4" in err
+
+
+def test_cli_api_snapshot_header_with_unknown_parent(saved_state, tmp_path, capsys):
+    lines, alice = saved_state
+    lines = list(lines)
+    # drop the second header: the third then names a parent the file lacks
+    second, third = [i for i, line in enumerate(lines) if line.startswith("header ")][1:3]
+    assert third == second + 1
+    del lines[second]
+    err = api_on_broken(tmp_path, capsys, alice, lines)
+    assert f"bad snapshot: line {second + 1}: header " in err
+    assert "has unknown parent" in err
