@@ -188,6 +188,7 @@ class Adapter:
         self.block_store[h] = block
         self._block_sizes[h] = block.size()
         self.pending_fetch.discard(h)
+        self._announced_by.pop(h, None)  # only fetches of missing bodies read it
         return True
 
     # -- request handling (the update protocol) --------------------------------------
@@ -195,7 +196,8 @@ class Adapter:
     def handle_request(self, req: GetSuccessorsRequest, now: float) -> GetSuccessorsResponse:
         """Serve one update request.
 
-        Walks the header tree breadth-first from the anchor. A block is
+        Walks the header tree breadth-first from the anchor, which the
+        requester already holds and which is never offered. A block is
         returned when the requester lacks it and its parent is available
         to the requester (the anchor itself, something the requester holds,
         or a block earlier in this response). The response size limit is
@@ -224,15 +226,16 @@ class Adapter:
         next_headers: list[BlockHeader] = []
         total_bytes = 0
 
-        for cur in self.tree.bfs(anchor_hash):
+        walk = self.tree.bfs(anchor_hash)
+        next(walk)  # the anchor itself
+        for cur in walk:
             if len(next_headers) >= self.config.max_headers:
                 break
             parent = self.tree.parent(cur)
             if cur not in processed and (parent in available or parent in included):
                 body = self.block_store.get(cur)
                 if body is None:
-                    if cur != anchor_hash:
-                        self._schedule_fetch(cur)
+                    self._schedule_fetch(cur)
                 elif total_bytes < self.config.max_response_bytes and (
                     block_cap is None or len(blocks) < block_cap
                 ):
@@ -241,7 +244,7 @@ class Adapter:
                     blocks.append((body, header))
                     included.add(cur)
                     total_bytes += self._block_sizes[cur]
-            if cur != anchor_hash and cur not in processed and cur not in included:
+            if cur not in processed and cur not in included:
                 header = self.tree.header(cur)
                 assert header is not None
                 next_headers.append(header)

@@ -7,12 +7,15 @@ block is its depth clipped by its lead over every other block at the same
 height; a block on a losing fork scores negative. These are the quantities
 that drive confirmation reporting and anchor advancement.
 
-Depths are memoized per node and invalidated along the ancestor path on
-insertion, so repeated queries after incremental growth stay cheap and
-exactly match a from-scratch traversal. Cumulative chain work from the
-root is fixed on each node when it is inserted (Bitcoin Core's nChainWork),
-and the selected tip is kept as nodes come and go, so reading the selected
-chain walks only the part of it the caller asks for.
+Cumulative chain work from the root is fixed on each node when it is
+inserted (Bitcoin Core's nChainWork). The selected chain, root to tip, is
+kept as a list indexed by height and advanced as nodes come and go, so a
+path along it is a slice. A block on that chain has the tip in its subtree,
+and the tip holds the most chain work in the tree, so its work depth is
+the tip's chain work minus its own, plus its own work: one subtraction.
+Every other depth is memoized per node and invalidated along the ancestor
+path on insertion, so repeated queries after incremental growth stay cheap
+and exactly match a from-scratch traversal.
 """
 
 from __future__ import annotations
@@ -110,6 +113,8 @@ class BlockTree:
         # The end of the selected chain: the most chain work, ties to the
         # smaller child hash where the two paths split.
         self.tip = root
+        # The selected chain from the root to the tip, indexed by height.
+        self._chain: list[Hash256] = [root]
 
     # -- structure ----------------------------------------------------------
 
@@ -150,7 +155,7 @@ class BlockTree:
         parent.children.append(hash_)
         self._invalidate_up(prev)
         if self._beats(node, self._nodes[self.tip]):
-            self.tip = hash_
+            self._set_tip(node)
         return hash_
 
     def remove_subtree(self, hash_: Hash256) -> int:
@@ -180,8 +185,23 @@ class BlockTree:
             for n in self._nodes.values():
                 if self._beats(n, best):
                     best = n
-            self.tip = best.hash
+            self._set_tip(best)
         return removed
+
+    def _on_chain(self, node: _Node) -> bool:
+        chain = self._chain
+        return node.height < len(chain) and chain[node.height] == node.hash
+
+    def _set_tip(self, node: _Node) -> None:
+        """Make `node` the tip: walk back from it to the first block on the
+        selected chain, cut the chain there and append the walked blocks."""
+        self.tip = node.hash
+        fresh = []
+        while not self._on_chain(node):
+            fresh.append(node.hash)
+            node = self._nodes[node.prev]  # the root is always on the chain
+        del self._chain[node.height + 1 :]
+        self._chain.extend(reversed(fresh))
 
     def header(self, hash_: Hash256) -> Optional[BlockHeader]:
         return self._node(hash_).header
@@ -256,7 +276,10 @@ class BlockTree:
         cache = self._depth_c if kind is DepthKind.CONFIRMATION else self._depth_w
         if hash_ in cache:
             return cache[hash_]
-        self._node(hash_)
+        node = self._node(hash_)
+        if kind is DepthKind.WORK and self._on_chain(node):
+            # The tip is in this block's subtree and no leaf has more chain work.
+            return self._nodes[self.tip].chain_work - node.chain_work + node.work
         # Iterative post-order: children before parents, memoizing as we go.
         stack: list[tuple[Hash256, bool]] = [(hash_, False)]
         while stack:
@@ -346,9 +369,14 @@ class BlockTree:
     def path_to(self, hash_: Hash256, since: Optional[Hash256] = None) -> Optional[list[Hash256]]:
         """The blocks from `since` (the root by default) to `hash_`, both
         included, in chain order; None when `since` is not `hash_` or one
-        of its ancestors. Walks only the blocks between the two."""
+        of its ancestors. A block on the selected chain is answered with a
+        slice of it; any other walks only the blocks between the two."""
         node = self._node(hash_)
         stop = self._node(self.root if since is None else since)
+        if self._on_chain(node):
+            if stop.height > node.height or not self._on_chain(stop):
+                return None
+            return self._chain[stop.height : node.height + 1]
         path = []
         while node.height > stop.height:
             path.append(node.hash)
@@ -365,9 +393,7 @@ class BlockTree:
         Ties at any step break toward the child with the smallest header
         hash, keeping the selection identical across replicas.
         """
-        chain = self.path_to(self.tip)
-        assert chain is not None
-        return chain
+        return self._chain.copy()
 
     # -- dump / load -----------------------------------------------------------
 

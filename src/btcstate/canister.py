@@ -7,7 +7,11 @@ separately so any reorganization above the anchor resolves automatically;
 queries overlay those unstable blocks on the materialized set per request.
 Each unstable block's overlay (its outputs by address and the outpoints it
 spends) is computed once, on the first query that needs it, and kept until
-the block's body is dropped.
+the block's body is dropped; folding the block into the materialized set
+takes its outputs' addresses from there. The materialized set keeps each
+output's address beside it, so spending it derives nothing. The blocks a
+query overlays (the selected chain's bodied blocks above the anchor) are
+listed once per applied response.
 
 An address's materialized outputs are listed once, on the first query that
 needs them, sorted by the page key (height descending, then txid and
@@ -147,13 +151,27 @@ class Listing:
 _NO_LISTING = Listing((), 0)  # shared by every address with no outputs; a tuple, so never written
 
 
+def _address(script: bytes, network: NetworkKind) -> str:
+    """The script's address, interned so that one string serves every
+    output paid to it."""
+    return sys.intern(script_address(script, network))
+
+
+def output_addresses(block: Block, network: NetworkKind) -> list[str]:
+    """The address of every output of the block, in block order."""
+    return [
+        _address(txout.script_pubkey, network) for tx in block.transactions for txout in tx.outputs
+    ]
+
+
 class UtxoSet:
-    """Outpoint-indexed unspent outputs with an address index for retrieval,
-    and a kept listing for each address a query has asked for."""
+    """Outpoint-indexed unspent outputs, each with its height and address,
+    an address index for retrieval, and a kept listing for each address a
+    query has asked for."""
 
     def __init__(self, network: NetworkKind):
         self.network = network
-        self.by_outpoint: dict[OutPoint, tuple[TxOut, int]] = {}
+        self.by_outpoint: dict[OutPoint, tuple[TxOut, int, str]] = {}
         self.by_address: dict[str, set[OutPoint]] = {}
         # Built on an address's first query and kept current by every write.
         self.listings: dict[str, Listing] = {}
@@ -161,11 +179,11 @@ class UtxoSet:
     def __len__(self) -> int:
         return len(self.by_outpoint)
 
-    def add(self, outpoint: OutPoint, txout: TxOut, height: int) -> None:
+    def add(self, outpoint: OutPoint, txout: TxOut, height: int, address: str) -> None:
+        """Hold an output; `address` is its script's address."""
         if outpoint in self.by_outpoint:
             self.remove(outpoint)  # a repeated txid replaces the older output
-        self.by_outpoint[outpoint] = (txout, height)
-        address = script_address(txout.script_pubkey, self.network)
+        self.by_outpoint[outpoint] = (txout, height, address)
         self.by_address.setdefault(address, set()).add(outpoint)
         listing = self.listings.get(address)
         if listing is not None:
@@ -176,8 +194,7 @@ class UtxoSet:
         entry = self.by_outpoint.pop(outpoint, None)
         if entry is None:
             return False
-        txout, height = entry
-        address = script_address(txout.script_pubkey, self.network)
+        txout, height, address = entry
         bucket = self.by_address.get(address)
         if bucket is not None:
             bucket.discard(outpoint)
@@ -203,20 +220,27 @@ class UtxoSet:
                 return _NO_LISTING
             rows = []
             for outpoint in bucket:
-                txout, height = self.by_outpoint[outpoint]
+                txout, height, _ = self.by_outpoint[outpoint]
                 rows.append((outpoint, txout.value, height))
             rows.sort(key=_page_key)
             listing = self.listings[address] = Listing(rows, sum(row[1] for row in rows))
         return listing
 
-    def apply_block(self, block: Block, height: int) -> int:
+    def apply_block(
+        self, block: Block, height: int, addresses: Optional[list[str]] = None
+    ) -> int:
         """Spend the inputs and insert the outputs of every transaction.
+        `addresses` are the outputs' addresses in block order, as
+        `output_addresses` gives them; derived here when not given.
 
         Spending conditions are never verified here; an input that names
         an unknown outpoint is counted as an anomaly and skipped, keeping
         the two indexes consistent no matter what the block contains.
         """
+        if addresses is None:
+            addresses = output_addresses(block, self.network)
         anomalies = 0
+        pos = 0
         for tx in block.transactions:
             if not tx.is_coinbase():
                 for txin in tx.inputs:
@@ -224,37 +248,43 @@ class UtxoSet:
                         anomalies += 1
             txid = tx.txid()
             for vout, txout in enumerate(tx.outputs):
-                self.add(OutPoint(txid, vout), txout, height)
+                self.add(OutPoint(txid, vout), txout, height, addresses[pos])
+                pos += 1
         return anomalies
 
 
 class OverlayDelta(NamedTuple):
     """What one unstable block changes for queries: its outputs grouped by
     address, each address's rows in page order, the outpoints it spends,
-    and its txids. Every txid and address of the block is derived once,
-    here."""
+    its txids, and every output's address in block order (which the anchor
+    fold reuses). Every address of the block is derived once, here."""
 
     created: dict[str, tuple[Row, ...]]
     spent: frozenset[OutPoint]
     txids: frozenset[Hash256]
+    addresses: list[str]
 
     @classmethod
     def of_block(cls, block: Block, height: int, network: NetworkKind) -> "OverlayDelta":
+        addresses = output_addresses(block, network)
         created: dict[str, list[Row]] = {}
         spent: list[OutPoint] = []
         txids: list[Hash256] = []
+        pos = 0
         for tx in block.transactions:
             if not tx.is_coinbase():
                 spent.extend(txin.outpoint for txin in tx.inputs)
             txid = tx.txid()
             txids.append(txid)
             for vout, txout in enumerate(tx.outputs):
-                address = sys.intern(script_address(txout.script_pubkey, network))
-                created.setdefault(address, []).append((OutPoint(txid, vout), txout.value, height))
+                row = (OutPoint(txid, vout), txout.value, height)
+                created.setdefault(addresses[pos], []).append(row)
+                pos += 1
         return cls(
             {a: tuple(sorted(rows, key=_page_key)) for a, rows in created.items()},
             frozenset(spent),
             frozenset(txids),
+            addresses,
         )
 
 
@@ -313,6 +343,8 @@ class Canister:
         self.utxos = UtxoSet(network)
         # Overlay deltas of bodied blocks above the anchor, built on first use.
         self.deltas: dict[Hash256, OverlayDelta] = {}
+        # The blocks queries overlay, built on first use after each response.
+        self._kept_chain: Optional[list[Hash256]] = None
         self.outbound_txs: deque[bytes] = deque()
         self.synced = True
         self.anomaly_count = 0
@@ -363,6 +395,7 @@ class Canister:
         the lowest unstable block is work-stable, append reported headers,
         and recompute the synced flag. Invalid items are skipped one by
         one; a bad pair never poisons the rest of the response."""
+        self._kept_chain = None
         old_tip = self.tree.tip
         for block, header in resp.blocks:
             if self._ingest_block(block, header, now):
@@ -412,7 +445,7 @@ class Canister:
         branches at that height, and drops the block body; overlay deltas
         of the blocks whose bodies are gone go with them.
         """
-        start = self.anchor
+        pruned = False
         while True:
             next_height = self.anchor_height() + 1
             at_height = self.tree.at_height(next_height)
@@ -423,25 +456,35 @@ class Canister:
                 break
             block = self.tree.block(best)
             assert block is not None
-            self.anomaly_count += self.utxos.apply_block(block, next_height)
-            for rival in list(at_height):
+            delta = self.deltas.pop(best, None)
+            addresses = delta.addresses if delta is not None else None
+            self.anomaly_count += self.utxos.apply_block(block, next_height, addresses)
+            for rival in at_height:
                 if rival != best:
                     self.tree.remove_subtree(rival)
+                    pruned = True
             self.tree.drop_block(best)
             self.anchor = best
-        if self.anchor != start:
-            self.deltas = {
-                h: d for h, d in self.deltas.items() if h in self.tree and self.tree.has_block(h)
-            }
+        if pruned:
+            # Bodies leave the tree only by folding or with a pruned branch.
+            self.deltas = {h: d for h, d in self.deltas.items() if h in self.tree}
 
     # -- query helpers ---------------------------------------------------------
 
-    def _chain_from_anchor(self) -> list[Hash256]:
-        """The selected chain from the anchor to the tip, walked down from
-        the tip."""
-        chain = self.tree.path_to(self.tree.tip, self.anchor)
-        assert chain is not None, "the selected tip descends from the anchor"
-        return chain
+    def _applied_chain(self) -> list[Hash256]:
+        """The selected chain's blocks above the anchor, in chain order, up
+        to the first without a body. Kept until the next response; callers
+        must not change it."""
+        if self._kept_chain is None:
+            chain = self.tree.path_to(self.tree.tip, self.anchor)
+            assert chain is not None, "the selected tip descends from the anchor"
+            applied = []
+            for h in chain[1:]:
+                if not self.tree.has_block(h):
+                    break
+                applied.append(h)
+            self._kept_chain = applied
+        return self._kept_chain
 
     def _selected_chain(self, min_conf: Optional[int]) -> tuple[list[Hash256], Hash256]:
         """Unstable blocks to overlay (in chain order) and the tip of the
@@ -451,30 +494,28 @@ class Canister:
         whose confirmation count falls short; the materialized prefix up to
         the anchor is always included since it cannot be unwound.
         """
-        applied: list[Hash256] = []
-        tip = self.anchor
-        for h in self._chain_from_anchor()[1:]:
-            if not self.tree.has_block(h):
-                break
-            if min_conf is not None and self.tree.confirmations(h) < min_conf:
-                break
-            applied.append(h)
-            tip = h
-        return applied, tip
+        applied = self._applied_chain()
+        if min_conf is not None:
+            for pos, h in enumerate(applied):
+                if self.tree.confirmations(h) < min_conf:
+                    applied = applied[:pos]
+                    break
+        return applied, applied[-1] if applied else self.anchor
 
     def _chain_to(self, tip: Hash256) -> list[Hash256]:
         """Unstable blocks to overlay for a listing cut from `tip`, which
         must still be on the selected chain at or above the anchor with
         every block up to it bodied."""
-        chain = self._chain_from_anchor()
-        try:
-            tip_pos = chain.index(tip)
-        except ValueError:
-            raise FilterRejectedError("page token's tip left the selected chain") from None
-        applied = chain[1 : tip_pos + 1]
-        if not all(self.tree.has_block(h) for h in applied):
-            raise FilterRejectedError("page token's tip is above the held blocks")
-        return applied
+        if tip == self.anchor:
+            return []
+        applied = self._applied_chain()
+        if tip in self.tree:
+            pos = self.tree.height(tip) - self.anchor_height() - 1
+            if 0 <= pos < len(applied) and applied[pos] == tip:
+                return applied[: pos + 1]
+            if pos >= 0 and self.tree.path_to(self.tree.tip, tip) is not None:
+                raise FilterRejectedError("page token's tip is above the held blocks")
+        raise FilterRejectedError("page token's tip left the selected chain")
 
     def _delta(self, h: Hash256) -> OverlayDelta:
         delta = self.deltas.get(h)
@@ -694,7 +735,7 @@ class Canister:
             block = self.tree.block(h)
             if block is not None:
                 lines.append(f"block {block.to_bytes().hex()}")
-        for outpoint, (txout, height) in sorted(
+        for outpoint, (txout, height, _) in sorted(
             self.utxos.by_outpoint.items(), key=lambda kv: (bytes(kv[0].txid), kv[0].vout)
         ):
             lines.append(
@@ -775,11 +816,6 @@ class Canister:
                 state.tree.add_header(header)
             except ValueError as exc:
                 raise SnapshotError(f"line {lineno}: bad header line: {exc}") from None
-        for lineno, block in blocks:
-            h = block.header.hash()
-            if h not in state.tree:
-                raise SnapshotError(f"line {lineno}: block {h.rev_hex()} has no header line")
-            state.tree.set_block(h, block)
         state.anchor = _snapshot_field(fields, "anchor", Hash256.from_rev_hex)
         if state.anchor not in state.tree:
             raise SnapshotError(f"anchor {state.anchor.rev_hex()} is not in the snapshot's tree")
@@ -787,15 +823,34 @@ class Canister:
             raise SnapshotError(
                 f"anchor {state.anchor.rev_hex()} is not on the snapshot's selected chain"
             )
+        top = state.anchor_height()
+        # Bodies are held only above the anchor, each on the anchor or on a
+        # bodied parent (snapshots list them parents first), as ingest keeps
+        # them; the overlay and the anchor fold rely on both.
+        for lineno, block in blocks:
+            h = block.header.hash()
+            if h not in state.tree:
+                raise SnapshotError(f"line {lineno}: block {h.rev_hex()} has no header line")
+            if state.tree.height(h) <= top:
+                raise SnapshotError(
+                    f"line {lineno}: block {h.rev_hex()} at height {state.tree.height(h)} "
+                    f"is at or below the anchor's height {top}"
+                )
+            prev = block.header.prev
+            if prev != state.anchor and not state.tree.has_block(prev):
+                raise SnapshotError(
+                    f"line {lineno}: block {h.rev_hex()} has parent {prev.rev_hex()}, "
+                    "which is neither the anchor nor bodied"
+                )
+            state.tree.set_block(h, block)
         # Queries list materialized outputs after the overlay's, which
         # holds only if none of them lies above the anchor.
-        top = state.anchor_height()
         for lineno, outpoint, txout, height in utxo_lines:
             if height > top:
                 raise SnapshotError(
                     f"line {lineno}: utxo height {height} is above the anchor's height {top}"
                 )
-            state.utxos.add(outpoint, txout, height)
+            state.utxos.add(outpoint, txout, height, _address(txout.script_pubkey, network))
         state.synced = fields.get("synced", (0, "1"))[1] == "1"
         state.outbound_txs.extend(queued)
         return state

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple, Optional
 
 HEADER_SIZE = 80  # bytes
 MAX_MONEY = 21_000_000 * 100_000_000  # satoshi
@@ -143,7 +144,10 @@ class ByteReader:
 
 @dataclass(frozen=True, slots=True)
 class BlockHeader:
-    """The 80-byte header: version, prev, merkle root, time, bits, nonce."""
+    """The 80-byte header: version, prev, merkle root, time, bits, nonce.
+
+    Its hash is computed on first use and kept, so every tree that holds
+    the header shares one digest."""
 
     version: int
     prev: Hash256
@@ -151,6 +155,7 @@ class BlockHeader:
     time: int
     bits: int
     nonce: int
+    _hash: Optional[Hash256] = field(default=None, init=False, compare=False, repr=False)
 
     def to_bytes(self) -> bytes:
         return (
@@ -175,15 +180,19 @@ class BlockHeader:
         return cls(version, prev, merkle, time, bits, nonce)
 
     def hash(self) -> Hash256:
-        return Hash256(sha256d(self.to_bytes()))
+        h = self._hash
+        if h is None:
+            h = Hash256(sha256d(self.to_bytes()))
+            object.__setattr__(self, "_hash", h)
+        return h
 
 
 # --- Transactions --------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class OutPoint:
-    """Reference to a previous transaction output."""
+class OutPoint(NamedTuple):
+    """Reference to a previous transaction output. A tuple, so hashing and
+    comparing one runs at C speed."""
 
     txid: Hash256
     vout: int
@@ -212,12 +221,13 @@ class TxOut:
 @dataclass(frozen=True, slots=True)
 class Transaction:
     """A plain (pre-segwit layout) transaction; txid is the double-SHA256
-    of the canonical serialization."""
+    of the canonical serialization, computed on first use and kept."""
 
     version: int
     inputs: tuple[TxIn, ...]
     outputs: tuple[TxOut, ...]
     lock_time: int = 0
+    _txid: Optional[Hash256] = field(default=None, init=False, compare=False, repr=False)
 
     def to_bytes(self) -> bytes:
         parts = [struct.pack("<i", self.version), write_varint(len(self.inputs))]
@@ -268,7 +278,11 @@ class Transaction:
         return tx
 
     def txid(self) -> Hash256:
-        return Hash256(sha256d(self.to_bytes()))
+        h = self._txid
+        if h is None:
+            h = Hash256(sha256d(self.to_bytes()))
+            object.__setattr__(self, "_txid", h)
+        return h
 
     def is_coinbase(self) -> bool:
         return len(self.inputs) == 1 and self.inputs[0].outpoint.is_null()

@@ -148,7 +148,7 @@ def overlay_oracle(canister, address: str, min_conf: int | None = None) -> list[
                     created[OutPoint(txid, vout)] = (txout, tree.height(h))
     held = [
         (op, txout.value, height)
-        for op, (txout, height) in canister.utxos.by_outpoint.items()
+        for op, (txout, height, _) in canister.utxos.by_outpoint.items()
         if script_address(txout.script_pubkey, canister.network) == address
     ]
     entries = [e for e in held if e[0] not in spent]

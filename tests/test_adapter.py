@@ -125,6 +125,17 @@ def test_anchor_never_in_next_headers(builder):
     assert len(resp.next_headers) == 2
 
 
+def test_anchor_never_offered_as_its_own_successor(builder):
+    # g -> 1 -> 2 -> 3 anchored at 2 with only 1 processed: the anchor's
+    # parent is available, but the requester holds the anchor itself
+    adapter = make_adapter(builder)
+    blocks = builder.build(3)
+    feed_chain(adapter, blocks)
+    resp = request(adapter, blocks[1].header, processed={blocks[0].header.hash()})
+    assert [b.header.hash() for b, _ in resp.blocks] == [blocks[2].header.hash()]
+    assert resp.next_headers == ()
+
+
 def test_checkpoint_height_caps_to_single_block(builder):
     adapter = make_adapter(builder, checkpoint_height=0)
     blocks = builder.build(3)
@@ -431,6 +442,22 @@ def test_malformed_message_disconnects_and_replaces(builder):
     adapter.on_peer_message(target, wire.Malformed("junk"), 1.0)
     assert target not in adapter.peers
     assert len(adapter.peers) == 2
+
+
+def test_announcer_forgotten_once_the_body_is_stored(builder):
+    # the announcing peer only serves fetches of missing bodies, so a
+    # stored body's entry would only grow the map with the chain
+    adapter = make_adapter(builder, preset_peers=(4,))
+    adapter.discover_peers(NOW)
+    first, second = builder.build(2)
+    adapter.on_peer_message(4, wire.HeadersMsg((first.header, second.header)), NOW)
+    assert adapter._announced_by == {first.header.hash(): 4, second.header.hash(): 4}
+    adapter.on_peer_message(4, wire.BlockMsg(first), NOW)
+    assert adapter._announced_by == {second.header.hash(): 4}
+    adapter.on_peer_message(4, wire.Inv((wire.InvItem(wire.BLOCK_ITEM, first.header.hash()),)), NOW)
+    assert adapter._announced_by == {second.header.hash(): 4}
+    assert adapter.store_block(second)
+    assert adapter._announced_by == {}
 
 
 def test_inv_triggers_getdata_for_unknown_body(builder):

@@ -212,8 +212,13 @@ def test_kept_tip_height_and_depths_match_brute_force_through_inserts_and_remova
     def check() -> None:
         best = brute_best_path(tree)
         assert tree.tip == best[-1]
-        assert tree.current_chain() == best
+        walked = [tree.tip]
+        while tree.parent(walked[-1]) is not None:
+            walked.append(tree.parent(walked[-1]))
+        assert tree.current_chain() == tree.path_to(tree.tip) == walked[::-1] == best
         assert tree.max_height() == max(tree.height(h) for h in tree.hashes())
+        for h in tree.hashes():
+            assert tree.depth(h, WORK) == brute_depth(tree, h, WORK)
 
     check()
     for i in range(60):

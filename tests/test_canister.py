@@ -7,6 +7,7 @@ import random
 import pytest
 
 from btcstate import canister as canister_module
+from btcstate import chain as chain_module
 from btcstate.adapter import GetSuccessorsResponse
 from btcstate.canister import (
     ApiUnavailableError,
@@ -18,6 +19,7 @@ from btcstate.canister import (
     UtxoSet,
 )
 from btcstate.chain import (
+    Block,
     Hash256,
     NetworkKind,
     OutPoint,
@@ -638,6 +640,48 @@ def test_walks_and_balances_build_utxos_only_for_the_answer(builder, monkeypatch
     assert counted(lambda: canister.get_balance(PROBE, NET)) == (total, {"Utxo": 0, "Listing": 0})
 
 
+def test_block_life_derives_each_address_and_hash_once(builder, monkeypatch):
+    # From a block's first query through its fold to the spend of its
+    # output: every output's address is derived once, and every header and
+    # transaction object is hashed once.
+    canister = make_canister(builder, delta=2)
+    sources = builder.build(2)
+    paying = builder.extend(extra_txs=(pay_probe(builder, sources[0], 3),))
+    later = builder.build(2)
+    paid = OutPoint(paying.transactions[1].txid(), 0)
+    spend = Transaction(1, (TxIn(paid, b"sig"),), (TxOut(50, PROBE_SCRIPT),))
+    spending = builder.extend(extra_txs=(spend,))
+    built = sources + [paying] + later + [spending] + builder.build(1)
+    # rebuilt from bytes, as blocks arrive off the wire: nothing hashed yet
+    blocks = [Block.from_bytes(b.to_bytes()) for b in built]
+    addresses = {"calls": 0}
+    hashed: dict[bytes, int] = {}
+    real_address, real_sha256d = canister_module.script_address, chain_module.sha256d
+
+    def counting_address(script, network):
+        addresses["calls"] += 1
+        return real_address(script, network)
+
+    def counting_sha256d(data):
+        hashed[data] = hashed.get(data, 0) + 1
+        return real_sha256d(data)
+
+    monkeypatch.setattr(canister_module, "script_address", counting_address)
+    monkeypatch.setattr(chain_module, "sha256d", counting_sha256d)
+    for block in blocks:
+        respond(canister, [block])
+        canister.get_balance(PROBE, NET)
+    assert canister.anchor == spending.header.hash()  # folded, and the paying block before it
+    assert paid not in canister.utxos.by_outpoint
+    assert addresses["calls"] == sum(len(tx.outputs) for b in blocks for tx in b.transactions)
+    for block in blocks:
+        assert hashed[block.header.to_bytes()] == 1
+        for tx in block.transactions:
+            assert hashed[tx.to_bytes()] == 1
+    monkeypatch.undo()
+    assert canister.get_balance(PROBE, NET) == sum(v for _, v, _ in overlay_oracle(canister, PROBE))
+
+
 def assert_listings_kept(utxos: UtxoSet) -> None:
     """Every kept listing equals a fresh sort of its address's outpoints,
     and its kept total their summed value."""
@@ -936,6 +980,29 @@ def test_snapshot_errors_name_the_line(builder):
     body = next(i for i, line in enumerate(headless) if line.startswith(f"block {header_hex}"))
     with pytest.raises(SnapshotError, match=f"^line {body + 1}: block .* has no header line"):
         Canister.from_snapshot(headless)
+
+
+def test_snapshot_bodies_only_above_the_anchor_on_held_parents(builder):
+    canister = make_canister(builder, delta=3)
+    blocks = builder.build(5)
+    respond(canister, blocks)
+    assert canister.anchor_height() == 3
+    lines = canister.snapshot_lines()
+    first_body = next(i for i, line in enumerate(lines) if line.startswith("block "))
+    # the anchor's own body, which the fold dropped
+    folded = lines[:first_body] + [f"block {blocks[2].to_bytes().hex()}"] + lines[first_body:]
+    with pytest.raises(
+        SnapshotError, match=f"^line {first_body + 1}: block .* at height 3 is at or below"
+    ):
+        Canister.from_snapshot(folded)
+    # the body right above the anchor is gone, so the next one has no parent to apply on
+    assert lines[first_body] == f"block {blocks[3].to_bytes().hex()}"
+    gapped = lines[:first_body] + lines[first_body + 1 :]
+    with pytest.raises(
+        SnapshotError, match=f"^line {first_body + 1}: block .* neither the anchor nor bodied"
+    ):
+        Canister.from_snapshot(gapped)
+    assert Canister.from_snapshot(lines).snapshot_lines() == lines
 
 
 @pytest.mark.parametrize("line", ["delta -5", "delta 0", "tau -1", "page-size 0"])
