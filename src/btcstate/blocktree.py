@@ -387,6 +387,11 @@ class BlockTree:
         path.reverse()
         return path
 
+    def selected_at(self, height: int) -> Optional[Hash256]:
+        """The selected chain's block at `height`; None above the tip."""
+        chain = self._chain
+        return chain[height] if 0 <= height < len(chain) else None
+
     def current_chain(self) -> list[Hash256]:
         """Root-to-tip path maximizing cumulative work depth.
 

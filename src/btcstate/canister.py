@@ -4,14 +4,24 @@ The materialized UTXO set covers the chain up to and including the anchor,
 the highest block considered stable under the work-based stability rule
 (threshold delta, 144 in production). Full blocks above the anchor are kept
 separately so any reorganization above the anchor resolves automatically;
-queries overlay those unstable blocks on the materialized set per request.
-Each unstable block's overlay (its outputs by address and the outpoints it
-spends) is computed once, on the first query that needs it, and kept until
-the block's body is dropped; folding the block into the materialized set
-takes its outputs' addresses from there. The materialized set keeps each
-output's address beside it, so spending it derives nothing. The blocks a
-query overlays (the selected chain's bodied blocks above the anchor) are
-listed once per applied response.
+queries overlay the applied chain (the selected chain's bodied blocks above
+the anchor) on the materialized set. Each unstable block's outputs, with
+their addresses, and the outpoints it spends are derived once, on the first
+query that needs them, and kept until the block's body is dropped; folding
+the block into the materialized set takes its outputs' addresses from
+there. The materialized set keeps each output's address beside it, so
+spending it derives nothing.
+
+The overlay is one index over the applied chain: each address's overlay
+rows in page order, the heights of the blocks that spend each outpoint, and
+each address's materialized outpoints that the applied chain spends. It is
+built on the first query after a load and brought up to date on the first
+query after each response: folded blocks leave from the bottom, the blocks
+of a branch that lost leave from the top and new blocks join at the top,
+each at the cost of its own outputs and inputs. A confirmation filter or a
+page token's tip is a height cut on those rows and spends, so no query
+walks the unstable blocks; the applied blocks' confirmation counts are
+taken once per response, on the first filtered query.
 
 An address's materialized outputs are listed once, on the first query that
 needs them, sorted by the page key (height descending, then txid and
@@ -22,7 +32,7 @@ is the overlay's unspent outputs followed by the kept listing minus the
 outpoints the overlay spends, with no merge. A page token names the key of
 the last entry served, and its continuation bisects to that key, so a full
 walk is linear in its entries, and a balance is the kept total corrected by
-the overlay alone.
+the address's own overlay entries.
 
 Responses from the sync endpoint are applied one at a time in simulator
 order; the whole state is deterministic given the message sequence.
@@ -32,8 +42,8 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_left, bisect_right, insort
-from collections import deque
-from itertools import starmap
+from collections import Counter, deque
+from itertools import accumulate, starmap
 from typing import Iterable, NamedTuple, Optional
 
 from btcstate.adapter import GetSuccessorsRequest, GetSuccessorsResponse
@@ -254,38 +264,129 @@ class UtxoSet:
 
 
 class OverlayDelta(NamedTuple):
-    """What one unstable block changes for queries: its outputs grouped by
-    address, each address's rows in page order, the outpoints it spends,
-    its txids, and every output's address in block order (which the anchor
-    fold reuses). Every address of the block is derived once, here."""
+    """What one unstable block changes for queries: every output as a row,
+    in block order, with the output's address at the same position; the
+    outpoints it spends; and its txids. Every address of the block is
+    derived once, here, and the anchor fold reuses them."""
 
-    created: dict[str, tuple[Row, ...]]
+    rows: list[Row]
+    addresses: list[str]
     spent: frozenset[OutPoint]
     txids: frozenset[Hash256]
-    addresses: list[str]
 
     @classmethod
     def of_block(cls, block: Block, height: int, network: NetworkKind) -> "OverlayDelta":
-        addresses = output_addresses(block, network)
-        created: dict[str, list[Row]] = {}
+        rows: list[Row] = []
         spent: list[OutPoint] = []
         txids: list[Hash256] = []
-        pos = 0
         for tx in block.transactions:
             if not tx.is_coinbase():
                 spent.extend(txin.outpoint for txin in tx.inputs)
             txid = tx.txid()
             txids.append(txid)
-            for vout, txout in enumerate(tx.outputs):
-                row = (OutPoint(txid, vout), txout.value, height)
-                created.setdefault(addresses[pos], []).append(row)
-                pos += 1
-        return cls(
-            {a: tuple(sorted(rows, key=_page_key)) for a, rows in created.items()},
-            frozenset(spent),
-            frozenset(txids),
-            addresses,
+            rows.extend(
+                (OutPoint(txid, vout), txout.value, height) for vout, txout in enumerate(tx.outputs)
+            )
+        return cls(rows, output_addresses(block, network), frozenset(spent), frozenset(txids))
+
+
+class OverlayIndex:
+    """The applied chain's overlay, indexed by address.
+
+    `blocks` are the applied blocks with their deltas in chain order, the
+    lowest at height `first`. `rows` holds each address's overlay rows in
+    page order, every copy of a repeated outpoint included; `spenders` the
+    heights of the applied blocks that spend each outpoint, ascending,
+    whether or not the outpoint is known; `held_spent` each address's
+    materialized outpoints that an applied block spends, and
+    `held_address` the address of each of those. Blocks join and leave
+    only at the two ends, so each costs its own rows and spends.
+    """
+
+    __slots__ = ("first", "blocks", "rows", "spenders", "held_spent", "held_address")
+
+    def __init__(self, first: int):
+        self.first = first
+        self.blocks: list[tuple[Hash256, OverlayDelta]] = []
+        self.rows: dict[str, list[Row]] = {}
+        self.spenders: dict[OutPoint, list[int]] = {}
+        self.held_spent: dict[str, set[OutPoint]] = {}
+        self.held_address: dict[OutPoint, str] = {}
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, OverlayIndex) and all(
+            getattr(self, name) == getattr(other, name) for name in self.__slots__
         )
+
+    def top(self) -> int:
+        """Height of the highest applied block; the anchor's when none."""
+        return self.first + len(self.blocks) - 1
+
+    def push(self, h: Hash256, delta: OverlayDelta, touched: set[OutPoint]) -> None:
+        """Join a block at the top; the outpoints whose spends changed go
+        into `touched`."""
+        height = self.first + len(self.blocks)
+        self.blocks.append((h, delta))
+        fresh: dict[str, list[Row]] = {}
+        for address, row in zip(delta.addresses, delta.rows):
+            fresh.setdefault(address, []).append(row)
+        for address, rows in fresh.items():
+            rows.sort(key=_page_key)
+            # The block lies above every indexed row, so its rows lead.
+            self.rows.setdefault(address, [])[:0] = rows
+        for op in delta.spent:
+            self.spenders.setdefault(op, []).append(height)
+        touched |= delta.spent
+
+    def drop_top(self, touched: set[OutPoint]) -> None:
+        """Take the top block off: a reorganization left it behind."""
+        _, delta = self.blocks.pop()
+        self._forget(delta, bottom=False)
+        touched |= delta.spent
+
+    def drop_bottom(self, touched: set[OutPoint]) -> None:
+        """Take the lowest block off: it was folded into the materialized
+        set, which now holds its outputs and lacks what it spent."""
+        _, delta = self.blocks.pop(0)
+        self.first += 1
+        self._forget(delta, bottom=True)
+        touched |= delta.spent
+        touched.update(row[0] for row in delta.rows)
+
+    def _forget(self, delta: OverlayDelta, bottom: bool) -> None:
+        """Delete an end block's rows and spends. The lowest block's rows
+        close each address's rows and its height opens each outpoint's
+        spending heights; the top block's are the other way round."""
+        for address, count in Counter(delta.addresses).items():
+            rows = self.rows[address]
+            if bottom:
+                del rows[-count:]
+            else:
+                del rows[:count]
+            if not rows:
+                del self.rows[address]
+        for op in delta.spent:
+            heights = self.spenders[op]
+            del heights[0 if bottom else -1]
+            if not heights:
+                del self.spenders[op]
+
+    def settle(self, touched: set[OutPoint], by_outpoint: dict) -> None:
+        """Bring `held_spent` up to date for the outpoints whose spends or
+        materialized entries changed."""
+        for op in touched:
+            address = self.held_address.get(op)
+            entry = by_outpoint.get(op) if op in self.spenders else None
+            if entry is not None:
+                if address is None:
+                    self.held_address[op] = entry[2]
+                    self.held_spent.setdefault(entry[2], set()).add(op)
+            elif address is not None:
+                del self.held_address[op]
+                spent = self.held_spent[address]
+                spent.discard(op)
+                if not spent:
+                    del self.held_spent[address]
 
 
 _PAGE_TAG = "p2"
@@ -343,8 +444,13 @@ class Canister:
         self.utxos = UtxoSet(network)
         # Overlay deltas of bodied blocks above the anchor, built on first use.
         self.deltas: dict[Hash256, OverlayDelta] = {}
-        # The blocks queries overlay, built on first use after each response.
-        self._kept_chain: Optional[list[Hash256]] = None
+        # The applied chain's overlay, built on the first query and brought
+        # up to date on the first query after each response.
+        self._index: Optional[OverlayIndex] = None
+        self._index_current = False
+        # The applied blocks' running minimum confirmation count, negated so
+        # that it ascends; taken on the first filtered query after a response.
+        self._floors: Optional[list[int]] = None
         self.outbound_txs: deque[bytes] = deque()
         self.synced = True
         self.anomaly_count = 0
@@ -395,7 +501,8 @@ class Canister:
         the lowest unstable block is work-stable, append reported headers,
         and recompute the synced flag. Invalid items are skipped one by
         one; a bad pair never poisons the rest of the response."""
-        self._kept_chain = None
+        self._index_current = False
+        self._floors = None
         old_tip = self.tree.tip
         for block, header in resp.blocks:
             if self._ingest_block(block, header, now):
@@ -471,49 +578,66 @@ class Canister:
 
     # -- query helpers ---------------------------------------------------------
 
-    def _applied_chain(self) -> list[Hash256]:
-        """The selected chain's blocks above the anchor, in chain order, up
-        to the first without a body. Kept until the next response; callers
-        must not change it."""
-        if self._kept_chain is None:
-            chain = self.tree.path_to(self.tree.tip, self.anchor)
-            assert chain is not None, "the selected tip descends from the anchor"
-            applied = []
-            for h in chain[1:]:
-                if not self.tree.has_block(h):
-                    break
-                applied.append(h)
-            self._kept_chain = applied
-        return self._kept_chain
+    def _overlay_index(self) -> OverlayIndex:
+        """The overlay index, brought up to date with the applied chain."""
+        index = self._index
+        if self._index_current:
+            return index
+        tree = self.tree
+        top = self.anchor_height()
+        touched: set[OutPoint] = set()
+        if index is not None:
+            blocks = index.blocks
+            keep = len(blocks)  # the indexed blocks still on the selected chain
+            while keep and tree.selected_at(index.first + keep - 1) != blocks[keep - 1][0]:
+                keep -= 1
+            folded = top + 1 - index.first  # indexed blocks now at or below the anchor
+            if keep > folded:
+                while len(blocks) > keep:
+                    index.drop_top(touched)
+                for _ in range(folded):
+                    index.drop_bottom(touched)
+            else:
+                index = None  # no indexed block stays: build afresh
+        if index is None:
+            index = OverlayIndex(top + 1)
+        height = index.top() + 1
+        while (h := tree.selected_at(height)) is not None and tree.has_block(h):
+            index.push(h, self._delta(h), touched)
+            height += 1
+        index.settle(touched, self.utxos.by_outpoint)
+        self._index = index
+        self._index_current = True
+        return index
 
-    def _selected_chain(self, min_conf: Optional[int]) -> tuple[list[Hash256], Hash256]:
-        """Unstable blocks to overlay (in chain order) and the tip of the
-        chain the result reflects.
+    def _filter_cut(self, min_conf: Optional[int]) -> int:
+        """The height up to which a fresh query overlays the applied chain.
 
         With a confirmation filter, the chain is cut before the first block
         whose confirmation count falls short; the materialized prefix up to
         the anchor is always included since it cannot be unwound.
         """
-        applied = self._applied_chain()
-        if min_conf is not None:
-            for pos, h in enumerate(applied):
-                if self.tree.confirmations(h) < min_conf:
-                    applied = applied[:pos]
-                    break
-        return applied, applied[-1] if applied else self.anchor
+        index = self._overlay_index()
+        if min_conf is None:
+            return index.top()
+        if self._floors is None:
+            self._floors = list(
+                accumulate((-self.tree.confirmations(h) for h, _ in index.blocks), max)
+            )
+        return index.first - 1 + bisect_right(self._floors, -min_conf)
 
-    def _chain_to(self, tip: Hash256) -> list[Hash256]:
-        """Unstable blocks to overlay for a listing cut from `tip`, which
-        must still be on the selected chain at or above the anchor with
-        every block up to it bodied."""
+    def _token_cut(self, tip: Hash256) -> int:
+        """The height up to which a continuation overlays: its token's tip,
+        which must still be the anchor or an applied block."""
+        index = self._overlay_index()
         if tip == self.anchor:
-            return []
-        applied = self._applied_chain()
+            return index.first - 1
         if tip in self.tree:
-            pos = self.tree.height(tip) - self.anchor_height() - 1
-            if 0 <= pos < len(applied) and applied[pos] == tip:
-                return applied[: pos + 1]
-            if pos >= 0 and self.tree.path_to(self.tree.tip, tip) is not None:
+            height = self.tree.height(tip)
+            pos = height - index.first
+            if 0 <= pos < len(index.blocks) and index.blocks[pos][0] == tip:
+                return height
+            if pos >= 0 and self.tree.selected_at(height) == tip:
                 raise FilterRejectedError("page token's tip is above the held blocks")
         raise FilterRejectedError("page token's tip left the selected chain")
 
@@ -526,39 +650,40 @@ class Canister:
             self.deltas[h] = delta
         return delta
 
-    def _overlay(self, address: str, applied: list[Hash256]) -> tuple[list[Row], set[OutPoint]]:
-        """The address's unspent rows created by the applied blocks, in page
-        order, and its materialized outpoints that those blocks spend."""
-        deltas = [self._delta(h) for h in applied]
-        # Highest block first: each block's rows are already in page order.
+    def _overlay(
+        self, address: str, cut: int, after_key: Optional[tuple[int, bytes, int]] = None
+    ) -> tuple[list[Row], list[OutPoint]]:
+        """The address's overlay rows at or below height `cut` that no block
+        up to `cut` spends, in page order and after `after_key` (a repeated
+        outpoint lists its highest copy only), and its materialized
+        outpoints that a block up to `cut` spends."""
+        index = self._overlay_index()
+        spenders = index.spenders
         created: list[Row] = []
-        for delta in reversed(deltas):
-            created.extend(delta.created.get(address, ()))
-        fresh = {row[0] for row in created}
-        if len(fresh) < len(created):  # a repeated txid: its latest outputs win
-            latest: dict[OutPoint, Row] = {}
-            for row in created:
-                latest.setdefault(row[0], row)
-            created = list(latest.values())
-        # Intersect sets only (a dict operand would be walked in full), so
-        # each intersection walks the smaller side: the cost follows the
-        # answer, not the block size.
-        held = self.utxos.by_address.get(address)
-        spent_held: set[OutPoint] = set()
-        spent_fresh: set[OutPoint] = set()
-        for delta in deltas:
-            if held:
-                spent_held |= delta.spent & held
-            if fresh:
-                spent_fresh |= delta.spent & fresh
-        if spent_fresh:
-            created = [row for row in created if row[0] not in spent_fresh]
-        return created, spent_held
+        rows = index.rows.get(address)
+        if rows:
+            start = bisect_left(rows, (-cut,), key=_page_key)
+            seen: set[OutPoint] = set()
+            if after_key is not None:
+                served = bisect_right(rows, after_key, key=_page_key)
+                if served > start:
+                    seen = {row[0] for row in rows[start:served]}
+                    start = served
+            for row in rows[start:]:
+                op = row[0]
+                if op in seen:
+                    continue  # an older copy of a repeated outpoint
+                seen.add(op)
+                heights = spenders.get(op)
+                if heights is None or heights[0] > cut:
+                    created.append(row)
+        spent = [op for op in index.held_spent.get(address, ()) if spenders[op][0] <= cut]
+        return created, spent
 
     def _rows(
         self,
         address: str,
-        applied: list[Hash256],
+        cut: int,
         after_key: Optional[tuple[int, bytes, int]] = None,
         limit: Optional[int] = None,
     ) -> list[Row]:
@@ -566,12 +691,9 @@ class Canister:
         most `limit` of them: the overlay's rows, then the kept listing
         minus the outpoints the overlay spends. Only the rows returned are
         copied, and each spent outpoint costs one bisect."""
-        created, spent = self._overlay(address, applied)
+        created, spent = self._overlay(address, cut, after_key)
         held = self.utxos.listing(address).rows
-        start = 0
-        if after_key is not None:
-            created = created[bisect_right(created, after_key, key=_page_key) :]
-            start = bisect_right(held, after_key, key=_page_key)
+        start = 0 if after_key is None else bisect_right(held, after_key, key=_page_key)
         if limit is None:
             limit = len(created) + len(held)
         rows = created[:limit]
@@ -589,9 +711,9 @@ class Canister:
                 reverse=True,
             )
             end = start + len(window)
-            for cut in cuts:
-                if start <= cut < end:
-                    del window[cut - start]
+            for cut_at in cuts:
+                if start <= cut_at < end:
+                    del window[cut_at - start]
         rows.extend(window[:room])
         return rows
 
@@ -609,15 +731,13 @@ class Canister:
                 f"min_confirmations {min_conf} exceeds the stability threshold {self.delta}"
             )
 
-    def _applied(
-        self, network: NetworkKind, min_confirmations: Optional[int]
-    ) -> tuple[list[Hash256], Hash256]:
-        """The checks every fresh query makes, then the blocks it overlays
-        and the tip its answer reflects."""
+    def _fresh_cut(self, network: NetworkKind, min_confirmations: Optional[int]) -> int:
+        """The checks every fresh query makes, then the height up to which
+        it overlays the applied chain."""
         self._check_available(network)
         if min_confirmations is not None:
             self._check_min_conf(min_confirmations)
-        return self._selected_chain(min_confirmations)
+        return self._filter_cut(min_confirmations)
 
     # -- public API -----------------------------------------------------------
 
@@ -643,20 +763,22 @@ class Canister:
         than mixing two chain states in one walk.
         """
         if page is None:
-            applied, tip = self._applied(network, min_confirmations)
+            cut = self._fresh_cut(network, min_confirmations)
+            index = self._overlay_index()
+            tip = index.blocks[cut - index.first][0] if cut >= index.first else self.anchor
             after_key = None
         else:
             self._check_available(network)
             if min_confirmations is not None:
                 raise FilterRejectedError("filter takes confirmations or a page token, not both")
             tip, after_key = _decode_page_token(page)
-            applied = self._chain_to(tip)
-        rows = self._rows(address, applied, after_key, self.page_size + 1)
+            cut = self._token_cut(tip)
+        rows = self._rows(address, cut, after_key, self.page_size + 1)
         utxos = tuple(starmap(Utxo, rows[: self.page_size]))
         next_token = None
         if len(rows) > self.page_size:
             next_token = _encode_page_token(tip, utxos[-1])
-        return UtxosPage(utxos, tip, self.tree.height(tip), next_token)
+        return UtxosPage(utxos, tip, cut, next_token)
 
     def list_utxos(
         self,
@@ -666,8 +788,8 @@ class Canister:
     ) -> tuple[Utxo, ...]:
         """Every UTXO a get_utxos walk over the same selection pages
         through, in one unpaginated listing."""
-        applied, _ = self._applied(network, min_confirmations)
-        return tuple(starmap(Utxo, self._rows(address, applied)))
+        cut = self._fresh_cut(network, min_confirmations)
+        return tuple(starmap(Utxo, self._rows(address, cut)))
 
     def get_balance(
         self,
@@ -678,8 +800,8 @@ class Canister:
         """Total satoshi over the same selection as get_utxos, unpaginated:
         the kept total, less what the overlay spends of it, plus what the
         overlay creates and leaves unspent."""
-        applied, _ = self._applied(network, min_confirmations)
-        created, spent = self._overlay(address, applied)
+        cut = self._fresh_cut(network, min_confirmations)
+        created, spent = self._overlay(address, cut)
         by_outpoint = self.utxos.by_outpoint
         return (
             self.utxos.listing(address).total
@@ -713,6 +835,77 @@ class Canister:
 
     def current_tip_height(self) -> int:
         return self.tree.height(self.tree.tip)
+
+    # -- invariants -------------------------------------------------------------
+
+    def check_invariants(self) -> None:
+        """Check every invariant the state keeps, by full scans and fresh
+        builds; raise AssertionError naming the first one broken."""
+        tree, utxos, by_outpoint = self.tree, self.utxos, self.utxos.by_outpoint
+
+        def require(holds: bool, invariant: str) -> None:
+            if not holds:
+                raise AssertionError(f"broken invariant: {invariant}")
+
+        require(self.anchor in tree, "the anchor is in the tree")
+        chain = tree.path_to(tree.tip, self.anchor)
+        require(chain is not None, "the anchor is on the selected chain")
+        top = self.anchor_height()
+        by_address: dict[str, set[OutPoint]] = {}
+        for op, (txout, height, address) in by_outpoint.items():
+            require(height <= top, "materialized outputs lie at or below the anchor")
+            require(
+                address == script_address(txout.script_pubkey, self.network),
+                "each materialized output keeps its script's address",
+            )
+            by_address.setdefault(address, set()).add(op)
+        require(by_address == utxos.by_address, "the address and outpoint indexes agree")
+        for address, listing in utxos.listings.items():
+            rows = sorted(
+                (
+                    (op, by_outpoint[op][0].value, by_outpoint[op][1])
+                    for op in by_address.get(address, ())
+                ),
+                key=_page_key,
+            )
+            require(
+                bool(rows) and listing.rows == rows and listing.total == sum(r[1] for r in rows),
+                "each kept listing is its address's outputs in page order, with their total",
+            )
+        bodied = {h for h in tree.hashes() if tree.has_block(h)}
+        for h in bodied:
+            require(tree.height(h) > top, "bodies are held only above the anchor")
+            parent = tree.parent(h)
+            require(
+                parent == self.anchor or parent in bodied,
+                "every body's parent is bodied or is the anchor",
+            )
+        require(set(self.deltas) <= bodied, "deltas cover only bodied blocks above the anchor")
+        require(
+            self.synced == (tree.max_height() - self.max_body_height() <= self.tau),
+            "synced matches tau",
+        )
+        if not self._index_current:
+            return  # brought up to date by the next query
+        applied = []
+        for h in chain[1:]:
+            if not tree.has_block(h):
+                break
+            applied.append(h)
+        fresh = OverlayIndex(top + 1)
+        touched: set[OutPoint] = set()
+        for h in applied:
+            fresh.push(h, OverlayDelta.of_block(tree.block(h), tree.height(h), self.network), touched)
+        fresh.settle(touched, by_outpoint)
+        require(
+            self._index == fresh, "the overlay index equals a fresh build from the applied chain"
+        )
+        if self._floors is not None:
+            lows = list(accumulate((tree.confirmations(h) for h in applied), min))
+            require(
+                self._floors == [-low for low in lows],
+                "the kept confirmation floors are the applied blocks' running minimum",
+            )
 
     # -- snapshot ---------------------------------------------------------------
 

@@ -391,6 +391,8 @@ def work_from_bits(bits: int) -> int:
 # --- Address extraction ----------------------------------------------------
 
 _B58_ALPHABET = "123456789ABCDEFGHJKLMNPQRSTUVWXYZabcdefghijkmnopqrstuvwxyz"
+# Two base58 digits per entry: entry 58 * hi + lo spells digit hi, then lo.
+_B58_PAIRS = [hi + lo for hi in _B58_ALPHABET for lo in _B58_ALPHABET]
 
 
 def _base58check(payload: bytes) -> str:
@@ -398,15 +400,13 @@ def _base58check(payload: bytes) -> str:
     n = int.from_bytes(data, "big")
     out = []
     while n:
-        n, rem = divmod(n, 58)
-        out.append(_B58_ALPHABET[rem])
-    pad = 0
-    for byte in data:
-        if byte == 0:
-            pad += 1
-        else:
-            break
-    return "1" * pad + "".join(reversed(out))
+        n, rem = divmod(n, 58 * 58)
+        out.append(_B58_PAIRS[rem])
+    # The top pair may spell a leading zero digit, which the number lacks;
+    # each leading zero byte is spelled as one zero digit instead.
+    digits = "".join(reversed(out)).lstrip("1")
+    pad = len(data) - len(data.lstrip(b"\x00"))
+    return "1" * pad + digits
 
 
 _BECH32_CHARSET = "qpzry9x8gf2tvdw0s3jn54khce6mua7l"

@@ -3,18 +3,21 @@ UTXO maintenance, and the public API."""
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
 from btcstate import canister as canister_module
 from btcstate import chain as chain_module
 from btcstate.adapter import GetSuccessorsResponse
+from btcstate.blocktree import BlockTree
 from btcstate.canister import (
     ApiUnavailableError,
     Canister,
     FilterRejectedError,
     MalformedTransactionError,
     NetworkMismatchError,
+    OverlayIndex,
     SnapshotError,
     UtxoSet,
 )
@@ -590,6 +593,89 @@ def test_repeated_confirmations_of_tx_rehash_nothing(builder, monkeypatch):
     assert calls["txid"] == 0
 
 
+def count_calls(monkeypatch, owner, names, counts: Counter, key=None) -> None:
+    """Count every call of the named methods of `owner` in `counts`, under
+    `key` when given, else under each method's name."""
+    for name in names:
+        real = getattr(owner, name)
+
+        def counting(*args, _real=real, _key=key or name, **kwargs):
+            counts[_key] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+
+
+def test_filtered_queries_take_confirmation_counts_once_per_response(builder, monkeypatch):
+    canister = make_canister(builder, delta=10, page_size=2)
+    sources = builder.build(2)
+    respond(canister, sources + [builder.extend(extra_txs=(pay_probe(builder, sources[0], 3),))])
+    calls: Counter = Counter()
+    count_calls(monkeypatch, BlockTree, ("stability",), calls)
+    for _ in range(2):
+        respond(canister, builder.build(2))
+        applied = canister.current_tip_height() - canister.anchor_height()
+        expected = {k: overlay_oracle(canister, PROBE, k) for k in (1, 2, 3, 4, 10)}
+        calls.clear()
+        balance = canister.get_balance(PROBE, NET, min_confirmations=3)
+        assert balance == sum(value for _, value, _ in expected[3])
+        assert calls["stability"] == applied  # one count per applied block
+        calls.clear()
+        for min_conf, rows in expected.items():
+            assert canister.list_utxos(PROBE, NET, min_conf) == tuple(
+                canister_module.Utxo(*row) for row in rows
+            )
+            first = canister.get_utxos(PROBE, NET, min_confirmations=min_conf)
+            assert listed(walk(canister, PROBE, first)) == rows
+        assert calls["stability"] == 0
+
+
+def overlay_work_of_one_response(unstable: int, work: Counter) -> Counter:
+    """Build a state with `unstable` blocks above the anchor and warm its
+    queries; deliver one block that extends the tip and folds one; return
+    the work counted in `work` by the first balance after it, after
+    checking that repeated queries count none."""
+    builder = ChainBuilder()
+    canister = make_canister(builder, delta=unstable + 1, page_size=3)
+    sources = builder.build(3)
+    paying = [builder.extend(extra_txs=(pay_probe(builder, block, 2),)) for block in sources]
+    respond(canister, sources + paying + builder.build(unstable))
+    assert canister.current_tip_height() - canister.anchor_height() == unstable
+    queries = (
+        lambda: canister.get_balance(PROBE, NET),
+        lambda: canister.get_balance(PROBE, NET, min_confirmations=2),
+        lambda: walk(canister, PROBE, canister.get_utxos(PROBE, NET)),
+    )
+    for query in queries:
+        query()
+    before = canister.anchor_height()
+    respond(canister, [builder.extend(extra_txs=(pay_probe(builder, paying[0], 2),))])
+    assert canister.anchor_height() == before + 1
+    work.clear()
+    queries[0]()
+    first = Counter(work)
+    queries[1]()  # takes this response's confirmation counts
+    for query in queries:
+        work.clear()
+        query()
+        assert not work, f"a repeated query did work: {dict(work)}"
+    assert listed(walk(canister, PROBE, canister.get_utxos(PROBE, NET))) == overlay_oracle(
+        canister, PROBE
+    )
+    return first
+
+
+def test_query_work_flat_in_the_unstable_region(monkeypatch):
+    # Tree lookups and blocks moved in or out of the overlay index, counted
+    # per query: a query after a one-block response costs that block.
+    work: Counter = Counter()
+    count_calls(monkeypatch, BlockTree, ("has_block", "confirmations"), work)
+    count_calls(monkeypatch, OverlayIndex, ("push", "drop_top", "drop_bottom"), work, "index")
+    at_20 = overlay_work_of_one_response(20, work)
+    at_80 = overlay_work_of_one_response(80, work)
+    assert at_20 == at_80 == Counter({"has_block": 1, "index": 2})
+
+
 def test_walks_and_balances_build_utxos_only_for_the_answer(builder, monkeypatch):
     canister = make_canister(builder, delta=2, page_size=3)
     sources = builder.build(4)
@@ -682,22 +768,6 @@ def test_block_life_derives_each_address_and_hash_once(builder, monkeypatch):
     assert canister.get_balance(PROBE, NET) == sum(v for _, v, _ in overlay_oracle(canister, PROBE))
 
 
-def assert_listings_kept(utxos: UtxoSet) -> None:
-    """Every kept listing equals a fresh sort of its address's outpoints,
-    and its kept total their summed value."""
-    for address, listing in utxos.listings.items():
-        assert address in utxos.by_address
-        fresh = sorted(
-            (
-                (op, utxos.by_outpoint[op][0].value, utxos.by_outpoint[op][1])
-                for op in utxos.by_address[address]
-            ),
-            key=lambda row: (-row[2], bytes(row[0].txid), row[0].vout),
-        )
-        assert listing.rows == fresh
-        assert listing.total == sum(value for _, value, _ in fresh)
-
-
 def test_repeated_transaction_keeps_the_latest_outputs(builder):
     # nothing stops a block from repeating an earlier transaction; its
     # outputs then replace the earlier ones under the same outpoints
@@ -713,7 +783,7 @@ def test_repeated_transaction_keeps_the_latest_outputs(builder):
         assert [height for _, _, height in expected] == heights
         assert listed(walk(canister, PROBE, canister.get_utxos(PROBE, NET))) == expected
         assert canister.get_balance(PROBE, NET) == sum(value for _, value, _ in expected)
-        assert_listings_kept(canister.utxos)
+        canister.check_invariants()
 
     assert canister.anchor_height() < first
     check([second] * 3)  # both copies overlaid: the later one is listed
@@ -727,41 +797,71 @@ def test_repeated_transaction_keeps_the_latest_outputs(builder):
 
 
 def test_overlay_matches_oracle_over_random_histories():
-    """Forks, reorgs, anchor advances and snapshot round trips, with every
-    balance and page walk checked against a fresh scan after each step, and
-    every kept listing against a fresh sort of its address's outputs."""
-    reorgs = advances = round_trips = 0
+    """Forks, reorgs (one at least three blocks deep in every history),
+    anchor advances, snapshot round trips and walks continued across a
+    one-block extension, with every balance and page walk checked against a
+    fresh scan and every invariant of the state checked after every step."""
+    reorgs = advances = round_trips = deep_reorgs = extended_walks = 0
     kept_adds = kept_spends = 0  # writes that updated a kept listing in place
     for seed in range(6):
         rng = random.Random(seed)
         builder = ChainBuilder()
-        canister = make_canister(builder, delta=3, page_size=2)
+        canister = make_canister(builder, delta=6, page_size=2)
         scripts = [p2pkh_script(sha256d(b"prop%d" % i)[:20]) for i in range(4)]
         addresses = [addr_of(script) for script in scripts]
         outputs: list[OutPoint] = []  # every output built so far, on any branch
+
+        def new_block(parent):
+            txs = []
+            for _ in range(rng.randrange(4)):
+                if not outputs:
+                    break
+                sources = rng.sample(outputs, min(len(outputs), rng.randrange(1, 3)))
+                pays = [
+                    TxOut(rng.randrange(1, 10_000), rng.choice(scripts))
+                    for _ in range(rng.randrange(1, 4))
+                ]
+                txs.append(Transaction(1, tuple(TxIn(op, b"sig") for op in sources), tuple(pays)))
+            block = builder.extend(parent=parent, extra_txs=tuple(txs))
+            for tx in block.transactions:
+                outputs.extend(OutPoint(tx.txid(), i) for i in range(len(tx.outputs)))
+            return block
+
         for step in range(40):
-            if step and rng.random() < 0.1:
+            roll = rng.random()
+            if step == 20:
+                # grow the applied chain to four blocks or more, then let a
+                # heavier branch from three below its tip replace the top three
+                tree = canister.tree
+                while tree.height(tree.tip) - canister.anchor_height() < 4:
+                    respond(canister, [new_block(tree.tip)])
+                    canister.get_balance(addresses[0], NET)
+                top = tree.height(tree.tip)
+                replaced = [(h, tree.selected_at(h)) for h in range(top - 2, top + 1)]
+                branch = [new_block(tree.selected_at(top - 3))]
+                branch.extend(new_block(branch[-1].header.hash()) for _ in range(3))
+                respond(canister, branch)
+                assert all(canister.tree.selected_at(h) != old for h, old in replaced)
+                deep_reorgs += 1
+            elif step and roll < 0.1:
                 reorgs += canister.reorgs
                 canister = Canister.from_snapshot(canister.snapshot_lines())
                 round_trips += 1
+            elif roll < 0.3:
+                # the walk's next page comes after a one-block extension
+                address = max(addresses, key=lambda a: len(overlay_oracle(canister, a)))
+                expected = overlay_oracle(canister, address)
+                first = canister.get_utxos(address, NET)
+                respond(canister, [new_block(canister.tree.tip)])
+                if first.next_page is not None and first.tip_height >= canister.anchor_height():
+                    assert listed(walk(canister, address, first)) == expected
+                    extended_walks += 1
             else:
                 held = [canister.anchor] + [
                     h for h in canister.tree.hashes() if canister.tree.has_block(h)
                 ]
                 parent = rng.choice(held) if rng.random() < 0.3 else None
-                txs = []
-                for _ in range(rng.randrange(4)):
-                    if not outputs:
-                        break
-                    sources = rng.sample(outputs, min(len(outputs), rng.randrange(1, 3)))
-                    pays = [
-                        TxOut(rng.randrange(1, 10_000), rng.choice(scripts))
-                        for _ in range(rng.randrange(1, 4))
-                    ]
-                    txs.append(Transaction(1, tuple(TxIn(op, b"sig") for op in sources), tuple(pays)))
-                block = builder.extend(parent=parent, extra_txs=tuple(txs))
-                for tx in block.transactions:
-                    outputs.extend(OutPoint(tx.txid(), i) for i in range(len(tx.outputs)))
+                block = new_block(parent)
                 before = canister.anchor
                 kept = {a: set(listing.rows) for a, listing in canister.utxos.listings.items()}
                 respond(canister, [block])
@@ -771,15 +871,8 @@ def test_overlay_matches_oracle_over_random_histories():
                     if listing is not None:  # kept through the writes, not rebuilt
                         kept_adds += bool(set(listing.rows) - rows)
                         kept_spends += bool(rows - set(listing.rows))
-            assert_listings_kept(canister.utxos)
             assert canister.synced
-            above = canister.anchor_height()
-            bodied = {
-                h
-                for h in canister.tree.hashes()
-                if canister.tree.has_block(h) and canister.tree.height(h) > above
-            }
-            assert set(canister.deltas) <= bodied
+            canister.check_invariants()
             for address in addresses:
                 for min_conf in (None, 1, 2, canister.delta):
                     expected = overlay_oracle(canister, address, min_conf)
@@ -787,10 +880,10 @@ def test_overlay_matches_oracle_over_random_histories():
                     assert canister.get_balance(address, NET, min_conf) == total
                     first = canister.get_utxos(address, NET, min_confirmations=min_conf)
                     assert listed(walk(canister, address, first)) == expected
-            assert set(canister.deltas) <= bodied
-            assert_listings_kept(canister.utxos)
+            canister.check_invariants()
         reorgs += canister.reorgs
     assert reorgs > 0 and advances > 0 and round_trips > 0
+    assert deep_reorgs == 6 and extended_walks > 0
     assert kept_adds > 0 and kept_spends > 0
 
 

@@ -2,12 +2,14 @@
 and address extraction."""
 
 import hashlib
+import random
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from btcstate import chain as chain_module
 from btcstate.blocktree import BlockTree
 from btcstate.chain import (
     Block,
@@ -329,6 +331,38 @@ def test_p2pkh_address_mainnet_known_vector():
     assert script_address(script, NetworkKind.MAINNET) == (
         "1111111111111111111114oLvT2"
     )
+
+
+def reference_base58check(payload: bytes) -> str:
+    """Base58Check one digit per division, with one '1' per leading zero byte."""
+    data = payload + sha256d(payload)[:4]
+    n = int.from_bytes(data, "big")
+    digits = []
+    while n:
+        n, rem = divmod(n, 58)
+        digits.append(chain_module._B58_ALPHABET[rem])
+    pad = 0
+    for byte in data:
+        if byte != 0:
+            break
+        pad += 1
+    return "1" * pad + "".join(reversed(digits))
+
+
+def test_base58check_matches_the_digit_by_digit_encoding():
+    rng = random.Random(58)
+    payloads = [b"", b"\x00", b"\x00" * 21]
+    for zeros in range(6):
+        for length in (1, 2, 20, 21, 33):
+            for _ in range(40):
+                payloads.append(b"\x00" * zeros + rng.randbytes(length))
+    parities = set()
+    for payload in payloads:
+        want = reference_base58check(payload)
+        assert chain_module._base58check(payload) == want, payload.hex()
+        # an odd digit count puts a zero digit atop the top pair
+        parities.add(len(want.lstrip("1")) % 2)
+    assert parities == {0, 1}
 
 
 def test_p2sh_address_shape():
