@@ -130,6 +130,9 @@ class BlockTree:
     def __len__(self) -> int:
         return len(self._nodes)
 
+    def __iter__(self) -> Iterator[Hash256]:
+        return iter(self._nodes)
+
     def _node(self, hash_: Hash256) -> _Node:
         try:
             return self._nodes[hash_]
@@ -337,18 +340,6 @@ class BlockTree:
         score = self.stability(hash_, DepthKind.CONFIRMATION)
         assert isinstance(score, int)
         return score
-
-    def heaviest(self, candidates: Iterable[Hash256]) -> Optional[Hash256]:
-        """The candidate with the greatest work depth, ties to the smallest
-        hash (None when there are no candidates)."""
-        best = None
-        best_depth = -1
-        for h in sorted(candidates):
-            d = self.depth(h, DepthKind.WORK)
-            if d > best_depth:
-                best = h
-                best_depth = d
-        return best
 
     def _beats(self, a: _Node, b: _Node) -> bool:
         """Whether `a` ends a better chain than `b`: more chain work, or as

@@ -545,8 +545,11 @@ class Canister:
         return True
 
     def _advance_anchor(self) -> None:
-        """Advance while the best block right above the anchor is δ-stable,
-        in work relative to the current anchor block's work.
+        """Advance while the selected chain's block right above the anchor
+        has a body and is δ-stable, in work relative to the current anchor
+        block's work. The selected chain passes through the anchor, so that
+        block has the most work depth at its height; any rival scores at
+        most 0 against it and can never fold.
 
         Each advancement folds the block into the UTXO set, prunes rival
         branches at that height, and drops the block body; overlay deltas
@@ -555,18 +558,19 @@ class Canister:
         pruned = False
         while True:
             next_height = self.anchor_height() + 1
-            at_height = self.tree.at_height(next_height)
-            best = self.tree.heaviest(h for h in at_height if self.tree.has_block(h))
-            if best is None or not self.tree.is_delta_stable(
-                best, self.delta, DepthKind.WORK, reference=self.anchor
+            best = self.tree.selected_at(next_height)
+            if (
+                best is None
+                or (block := self.tree.block(best)) is None
+                or not self.tree.is_delta_stable(
+                    best, self.delta, DepthKind.WORK, reference=self.anchor
+                )
             ):
                 break
-            block = self.tree.block(best)
-            assert block is not None
             delta = self.deltas.pop(best, None)
             addresses = delta.addresses if delta is not None else None
             self.anomaly_count += self.utxos.apply_block(block, next_height, addresses)
-            for rival in at_height:
+            for rival in self.tree.at_height(next_height):
                 if rival != best:
                     self.tree.remove_subtree(rival)
                     pruned = True

@@ -157,20 +157,18 @@ class SimPeer:
         self.corrupted = corrupted
         self.world = world
 
-    def _served(self) -> set[Hash256]:
-        return self.world.adv_served if self.corrupted else self.world.honest_blocks
-
     def handle(self, adapter_id: int, msg: wire.Message) -> list[wire.Message]:
         world = self.world
+        served = world.adv_served if self.corrupted else world.honest_tree
         if isinstance(msg, wire.GetHeaders):
-            missing = [h for h in self._served() if h not in msg.have]
+            missing = [h for h in served if h not in msg.have]
             missing.sort(key=lambda h: (world.tree.height(h), h))
             headers = tuple(world.tree.header(h) for h in missing[:2000])
             return [wire.HeadersMsg(headers)] if headers else []
         if isinstance(msg, wire.GetData):
             replies: list[wire.Message] = []
             for item in msg.items:
-                if item.kind == wire.BLOCK_ITEM and item.hash in self._served():
+                if item.kind == wire.BLOCK_ITEM and item.hash in served:
                     block = world.tree.block(item.hash)
                     if block is not None:
                         replies.append(wire.BlockMsg(block))
@@ -250,11 +248,7 @@ class Adversary:
             return
         world = self.world
         tip = self.fork_tip()
-        honest_height = world.tree.height(world.honest_tip)
-        if (
-            world.tree.height(tip) >= honest_height + world.params.c_star
-            and world.tree.chain_work(tip) >= world.tree.chain_work(world.honest_tip)
-        ):
+        if not self.within_budget(world.tree.height(tip), world.tree.chain_work(tip)):
             raise BudgetViolation("adversary fork exceeds Definition-style budget")
 
     def release_all(self) -> list[Hash256]:
@@ -301,10 +295,8 @@ class SimWorld:
         self.genesis = genesis
         self.tree = BlockTree(genesis.header)
         self.tree.set_block(genesis.header.hash(), genesis)
-        self.honest_tip: Hash256 = genesis.header.hash()
-        # The honest chain from genesis to honest_tip, indexed by height.
-        self.honest_chain: list[Hash256] = [self.honest_tip]
-        self.honest_blocks: set[Hash256] = {genesis.header.hash()}
+        # The honest blocks alone; honest miners extend its selected chain.
+        self.honest_tree = BlockTree(genesis.header)
         self.adv_served: set[Hash256] = {genesis.header.hash()}
 
         self.clock: float = float(REGTEST_GENESIS_TIME)
@@ -429,31 +421,13 @@ class SimWorld:
         h = self.tree.add_header(block.header)
         self.tree.set_block(h, block)
         if honest:
-            self.honest_blocks.add(h)
-            # The honest tip is the honest block with the most chain work,
-            # ties going to the smallest tip hash. honest_blocks only grows
-            # and this tree never drops a node, so one comparison per new
-            # block keeps that maximum exact. The replicas' current_chain
-            # differs on ties: it takes the smallest child hash at the fork.
-            work = self.tree.chain_work(h)
-            tip_work = self.tree.chain_work(self.honest_tip)
-            if work > tip_work or (work == tip_work and h < self.honest_tip):
-                self._set_honest_tip(h)
+            self.honest_tree.add_header(block.header)
         return h
 
-    def _set_honest_tip(self, tip: Hash256) -> None:
-        """Move the honest tip, keeping honest_chain in step: walk back from
-        the new tip to the first block already on the chain, cut the chain
-        there and append the walked blocks."""
-        chain = self.honest_chain
-        fresh = []
-        h = tip
-        while not (self.tree.height(h) < len(chain) and chain[self.tree.height(h)] == h):
-            fresh.append(h)
-            h = self.tree.parent(h)  # genesis is always on the chain
-        del chain[self.tree.height(h) + 1 :]
-        chain.extend(reversed(fresh))
-        self.honest_tip = tip
+    @property
+    def honest_tip(self) -> Hash256:
+        """The tip of the honest tree, chosen by the replicas' rule."""
+        return self.honest_tree.tip
 
     def submit_to_miners(self, tx: Transaction) -> None:
         txid = tx.txid()
@@ -535,10 +509,10 @@ class SimWorld:
     def inject_fork(self, branch_height: int, length: int) -> list[Hash256]:
         """Mine a competing honest-side branch off the current chain at the
         given height, modeling a natural reorganization race."""
-        top = len(self.honest_chain) - 1
-        if not 0 <= branch_height <= top:
+        parent = self.honest_tree.selected_at(branch_height)
+        if parent is None:
+            top = self.honest_height()
             raise ValueError(f"branch height {branch_height} outside the honest chain (0..{top})")
-        parent = self.honest_chain[branch_height]
         self._fork_counter += 1
         made = []
         for i in range(length):
@@ -626,8 +600,8 @@ class SimWorld:
         if self.anchor_divergence:
             return
         anchor_height = self.canister.anchor_height()
-        honest = self.honest_chain
-        if anchor_height < len(honest) and honest[anchor_height] != self.canister.anchor:
+        honest = self.honest_tree.selected_at(anchor_height)
+        if honest is not None and honest != self.canister.anchor:
             self.anchor_divergence = True
             self.observe(
                 "fatal",
@@ -643,8 +617,6 @@ class SimWorld:
         self.observe("downtime", "start")
         if self.adversary.config.strategy is AdversaryStrategy.FEED_DURING_DOWNTIME:
             self.adversary.start_fork()
-            if self.params.adversary_hash > 0 and not self.adversary.fork:
-                pass  # mining already scheduled at construction
 
     def stop_downtime(self) -> None:
         self.downtime_active = False
@@ -690,7 +662,7 @@ class SimWorld:
     # -- reporting --------------------------------------------------------------------
 
     def honest_height(self) -> int:
-        return self.tree.height(self.honest_tip)
+        return self.honest_tree.height(self.honest_tree.tip)
 
     def metrics(self) -> dict[str, float]:
         canister = self.canister

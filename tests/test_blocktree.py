@@ -315,7 +315,7 @@ def test_remove_root_rejected():
         tree.remove_subtree(ids["g"])
 
 
-# -- breadth-first order and the heaviest pick ---------------------------------------
+# -- breadth-first order --------------------------------------------------------------
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -345,13 +345,6 @@ def test_bfs_unknown_start_rejected():
     tree, _ = two_fork_tree()
     with pytest.raises(UnknownBlockError):
         list(tree.bfs(name_hash("absent")))
-
-
-def test_heaviest_takes_most_work_depth_then_smallest_hash():
-    tree, ids = make_tree([("a1", "g"), ("a2", "a1"), ("b1", "g"), ("c1", "g")])
-    assert tree.heaviest([ids["b1"], ids["a1"], ids["c1"]]) == ids["a1"]
-    assert tree.heaviest([ids["c1"], ids["b1"]]) == min(ids["b1"], ids["c1"])
-    assert tree.heaviest([]) is None
 
 
 # -- uniqueness of stable blocks -----------------------------------------------------

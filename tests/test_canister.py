@@ -124,6 +124,33 @@ def test_anchor_requires_separation_by_default(builder):
     assert canister.anchor_height() == 0
 
 
+def test_anchor_folds_only_the_selected_child_once_bodied(builder):
+    canister = make_canister(builder, delta=2)
+    g = builder.genesis.header.hash()
+    a1, a2, a3 = builder.build(3, parent=g)
+    b1 = builder.extend(parent=g)
+    # the selected child a1 has only a header; the lighter rival b1 has a body
+    respond(canister, [b1], headers=[a1, a2, a3])
+    assert canister.tree.selected_at(1) == a1.header.hash()
+    assert canister.anchor_height() == 0 and b1.header.hash() in canister.tree
+    # a1's body arrives: depth 3, lead 2 over b1, so it folds and b1 goes
+    respond(canister, [a1])
+    assert canister.anchor == a1.header.hash()
+    assert b1.header.hash() not in canister.tree
+    canister.check_invariants()
+
+
+def test_anchor_holds_between_equal_work_bodied_children(builder):
+    canister = make_canister(builder, delta=2)
+    g = builder.genesis.header.hash()
+    c1, c2 = builder.build(2, parent=g)
+    d1, d2 = builder.build(2, parent=g)
+    respond(canister, [c1, d1, c2, d2])
+    # both children have work depth 2, so each leads the other by 0
+    assert canister.anchor_height() == 0
+    assert all(canister.tree.has_block(b.header.hash()) for b in (c1, c2, d1, d2))
+
+
 def test_invalid_block_skipped_rest_processed(builder):
     canister = make_canister(builder, delta=10)
     blocks = builder.build(3)

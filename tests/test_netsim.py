@@ -4,7 +4,6 @@ experiments, and end-to-end sync liveness."""
 import pytest
 
 from btcstate.blocktree import BlockTree, DepthKind
-from btcstate.chain import Hash256
 from btcstate.netsim import (
     AdversaryConfig,
     AdversaryStrategy,
@@ -18,6 +17,8 @@ from btcstate.netsim import (
     run_eclipse_trials,
     run_fork_attack,
 )
+
+from conftest import brute_best_path
 
 
 def small_params(**overrides) -> SimParams:
@@ -63,7 +64,7 @@ def test_liveness_sync_smoke():
     canister = world.canister
     # the replica's chain is a prefix of (or equal to) the miners' chain
     chain = canister.tree.current_chain()
-    honest = world.honest_chain
+    honest = world.honest_tree.current_chain()
     assert chain == honest[: len(chain)]
     assert world.honest_height() - canister.current_tip_height() <= canister.tau + 1
     assert canister.synced
@@ -144,22 +145,6 @@ def test_budget_invariant_checked_during_run():
     )
 
 
-def brute_honest_tip(world: SimWorld) -> Hash256:
-    """Scan every honest block: most work summed along its path from the
-    root, ties to the smallest hash."""
-    best, best_key = None, None
-    for h in world.honest_blocks:
-        work = 0
-        cursor = h
-        while cursor is not None:
-            work += world.tree.node_work(cursor)
-            cursor = world.tree.parent(cursor)
-        key = (work, bytes(255 - b for b in h))
-        if best_key is None or key > best_key:
-            best, best_key = h, key
-    return best
-
-
 def test_honest_tip_is_heaviest_honest_block_after_every_block():
     params = small_params(adversary_hash=0.3, c_star=2, phi=0.34, ensure_honest_peer=True)
     world = SimWorld(
@@ -170,20 +155,48 @@ def test_honest_tip_is_heaviest_honest_block_after_every_block():
     )
     add_block = world.add_block
     added = []
+    # The honest blocks alone, collected from add_block's flag.
+    honest_blocks = BlockTree((world.tree.root, world.tree.bits(world.tree.root)))
 
     def add_and_check(block, honest):
         h = add_block(block, honest)
         added.append(honest)
-        assert world.honest_tip == brute_honest_tip(world)
-        assert world.honest_chain == world.tree.path_to(world.honest_tip)
+        if honest:
+            honest_blocks.add_raw(h, block.header.prev, block.header.bits)
+        best = brute_best_path(honest_blocks)
+        assert world.honest_tip == best[-1]
+        assert world.honest_height() == len(best) - 1
+        assert world.honest_tree.current_chain() == best
         return h
 
     world.add_block = add_and_check
     world.run_until(lambda: world.honest_height() >= 8, max_duration=1e7)
     world.inject_fork(world.honest_height() - 1, 1)  # a rival of the tip's height
+    world.inject_fork(world.honest_height() - 2, 2)  # an equal-work branch
     world.inject_fork(world.honest_height() - 2, 3)  # a longer branch lower down
     world.run_until(lambda: world.honest_height() >= 14, max_duration=1e7)
     assert added.count(True) >= 14 and False in added
+
+
+def test_miners_break_equal_work_ties_as_the_state_machine_does():
+    # Two equal-work honest branches of two blocks each. On this seed the
+    # smaller tip hash and the smaller hash where the branches split pick
+    # different branches; the miners must extend the one the replicas select.
+    world = SimWorld(small_params(), seed=12, delta=6)
+    world.run_until(lambda: world.honest_height() >= 8, max_duration=1e7)
+    top = world.honest_height()
+    rival = world.inject_fork(top - 2, 2)[-1]
+    tips = world.tree.at_height(top)
+    canister = world.canister
+    assert world.run_until(
+        lambda: all(h in canister.tree and canister.tree.has_block(h) for h in tips),
+        max_duration=1e5,
+    )
+    assert len(tips) == 2 and rival in tips and world.honest_height() == top
+    assert world.honest_tip == canister.tree.tip
+    tip = world.honest_tip
+    assert world.run_until(lambda: world.honest_height() > top, max_duration=1e7)
+    assert world.tree.parent(world.honest_tip) == tip
 
 
 # -- peer sampling ---------------------------------------------------------------
@@ -362,9 +375,9 @@ def test_out_of_order_headers_do_not_stall_sync():
 
 def test_sync_tree_work_per_block_flat_in_chain_length(monkeypatch):
     """Tree work per mined block follows the unstable region, not the chain:
-    no root-to-tip walk on the update path, and depth and heaviest calls
+    no root-to-tip walk on the update path, and depth and stability calls
     per block from N = 400 to 800 within 1.3x of those from 200 to 400."""
-    calls = {"depth": 0, "heaviest": 0, "current_chain": 0}
+    calls = {"depth": 0, "stability": 0, "current_chain": 0}
     for name in calls:
         real = getattr(BlockTree, name)
 
@@ -387,4 +400,4 @@ def test_sync_tree_work_per_block_flat_in_chain_length(monkeypatch):
     second = mine_to(800)
     assert first["current_chain"] == second["current_chain"] == 0
     assert world.canister.anchor_height() > 400
-    assert second["depth"] + second["heaviest"] <= 1.3 * (first["depth"] + first["heaviest"])
+    assert second["depth"] + second["stability"] <= 1.3 * (first["depth"] + first["stability"])
