@@ -196,17 +196,19 @@ class Adapter:
     def handle_request(self, req: GetSuccessorsRequest, now: float) -> GetSuccessorsResponse:
         """Serve one update request.
 
-        Walks the header tree breadth-first from the anchor, which the
-        requester already holds and which is never offered. A block is
-        returned when the requester lacks it and its parent is available
-        to the requester (the anchor itself, something the requester holds,
-        or a block earlier in this response). The response size limit is
-        soft: the block that crosses it is still included, then collection
-        stops. At or above the checkpoint height only a single block is
-        returned per response. Headers the requester lacks that are not
-        returned as blocks are reported so it knows more syncing remains;
-        missing bodies are fetched from peers in the background for
-        future requests.
+        The requester holds the anchor and the blocks in `processed`; the
+        rest of the anchor's subtree is offered in breadth-first order
+        (`BlockTree.bfs`: by height, siblings ascending by hash), which
+        walks only the blocks outside `processed`. A block is returned when
+        the requester lacks it and its parent is available to the
+        requester (the anchor itself, something the requester holds, or a
+        block earlier in this response). The response size limit is soft:
+        the block that crosses it is still included, then collection stops.
+        At or above the checkpoint height only a single block is returned
+        per response. Headers the requester lacks that are not returned as
+        blocks are reported, at most `max_headers` of them, so it knows more
+        syncing remains; missing bodies of offerable blocks are fetched from
+        peers in the background for future requests.
         """
         anchor_hash = req.anchor.hash()
         if anchor_hash not in self.tree:
@@ -216,8 +218,7 @@ class Adapter:
                 self.cache_transaction(Transaction.from_bytes(raw), now)
             except SerializationError:
                 continue  # unparseable relay payloads are dropped
-        processed = set(req.processed)
-        available = processed | {anchor_hash}
+        processed = req.processed
         anchor_height = self.tree.height(anchor_hash)
         block_cap = 1 if anchor_height >= self.config.checkpoint_height else None
 
@@ -226,13 +227,14 @@ class Adapter:
         next_headers: list[BlockHeader] = []
         total_bytes = 0
 
-        walk = self.tree.bfs(anchor_hash)
-        next(walk)  # the anchor itself
+        walk = self.tree.bfs(anchor_hash, skip=processed)
+        if anchor_hash not in processed:
+            next(walk)  # the anchor itself
         for cur in walk:
             if len(next_headers) >= self.config.max_headers:
                 break
             parent = self.tree.parent(cur)
-            if cur not in processed and (parent in available or parent in included):
+            if parent == anchor_hash or parent in processed or parent in included:
                 body = self.block_store.get(cur)
                 if body is None:
                     self._schedule_fetch(cur)
@@ -244,7 +246,7 @@ class Adapter:
                     blocks.append((body, header))
                     included.add(cur)
                     total_bytes += self._block_sizes[cur]
-            if cur not in processed and cur not in included:
+            if cur not in included:
                 header = self.tree.header(cur)
                 assert header is not None
                 next_headers.append(header)

@@ -20,9 +20,12 @@ and exactly match a from-scratch traversal.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Optional
+from functools import cmp_to_key
+from itertools import filterfalse
+from typing import AbstractSet, Iterable, Iterator, Optional
 
 from btcstate.chain import Block, BlockHeader, Hash256, work_from_bits
 
@@ -85,7 +88,7 @@ class _Node:
         self.bits = bits
         self.header = header
         self.block: Optional[Block] = None
-        self.children: list[Hash256] = []
+        self.children: list[Hash256] = []  # ascending by hash
         self.work = work_from_bits(bits)
         self.chain_work = self.work + (parent.chain_work if parent is not None else 0)
 
@@ -105,6 +108,8 @@ class BlockTree:
         self._by_height: dict[int, list[Hash256]] = {}
         self._depth_c: dict[Hash256, int] = {}
         self._depth_w: dict[Hash256, int] = {}
+        # The hashes of the nodes that hold a body.
+        self._bodied: set[Hash256] = set()
         # Every height from 0 up to this one holds a node: each node's
         # parent sits one height below it.
         self._max_height = 0
@@ -155,7 +160,7 @@ class BlockTree:
         parent = self._node(prev)
         node = _Node(hash_, parent, bits, header)
         self._put(node)
-        parent.children.append(hash_)
+        insort(parent.children, hash_)
         self._invalidate_up(prev)
         if self._beats(node, self._nodes[self.tip]):
             self._set_tip(node)
@@ -178,6 +183,7 @@ class BlockTree:
                 del self._by_height[n.height]
             self._depth_c.pop(h, None)
             self._depth_w.pop(h, None)
+            self._bodied.discard(h)
             stack.extend(n.children)
             removed += 1
         while self._max_height not in self._by_height:
@@ -230,15 +236,31 @@ class BlockTree:
 
     def set_block(self, hash_: Hash256, block: Block) -> None:
         self._node(hash_).block = block
+        self._bodied.add(hash_)
 
     def drop_block(self, hash_: Hash256) -> None:
         self._node(hash_).block = None
+        self._bodied.discard(hash_)
 
     def block(self, hash_: Hash256) -> Optional[Block]:
         return self._node(hash_).block
 
     def has_block(self, hash_: Hash256) -> bool:
         return self._node(hash_).block is not None
+
+    def bodied(self) -> frozenset[Hash256]:
+        """The hashes of the nodes that hold a body."""
+        return frozenset(self._bodied)
+
+    def ancestor_headers(self, hash_: Hash256, count: int) -> list[Optional[BlockHeader]]:
+        """The headers of up to `count` blocks ending at `hash_`, newest
+        first, stopping early at the root."""
+        node = self._node(hash_)
+        headers = [node.header]
+        while len(headers) < count and node.prev is not None:
+            node = self._nodes[node.prev]
+            headers.append(node.header)
+        return headers
 
     def hashes(self) -> Iterator[Hash256]:
         return iter(self._nodes)
@@ -252,17 +274,55 @@ class BlockTree:
     def heights(self) -> Iterable[int]:
         return self._by_height.keys()
 
-    def bfs(self, start: Optional[Hash256] = None) -> Iterator[Hash256]:
+    def bfs(
+        self, start: Optional[Hash256] = None, skip: AbstractSet[Hash256] = frozenset()
+    ) -> Iterator[Hash256]:
         """The subtree of `start` (the root by default), breadth-first:
-        parents before children, siblings ascending by internal-byte hash."""
-        queue = [self.root if start is None else start]
-        self._node(queue[0])
-        pos = 0
-        while pos < len(queue):
-            h = queue[pos]
-            pos += 1
-            yield h
-            queue.extend(sorted(self._nodes[h].children))
+        parents before children, siblings ascending by internal-byte hash,
+        so each level is in path order (`_path_before`).
+
+        The nodes in `skip` are left out and their subtrees are not walked
+        through: an unskipped child of a skipped node inside the subtree
+        joins the walk as a root at its own level, in path order against
+        the nodes already there. Finding those roots is one pass over
+        `skip`; after that the walk visits only the nodes it yields.
+        """
+        top = self._node(self.root if start is None else start)
+        nodes, skipped = self._nodes, skip.__contains__
+        by_path = cmp_to_key(lambda a, b: -1 if self._path_before(nodes[a], nodes[b]) else 1)
+        joins: dict[int, list[Hash256]] = {}
+        for h in skip:
+            node = nodes.get(h)
+            if node is None or node.height <= top.height:
+                continue
+            for c in node.children:
+                if c not in skip and self._descends(node, top):
+                    joins.setdefault(node.height + 1, []).append(c)
+        if top.hash not in skip:
+            yield top.hash
+        level = list(filterfalse(skipped, top.children))
+        height = top.height + 1
+        while level or joins:
+            if not level:
+                height = min(joins)
+            for root in joins.pop(height, ()):
+                insort(level, root, key=by_path)
+            below: list[Hash256] = []
+            for h in level:
+                yield h
+                below.extend(filterfalse(skipped, nodes[h].children))
+            level = below
+            height += 1
+
+    def _descends(self, node: _Node, top: _Node) -> bool:
+        """Whether `node`, above `top`'s height, lies in `top`'s subtree. A
+        node on the selected chain does when `top` is on it too; any other
+        walks up to the chain or to `top`'s height."""
+        while not self._on_chain(node):
+            if node.height == top.height:
+                return node is top
+            node = self._nodes[node.prev]
+        return self._on_chain(top)
 
     # -- depth and stability --------------------------------------------------
 
@@ -351,8 +411,11 @@ class BlockTree:
             a = self._nodes[a.prev]
         while b.height > a.height:
             b = self._nodes[b.prev]
-        if a is b:
-            return False
+        return a is not b and self._path_before(a, b)
+
+    def _path_before(self, a: _Node, b: _Node) -> bool:
+        """Whether `a` comes before `b`, another node at its height, in path
+        order: the smaller child hash where their paths from the root split."""
         while a.prev != b.prev:
             a, b = self._nodes[a.prev], self._nodes[b.prev]
         return a.hash < b.hash

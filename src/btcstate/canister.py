@@ -466,14 +466,6 @@ class Canister:
     def anchor_height(self) -> int:
         return self.tree.height(self.anchor)
 
-    def _bodied_hashes(self) -> list[Hash256]:
-        out = []
-        for height in range(self.anchor_height() + 1, self.tree.max_height() + 1):
-            for h in self.tree.at_height(height):
-                if self.tree.has_block(h):
-                    out.append(h)
-        return out
-
     def max_body_height(self) -> int:
         """Greatest height for which a block body is held (anchor if none)."""
         top = self.anchor_height()
@@ -483,13 +475,13 @@ class Canister:
         return top
 
     def build_request(self) -> GetSuccessorsRequest:
-        """Anchor, the hashes we already hold bodies for, and the drained
-        outbound transaction queue."""
+        """Anchor, the hashes we already hold bodies for (all above the
+        anchor), and the drained outbound transaction queue."""
         anchor_header = self.tree.header(self.anchor)
         assert anchor_header is not None
         txs = tuple(self.outbound_txs)
         self.outbound_txs.clear()
-        return GetSuccessorsRequest(anchor_header, frozenset(self._bodied_hashes()), txs)
+        return GetSuccessorsRequest(anchor_header, self.tree.bodied(), txs)
 
     def requeue_transactions(self, txs: Iterable[bytes]) -> None:
         """Put drained transactions back (used when a request round fails)."""
@@ -831,11 +823,16 @@ class Canister:
     # -- metrics helpers ---------------------------------------------------------
 
     def confirmations_of_tx(self, txid: Hash256) -> Optional[int]:
-        """Confirmation count of the unstable block containing txid, if any."""
-        for h in self._bodied_hashes():
-            if txid in self._delta(h).txids:
-                return self.tree.confirmations(h)
-        return None
+        """Confirmation count of the unstable block containing txid, if any;
+        of several, the lowest, and of rivals the first held at its height."""
+        tree = self.tree
+        holders = [h for h in tree.bodied() if txid in self._delta(h).txids]
+        if not holders:
+            return None
+        first = min(
+            holders, key=lambda h: (tree.height(h), tree.at_height(tree.height(h)).index(h))
+        )
+        return tree.confirmations(first)
 
     def current_tip_height(self) -> int:
         return self.tree.height(self.tree.tip)
@@ -876,7 +873,11 @@ class Canister:
                 bool(rows) and listing.rows == rows and listing.total == sum(r[1] for r in rows),
                 "each kept listing is its address's outputs in page order, with their total",
             )
-        bodied = {h for h in tree.hashes() if tree.has_block(h)}
+        bodied = tree.bodied()
+        require(
+            bodied == {h for h in tree.hashes() if tree.has_block(h)},
+            "the tree's kept bodied set equals a scan of has_block",
+        )
         for h in bodied:
             require(tree.height(h) > top, "bodies are held only above the anchor")
             parent = tree.parent(h)

@@ -106,13 +106,10 @@ def expected_bits(tree: BlockTree, prev_hash: Hash256, policy: ChainPolicy) -> i
 def median_time_past(tree: BlockTree, prev_hash: Hash256) -> int:
     """Median of the times of up to the last eleven blocks ending at prev."""
     times = []
-    cursor: Optional[Hash256] = prev_hash
-    while cursor is not None and len(times) < MTP_WINDOW:
-        header = tree.header(cursor)
+    for header in tree.ancestor_headers(prev_hash, MTP_WINDOW):
         if header is None:
             raise ValidationError(ViolationCode.MALFORMED, "timestamp check needs full headers")
         times.append(header.time)
-        cursor = tree.parent(cursor)
     times.sort()
     return times[len(times) // 2]
 

@@ -4,6 +4,8 @@ its limits, the transaction cache, peer discovery, and peer messages."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from btcstate import wire
 from btcstate.adapter import (
@@ -12,11 +14,11 @@ from btcstate.adapter import (
     GetSuccessorsRequest,
     UnknownAnchorError,
 )
-from btcstate.chain import NetworkKind, TxOut, sha256d
+from btcstate.chain import Hash256, NetworkKind, TxOut, sha256d
 from btcstate.netsim import make_coinbase
 from btcstate.validation import ChainPolicy, ViolationCode
 
-from conftest import NOW, ChainBuilder
+from conftest import NOW, ChainBuilder, random_tree
 
 
 def make_adapter(builder, **cfg_overrides) -> Adapter:
@@ -222,6 +224,93 @@ def test_response_parent_availability_invariant(builder):
     for block, header in resp.blocks:
         assert header.prev in seen
         seen.add(header.hash())
+
+
+def whole_walk_response(adapter, req):
+    """The update response by walking the anchor's whole subtree breadth-first
+    (siblings ascending by hash) and filtering out what the requester holds:
+    the oracle for `handle_request`, which walks only the rest."""
+    tree, cfg = adapter.tree, adapter.config
+    anchor = req.anchor.hash()
+    processed = set(req.processed)
+    available = processed | {anchor}
+    block_cap = 1 if tree.height(anchor) >= cfg.checkpoint_height else None
+    blocks, included, next_headers, total = [], set(), [], 0
+    queue = [anchor]
+    for cur in queue:
+        queue.extend(sorted(tree.children(cur)))
+        if cur == anchor:
+            continue
+        if len(next_headers) >= cfg.max_headers:
+            break
+        if cur not in processed and (tree.parent(cur) in available or tree.parent(cur) in included):
+            body = adapter.block_store.get(cur)
+            if body is None:
+                adapter._schedule_fetch(cur)
+            elif total < cfg.max_response_bytes and (block_cap is None or len(blocks) < block_cap):
+                blocks.append((body, tree.header(cur)))
+                included.add(cur)
+                total += body.size()
+        if cur not in processed and cur not in included:
+            next_headers.append(tree.header(cur))
+    return tuple(blocks), tuple(next_headers)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_response_matches_the_whole_subtree_walk(seed):
+    # Twin adapters learn one random tree of real blocks (bodies for some);
+    # one serves requests by the oracle's walk, the other by handle_request.
+    rng = random.Random(seed)
+    shape = random_tree(rng, max_nodes=40)
+    builder = ChainBuilder()
+    blocks = {shape.root: builder.genesis}
+    for raw in shape.bfs():  # parents first
+        if raw != shape.root:
+            blocks[raw] = builder.extend(parent=blocks[shape.parent(raw)].header.hash())
+    order = [blocks[raw].header.hash() for raw in shape.bfs()]  # parents first
+    fresh = [blocks[raw] for raw in shape.bfs() if raw != shape.root]
+    bodied = [b for b in fresh if rng.random() < 0.7]
+    limits = dict(
+        max_headers=rng.randint(1, 8),
+        max_response_bytes=rng.choice((1, 200, 600, 1 << 21)),
+        checkpoint_height=rng.randint(0, 12),
+    )
+    twins = [make_adapter(builder, preset_peers=(3, 5), **limits) for _ in range(2)]
+    for adapter in twins:
+        adapter.discover_peers(NOW)
+        feed_chain(adapter, fresh, with_bodies=False)
+        for block in bodied:
+            assert adapter.store_block(block)
+        adapter.take_outbox()
+    outside = {Hash256(sha256d(b"outside")), builder.extend().header.hash()}  # not in the trees
+    for _ in range(12):
+        anchor = blocks[rng.choice(sorted(blocks))].header
+        share = rng.choice((0.1, 0.5, 0.9))
+        if rng.random() < 0.5:
+            processed = {h for h in order if rng.random() < share}
+        else:  # closed under parents; below the anchor too
+            processed = set()
+            for h in order:
+                parent = twins[0].tree.parent(h)
+                if (parent is None or parent in processed) and rng.random() < 0.5 + share / 2:
+                    processed.add(h)
+        if rng.random() < 0.5:
+            processed |= outside
+        if rng.random() < 0.5:
+            for adapter in twins:
+                adapter.pending_fetch.clear()
+        req = GetSuccessorsRequest(anchor, frozenset(processed), ())
+        want_blocks, want_headers = whole_walk_response(twins[0], req)
+        resp = twins[1].handle_request(req, NOW)
+        assert [h.hash() for _, h in resp.blocks] == [h.hash() for _, h in want_blocks]
+        assert resp.blocks == want_blocks
+        assert resp.next_headers == want_headers
+        fetches = [
+            [(peer, m) for peer, m in adapter.take_outbox() if isinstance(m, wire.GetData)]
+            for adapter in twins
+        ]
+        assert fetches[1] == fetches[0]
 
 
 # -- transaction cache ---------------------------------------------------------------

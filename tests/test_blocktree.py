@@ -341,6 +341,58 @@ def test_bfs_yields_subtree_parents_first_siblings_ascending(seed):
     assert list(tree.bfs()) == list(tree.bfs(tree.root))
 
 
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_bfs_with_skip_is_the_whole_walk_filtered(seed):
+    # The skip set may hold anything: hashes outside the tree, below or
+    # beside `start`, `start` itself, and hashes whose parents it lacks.
+    rng = random.Random(seed)
+    tree = random_tree(rng, max_nodes=60)
+    nodes = sorted(tree.hashes())
+    start = rng.choice(nodes)
+    if rng.random() < 0.5:
+        share = rng.choice((0.1, 0.5, 0.9))
+        skip = {h for h in nodes if rng.random() < share}
+    else:  # closed under parents, as a requester's processed set is
+        skip = set()
+        for h in tree.bfs():
+            if (tree.parent(h) is None or tree.parent(h) in skip) and rng.random() < 0.9:
+                skip.add(h)
+    skip = frozenset(skip | {name_hash("outside")})
+    assert list(tree.bfs(start, skip)) == [h for h in tree.bfs(start) if h not in skip]
+
+
+def test_bfs_roots_under_skipped_blocks_join_their_level_in_path_order():
+    tree, ids = make_tree(
+        [("a", "g"), ("b", "g"), ("a1", "a"), ("b1", "b"), ("a2", "a1"), ("b2", "b1")]
+    )
+    first, second = sorted((ids["a"], ids["b"]))
+    name = {ids[n]: n for n in ids}
+    lead = name[first]
+    skip = frozenset({ids[lead], ids[lead + "1"]})
+    order = [name[h] for h in tree.bfs(skip=skip)]
+    # the skipped branch comes first at height 1, so its unskipped block leads height 3
+    other = name[second]
+    assert order == ["g", other, other + "1", lead + "2", other + "2"]
+
+
+def test_kept_bodied_set_follows_bodies_and_removals(genesis_block):
+    rng = random.Random(7)
+    tree = random_tree(rng, max_nodes=30)
+    for step in range(300):
+        h = rng.choice(sorted(tree.hashes()))
+        roll = rng.random()
+        if roll < 0.4:
+            tree.set_block(h, genesis_block)  # any body will do
+        elif roll < 0.6:
+            tree.drop_block(h)
+        elif roll < 0.7 and h != tree.root:
+            tree.remove_subtree(h)
+        else:
+            tree.add_raw(name_hash(f"n{step}"), h, EASY_BITS)
+        assert tree.bodied() == {n for n in tree.hashes() if tree.has_block(n)}
+
+
 def test_bfs_unknown_start_rejected():
     tree, _ = two_fork_tree()
     with pytest.raises(UnknownBlockError):

@@ -78,6 +78,16 @@ def test_build_request_lists_unstable_bodies(builder):
     assert req.processed == {b.header.hash() for b in blocks}
 
 
+def test_check_invariants_catches_a_stale_kept_bodied_set(builder):
+    canister = make_canister(builder, delta=10)
+    blocks = builder.build(2)
+    respond(canister, blocks)
+    canister.check_invariants()
+    canister.tree._bodied.discard(blocks[1].header.hash())
+    with pytest.raises(AssertionError, match="kept bodied set"):
+        canister.check_invariants()
+
+
 def test_build_request_drains_queue(builder):
     canister = make_canister(builder)
     blocks = builder.build(1)
@@ -592,6 +602,21 @@ def test_repeated_queries_rederive_no_txid_or_address(builder, monkeypatch):
     while page.next_page is not None:
         page, later = counted(lambda: cold.get_utxos(PROBE, NET, page=page.next_page))
         assert later == none
+
+
+def test_confirmations_of_tx_in_rival_blocks_reads_the_first_held(builder):
+    # One transaction in two rival blocks at height 1, b ahead of a by one
+    # block: the answer is the block held first at that height.
+    g = builder.genesis.header.hash()
+    tx = builder.spend(builder.coinbase_outpoint(builder.genesis), [(1, PROBE_SCRIPT)])
+    a = builder.extend(parent=g, extra_txs=(tx,))
+    b = builder.extend(parent=g, extra_txs=(tx,))
+    b2 = builder.extend(parent=b.header.hash())
+    for held, want in (([a, b, b2], -1), ([b, a, b2], 1)):
+        canister = make_canister(builder, delta=10)
+        respond(canister, held)
+        assert canister.tree.at_height(1) == [blk.header.hash() for blk in held[:2]]
+        assert canister.confirmations_of_tx(tx.txid()) == want
 
 
 def test_repeated_confirmations_of_tx_rehash_nothing(builder, monkeypatch):

@@ -375,9 +375,10 @@ def test_out_of_order_headers_do_not_stall_sync():
 
 def test_sync_tree_work_per_block_flat_in_chain_length(monkeypatch):
     """Tree work per mined block follows the unstable region, not the chain:
-    no root-to-tip walk on the update path, and depth and stability calls
-    per block from N = 400 to 800 within 1.3x of those from 200 to 400."""
-    calls = {"depth": 0, "stability": 0, "current_chain": 0}
+    no root-to-tip walk and no whole-subtree walk on the update path, and
+    depth and stability calls, and at_height and has_block calls, per block
+    from N = 400 to 800 within 1.3x of those from 200 to 400."""
+    calls = {"depth": 0, "stability": 0, "current_chain": 0, "at_height": 0, "has_block": 0}
     for name in calls:
         real = getattr(BlockTree, name)
 
@@ -386,6 +387,15 @@ def test_sync_tree_work_per_block_flat_in_chain_length(monkeypatch):
             return _real(self, *args, **kwargs)
 
         monkeypatch.setattr(BlockTree, name, counted)
+    real_bfs = BlockTree.bfs
+    whole_walks = []
+
+    def counted_bfs(self, start=None, skip=frozenset()):
+        if not skip:
+            whole_walks.append(start)
+        return real_bfs(self, start, skip)
+
+    monkeypatch.setattr(BlockTree, "bfs", counted_bfs)
     world = production_world(1000)
 
     def mine_to(height: int) -> dict[str, float]:
@@ -396,8 +406,12 @@ def test_sync_tree_work_per_block_flat_in_chain_length(monkeypatch):
         return {name: n / (height - start) for name, n in calls.items()}
 
     mine_to(200)
+    whole_walks.clear()
     first = mine_to(400)
     second = mine_to(800)
     assert first["current_chain"] == second["current_chain"] == 0
+    assert whole_walks == []  # every walk skips the requester's bodies
     assert world.canister.anchor_height() > 400
     assert second["depth"] + second["stability"] <= 1.3 * (first["depth"] + first["stability"])
+    lookups = [part["at_height"] + part["has_block"] for part in (first, second)]
+    assert lookups[1] <= 1.3 * lookups[0]

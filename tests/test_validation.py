@@ -116,6 +116,15 @@ def test_median_time_past_uses_eleven_ancestors(builder):
     assert got == window[len(window) // 2]
 
 
+def test_median_time_past_near_the_root_and_without_headers(builder):
+    b1 = builder.extend(time=builder.genesis.header.time + 50)
+    assert median_time_past(builder.tree, b1.header.hash()) == b1.header.time
+    raw = BlockTree((sha256d_hash(b"raw"), REGTEST_BITS))
+    with pytest.raises(ValidationError) as err:
+        median_time_past(raw, raw.root)
+    assert err.value.code is ViolationCode.MALFORMED
+
+
 # -- retargeting -----------------------------------------------------------------
 
 
