@@ -303,7 +303,6 @@ def test_response_matches_the_whole_subtree_walk(seed):
         req = GetSuccessorsRequest(anchor, frozenset(processed), ())
         want_blocks, want_headers = whole_walk_response(twins[0], req)
         resp = twins[1].handle_request(req, NOW)
-        assert [h.hash() for _, h in resp.blocks] == [h.hash() for _, h in want_blocks]
         assert resp.blocks == want_blocks
         assert resp.next_headers == want_headers
         fetches = [
