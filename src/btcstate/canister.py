@@ -12,16 +12,22 @@ the block into the materialized set takes its outputs' addresses from
 there. The materialized set keeps each output's address beside it, so
 spending it derives nothing.
 
+Every listed output, materialized or overlaid, is stored as an immutable
+`Utxo` row when it is first indexed, and queries hand out those stored
+rows: serving a page builds nothing per entry.
+
 The overlay is one index over the applied chain: each address's overlay
-rows in page order, the heights of the blocks that spend each outpoint, and
-each address's materialized outpoints that the applied chain spends. It is
-built on the first query after a load and brought up to date on the first
-query after each response: folded blocks leave from the bottom, the blocks
-of a branch that lost leave from the top and new blocks join at the top,
-each at the cost of its own outputs and inputs. A confirmation filter or a
-page token's tip is a height cut on those rows and spends, so no query
-walks the unstable blocks; the applied blocks' confirmation counts are
-taken once per response, on the first filtered query.
+rows in page order, the heights of the blocks that spend each outpoint,
+each address's materialized outpoints that the applied chain spends, and
+each address's value over its overlay outputs that no applied block
+spends. It is built on the first query after a load and brought up to date
+on the first query after each response: folded blocks leave from the
+bottom, the blocks of a branch that lost leave from the top and new blocks
+join at the top, each at the cost of its own outputs and inputs. A
+confirmation filter or a page token's tip is a height cut on those rows and
+spends, so no query walks the unstable blocks; the applied blocks'
+confirmation counts are taken once per response, on the first filtered
+query.
 
 An address's materialized outputs are listed once, on the first query that
 needs them, sorted by the page key (height descending, then txid and
@@ -31,8 +37,9 @@ above the anchor and every materialized output at or below it, so a listing
 is the overlay's unspent outputs followed by the kept listing minus the
 outpoints the overlay spends, with no merge. A page token names the key of
 the last entry served, and its continuation bisects to that key, so a full
-walk is linear in its entries, and a balance is the kept total corrected by
-the address's own overlay entries.
+walk is linear in its entries. An unfiltered balance is the kept total,
+less the materialized outputs the overlay spends, plus the index's kept
+value; a filtered balance scans the address's overlay rows up to its cut.
 
 Responses from the sync endpoint are applied one at a time in simulator
 order; the whole state is deterministic given the message sequence.
@@ -43,7 +50,7 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left, bisect_right, insort
 from collections import Counter, deque
-from itertools import accumulate, starmap
+from itertools import accumulate
 from typing import Iterable, NamedTuple, Optional
 
 from btcstate.adapter import GetSuccessorsRequest, GetSuccessorsResponse
@@ -99,24 +106,13 @@ class MalformedTransactionError(ApiError):
     pass
 
 
-class Utxo:
-    __slots__ = ("outpoint", "value", "height")
+class Utxo(NamedTuple):
+    """One unspent output as listed. Every stored row is one of these and
+    queries hand the stored objects out, so they are immutable."""
 
-    def __init__(self, outpoint: OutPoint, value: int, height: int):
-        self.outpoint = outpoint
-        self.value = value
-        self.height = height
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Utxo)
-            and self.outpoint == other.outpoint
-            and self.value == other.value
-            and self.height == other.height
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"Utxo({self.outpoint.txid.rev_hex()[:12]}:{self.outpoint.vout}, {self.value}, h={self.height})"
+    outpoint: OutPoint
+    value: int
+    height: int
 
 
 class UtxosPage:
@@ -138,11 +134,7 @@ class UtxosPage:
         self.next_page = next_page
 
 
-# One unspent output as listed: (outpoint, value, height).
-Row = tuple[OutPoint, int, int]
-
-
-def _page_key(row: Row) -> tuple[int, bytes, int]:
+def _page_key(row: Utxo) -> tuple[int, bytes, int]:
     """Listing order: height descending, then txid bytes, then output index."""
     outpoint = row[0]
     return (-row[2], outpoint.txid, outpoint.vout)
@@ -153,7 +145,7 @@ class Listing:
 
     __slots__ = ("rows", "total")
 
-    def __init__(self, rows: list[Row], total: int):
+    def __init__(self, rows: list[Utxo], total: int):
         self.rows = rows
         self.total = total
 
@@ -197,7 +189,7 @@ class UtxoSet:
         self.by_address.setdefault(address, set()).add(outpoint)
         listing = self.listings.get(address)
         if listing is not None:
-            insort(listing.rows, (outpoint, txout.value, height), key=_page_key)
+            insort(listing.rows, Utxo(outpoint, txout.value, height), key=_page_key)
             listing.total += txout.value
 
     def remove(self, outpoint: OutPoint) -> bool:
@@ -231,9 +223,9 @@ class UtxoSet:
             rows = []
             for outpoint in bucket:
                 txout, height, _ = self.by_outpoint[outpoint]
-                rows.append((outpoint, txout.value, height))
+                rows.append(Utxo(outpoint, txout.value, height))
             rows.sort(key=_page_key)
-            listing = self.listings[address] = Listing(rows, sum(row[1] for row in rows))
+            listing = self.listings[address] = Listing(rows, sum(row.value for row in rows))
         return listing
 
     def apply_block(
@@ -269,14 +261,14 @@ class OverlayDelta(NamedTuple):
     outpoints it spends; and its txids. Every address of the block is
     derived once, here, and the anchor fold reuses them."""
 
-    rows: list[Row]
+    rows: list[Utxo]
     addresses: list[str]
     spent: frozenset[OutPoint]
     txids: frozenset[Hash256]
 
     @classmethod
     def of_block(cls, block: Block, height: int, network: NetworkKind) -> "OverlayDelta":
-        rows: list[Row] = []
+        rows: list[Utxo] = []
         spent: list[OutPoint] = []
         txids: list[Hash256] = []
         for tx in block.transactions:
@@ -285,7 +277,7 @@ class OverlayDelta(NamedTuple):
             txid = tx.txid()
             txids.append(txid)
             rows.extend(
-                (OutPoint(txid, vout), txout.value, height) for vout, txout in enumerate(tx.outputs)
+                Utxo(OutPoint(txid, vout), txout.value, height) for vout, txout in enumerate(tx.outputs)
             )
         return cls(rows, output_addresses(block, network), frozenset(spent), frozenset(txids))
 
@@ -295,21 +287,35 @@ class OverlayIndex:
 
     `blocks` are the applied blocks with their deltas in chain order, the
     lowest at height `first`. `rows` holds each address's overlay rows in
-    page order, every copy of a repeated outpoint included; `spenders` the
-    heights of the applied blocks that spend each outpoint, ascending,
-    whether or not the outpoint is known; `held_spent` each address's
-    materialized outpoints that an applied block spends, and
+    page order, every copy of a repeated outpoint included; `outputs` the
+    address, value and number of rows of each overlay outpoint; `spenders`
+    the heights of the applied blocks that spend each outpoint, ascending,
+    whether or not the outpoint is known; `unspent_value` each address's
+    total over its overlay outpoints that no applied block spends, which is
+    what an unfiltered query adds to the materialized outputs; `held_spent`
+    each address's materialized outpoints that an applied block spends, and
     `held_address` the address of each of those. Blocks join and leave
     only at the two ends, so each costs its own rows and spends.
     """
 
-    __slots__ = ("first", "blocks", "rows", "spenders", "held_spent", "held_address")
+    __slots__ = (
+        "first",
+        "blocks",
+        "rows",
+        "outputs",
+        "spenders",
+        "unspent_value",
+        "held_spent",
+        "held_address",
+    )
 
     def __init__(self, first: int):
         self.first = first
         self.blocks: list[tuple[Hash256, OverlayDelta]] = []
-        self.rows: dict[str, list[Row]] = {}
+        self.rows: dict[str, list[Utxo]] = {}
+        self.outputs: dict[OutPoint, tuple[str, int, int]] = {}
         self.spenders: dict[OutPoint, list[int]] = {}
+        self.unspent_value: dict[str, int] = {}
         self.held_spent: dict[str, set[OutPoint]] = {}
         self.held_address: dict[OutPoint, str] = {}
 
@@ -327,15 +333,29 @@ class OverlayIndex:
         into `touched`."""
         height = self.first + len(self.blocks)
         self.blocks.append((h, delta))
-        fresh: dict[str, list[Row]] = {}
+        outputs, spenders = self.outputs, self.spenders
+        fresh: dict[str, list[Utxo]] = {}
         for address, row in zip(delta.addresses, delta.rows):
             fresh.setdefault(address, []).append(row)
+            op = row.outpoint
+            entry = outputs.get(op)
+            if entry is None:
+                outputs[op] = (address, row.value, 1)
+                if op not in spenders:
+                    self._add_unspent(address, row.value)
+            else:
+                outputs[op] = (address, row.value, entry[2] + 1)
         for address, rows in fresh.items():
             rows.sort(key=_page_key)
             # The block lies above every indexed row, so its rows lead.
             self.rows.setdefault(address, [])[:0] = rows
         for op in delta.spent:
-            self.spenders.setdefault(op, []).append(height)
+            heights = spenders.get(op)
+            if heights is None:
+                spenders[op] = [height]
+                self._spend_changed(op, -1)
+            else:
+                heights.append(height)
         touched |= delta.spent
 
     def drop_top(self, touched: set[OutPoint]) -> None:
@@ -351,12 +371,13 @@ class OverlayIndex:
         self.first += 1
         self._forget(delta, bottom=True)
         touched |= delta.spent
-        touched.update(row[0] for row in delta.rows)
+        touched.update(row.outpoint for row in delta.rows)
 
     def _forget(self, delta: OverlayDelta, bottom: bool) -> None:
         """Delete an end block's rows and spends. The lowest block's rows
         close each address's rows and its height opens each outpoint's
         spending heights; the top block's are the other way round."""
+        outputs, spenders = self.outputs, self.spenders
         for address, count in Counter(delta.addresses).items():
             rows = self.rows[address]
             if bottom:
@@ -365,11 +386,35 @@ class OverlayIndex:
                 del rows[:count]
             if not rows:
                 del self.rows[address]
+        for address, row in zip(delta.addresses, delta.rows):
+            op = row.outpoint
+            copies = outputs[op][2]
+            if copies > 1:
+                outputs[op] = (address, row.value, copies - 1)
+            else:
+                del outputs[op]
+                if op not in spenders:
+                    self._add_unspent(address, -row.value)
         for op in delta.spent:
-            heights = self.spenders[op]
+            heights = spenders[op]
             del heights[0 if bottom else -1]
             if not heights:
-                del self.spenders[op]
+                del spenders[op]
+                self._spend_changed(op, 1)
+
+    def _spend_changed(self, op: OutPoint, sign: int) -> None:
+        """An outpoint gained its first spender (sign -1) or lost its last
+        (sign 1): an overlay outpoint leaves or rejoins the unspent value."""
+        entry = self.outputs.get(op)
+        if entry is not None:
+            self._add_unspent(entry[0], sign * entry[1])
+
+    def _add_unspent(self, address: str, value: int) -> None:
+        total = self.unspent_value.get(address, 0) + value
+        if total:
+            self.unspent_value[address] = total
+        else:
+            self.unspent_value.pop(address, None)
 
     def settle(self, touched: set[OutPoint], by_outpoint: dict) -> None:
         """Bring `held_spent` up to date for the outpoints whose spends or
@@ -648,14 +693,14 @@ class Canister:
 
     def _overlay(
         self, address: str, cut: int, after_key: Optional[tuple[int, bytes, int]] = None
-    ) -> tuple[list[Row], list[OutPoint]]:
+    ) -> tuple[list[Utxo], list[OutPoint]]:
         """The address's overlay rows at or below height `cut` that no block
         up to `cut` spends, in page order and after `after_key` (a repeated
         outpoint lists its highest copy only), and its materialized
         outpoints that a block up to `cut` spends."""
         index = self._overlay_index()
         spenders = index.spenders
-        created: list[Row] = []
+        created: list[Utxo] = []
         rows = index.rows.get(address)
         if rows:
             start = bisect_left(rows, (-cut,), key=_page_key)
@@ -682,7 +727,7 @@ class Canister:
         cut: int,
         after_key: Optional[tuple[int, bytes, int]] = None,
         limit: Optional[int] = None,
-    ) -> list[Row]:
+    ) -> list[Utxo]:
         """The address's unspent rows in page order, after `after_key`, at
         most `limit` of them: the overlay's rows, then the kept listing
         minus the outpoints the overlay spends. Only the rows returned are
@@ -770,7 +815,7 @@ class Canister:
             tip, after_key = _decode_page_token(page)
             cut = self._token_cut(tip)
         rows = self._rows(address, cut, after_key, self.page_size + 1)
-        utxos = tuple(starmap(Utxo, rows[: self.page_size]))
+        utxos = tuple(rows[: self.page_size])
         next_token = None
         if len(rows) > self.page_size:
             next_token = _encode_page_token(tip, utxos[-1])
@@ -785,7 +830,7 @@ class Canister:
         """Every UTXO a get_utxos walk over the same selection pages
         through, in one unpaginated listing."""
         cut = self._fresh_cut(network, min_confirmations)
-        return tuple(starmap(Utxo, self._rows(address, cut)))
+        return tuple(self._rows(address, cut))
 
     def get_balance(
         self,
@@ -795,14 +840,21 @@ class Canister:
     ) -> int:
         """Total satoshi over the same selection as get_utxos, unpaginated:
         the kept total, less what the overlay spends of it, plus what the
-        overlay creates and leaves unspent."""
+        overlay creates and leaves unspent. Without a filter the overlay's
+        part is the index's kept value; a filter scans the address's rows."""
         cut = self._fresh_cut(network, min_confirmations)
-        created, spent = self._overlay(address, cut)
+        if min_confirmations is None:
+            index = self._overlay_index()
+            spent = index.held_spent.get(address, ())
+            created = index.unspent_value.get(address, 0)
+        else:
+            rows, spent = self._overlay(address, cut)
+            created = sum(row.value for row in rows)
         by_outpoint = self.utxos.by_outpoint
         return (
             self.utxos.listing(address).total
             - sum(by_outpoint[op][0].value for op in spent)
-            + sum(row[1] for row in created)
+            + created
         )
 
     def send_transaction(self, tx_bytes: bytes, network: NetworkKind) -> Hash256:
@@ -904,6 +956,16 @@ class Canister:
         fresh.settle(touched, by_outpoint)
         require(
             self._index == fresh, "the overlay index equals a fresh build from the applied chain"
+        )
+        index_top = fresh.top()
+        require(
+            set(fresh.unspent_value) <= set(fresh.rows)
+            and all(
+                fresh.unspent_value.get(address, 0)
+                == sum(row.value for row in self._overlay(address, index_top)[0])
+                for address in fresh.rows
+            ),
+            "each address's kept unspent value is the sum of its unfiltered overlay rows",
         )
         if self._floors is not None:
             lows = list(accumulate((tree.confirmations(h) for h in applied), min))

@@ -221,13 +221,15 @@ class TxOut:
 @dataclass(frozen=True, slots=True)
 class Transaction:
     """A plain (pre-segwit layout) transaction; txid is the double-SHA256
-    of the canonical serialization, computed on first use and kept."""
+    of the canonical serialization, computed on first use and kept with the
+    serialization's length."""
 
     version: int
     inputs: tuple[TxIn, ...]
     outputs: tuple[TxOut, ...]
     lock_time: int = 0
     _txid: Optional[Hash256] = field(default=None, init=False, compare=False, repr=False)
+    _size: int = field(default=0, init=False, compare=False, repr=False)
 
     def to_bytes(self) -> bytes:
         parts = [struct.pack("<i", self.version), write_varint(len(self.inputs))]
@@ -280,9 +282,17 @@ class Transaction:
     def txid(self) -> Hash256:
         h = self._txid
         if h is None:
-            h = Hash256(sha256d(self.to_bytes()))
+            raw = self.to_bytes()
+            h = Hash256(sha256d(raw))
             object.__setattr__(self, "_txid", h)
+            object.__setattr__(self, "_size", len(raw))
         return h
+
+    def size(self) -> int:
+        """Length of the serialization, kept from the one `txid` hashes."""
+        if self._txid is None:
+            self.txid()
+        return self._size
 
     def is_coinbase(self) -> bool:
         return len(self.inputs) == 1 and self.inputs[0].outpoint.is_null()
@@ -333,7 +343,12 @@ class Block:
         return merkle_root(self.txids())
 
     def size(self) -> int:
-        return len(self.to_bytes())
+        """Length of the serialization, from each transaction's kept length."""
+        return (
+            HEADER_SIZE
+            + len(write_varint(len(self.transactions)))
+            + sum(tx.size() for tx in self.transactions)
+        )
 
 
 # --- Compact difficulty targets and work ----------------------------------

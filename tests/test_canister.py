@@ -728,7 +728,11 @@ def test_query_work_flat_in_the_unstable_region(monkeypatch):
     assert at_20 == at_80 == Counter({"has_block": 1, "index": 2})
 
 
-def test_walks_and_balances_build_utxos_only_for_the_answer(builder, monkeypatch):
+def test_repeated_walks_build_no_utxo_and_only_filtered_balances_scan_the_overlay(
+    builder, monkeypatch
+):
+    # Rows are stored as Utxos, so a walk hands out stored objects and an
+    # unfiltered balance reads the overlay index's kept value.
     canister = make_canister(builder, delta=2, page_size=3)
     sources = builder.build(4)
     paying = [builder.extend(extra_txs=(pay_probe(builder, block, 4),)) for block in sources[:3]]
@@ -742,40 +746,74 @@ def test_walks_and_balances_build_utxos_only_for_the_answer(builder, monkeypatch
     assert any(height > canister.anchor_height() for _, _, height in expected)
     assert any(height <= canister.anchor_height() for _, _, height in expected)
     cold = Canister.from_snapshot(canister.snapshot_lines())
-    calls = {"Utxo": 0, "Listing": 0}
-    real_utxo, real_listing = canister_module.Utxo, canister_module.Listing
-
-    def counting_utxo(*args):
-        calls["Utxo"] += 1
-        return real_utxo(*args)
-
-    def counting_listing(*args):
-        calls["Listing"] += 1
-        return real_listing(*args)
-
-    monkeypatch.setattr(canister_module, "Utxo", counting_utxo)
-    monkeypatch.setattr(canister_module, "Listing", counting_listing)
+    calls: Counter = Counter()
+    count_calls(monkeypatch, canister_module, ("Utxo", "Listing"), calls)
+    count_calls(monkeypatch, Canister, ("_overlay",), calls)
 
     def counted(query):
-        calls.update(Utxo=0, Listing=0)
+        calls.clear()
         result = query()
-        return result, dict(calls)
+        return result, {name: calls[name] for name in ("Utxo", "Listing", "_overlay")}
 
-    k, p = len(expected), canister.page_size
-    linear = k + math.ceil(k / p)
     total = sum(value for _, value, _ in expected)
-    # a balance builds the listing once and no Utxo, then neither
-    assert counted(lambda: cold.get_balance(PROBE, NET)) == (total, {"Utxo": 0, "Listing": 1})
-    assert counted(lambda: cold.get_balance(PROBE, NET)) == (total, {"Utxo": 0, "Listing": 0})
-    # a full walk builds the listing once and a Utxo per entry served
+    none = {"Utxo": 0, "Listing": 0, "_overlay": 0}
+    # an unfiltered balance builds the listing once and never scans the overlay
+    balance, first = counted(lambda: cold.get_balance(PROBE, NET))
+    assert balance == total and first["Listing"] == 1 and first["_overlay"] == 0
+    assert counted(lambda: cold.get_balance(PROBE, NET)) == (total, none)
+    # a filtered balance still scans the overlay, and builds nothing
+    filtered = sum(value for _, value, _ in overlay_oracle(canister, PROBE, 2))
+    assert counted(lambda: cold.get_balance(PROBE, NET, 2)) == (filtered, {**none, "_overlay": 1})
+    # a first walk builds the listing once; a repeated walk hands out the
+    # stored rows and builds no Utxo
     pages, first = counted(lambda: walk(canister, PROBE, canister.get_utxos(PROBE, NET)))
-    assert listed(pages) == expected and len(pages) == math.ceil(k / p)
-    assert first["Listing"] == 1 and first["Utxo"] <= linear
-    # a repeated walk rebuilds nothing
+    assert listed(pages) == expected and len(pages) == math.ceil(len(expected) / 3)
+    assert first["Listing"] == 1
     pages, again = counted(lambda: walk(canister, PROBE, canister.get_utxos(PROBE, NET)))
-    assert listed(pages) == expected
-    assert again["Listing"] == 0 and again["Utxo"] <= linear
-    assert counted(lambda: canister.get_balance(PROBE, NET)) == (total, {"Utxo": 0, "Listing": 0})
+    assert listed(pages) == expected and again == {**none, "_overlay": len(pages)}
+    assert counted(lambda: canister.get_balance(PROBE, NET)) == (total, none)
+
+
+def test_unfiltered_balance_follows_repeats_same_block_spends_reorgs_and_folds(builder):
+    # The kept unspent value changes only through the index's pushes and
+    # drops; after each kind of change it must equal a fresh scan.
+    canister = make_canister(builder, delta=4)
+    sources = builder.build(4)
+    respond(canister, sources)
+
+    def check():
+        expected = overlay_oracle(canister, PROBE)
+        assert canister.get_balance(PROBE, NET) == sum(value for _, value, _ in expected)
+        canister.check_invariants()
+        return expected
+
+    assert check() == []
+    # a repeated transaction: two copies of its outputs in the overlay
+    pay = pay_probe(builder, sources[0], 3)
+    respond(canister, [builder.extend(extra_txs=(pay,))])
+    check()
+    respond(canister, [builder.extend(extra_txs=(pay,))])
+    assert len(check()) == 3
+    # an output created and spent in one block, the spend paying the probe again
+    made = pay_probe(builder, sources[1], 2)
+    spend = Transaction(1, (TxIn(OutPoint(made.txid(), 0), b"sig"),), (TxOut(7, PROBE_SCRIPT),))
+    fork_point = builder.tip
+    respond(canister, [builder.extend(extra_txs=(made, spend))])
+    assert OutPoint(made.txid(), 0) not in {op for op, _, _ in check()}
+    # a reorganization replaces that block with a heavier branch that
+    # spends one copy of the repeated outputs
+    respend = Transaction(1, (TxIn(OutPoint(pay.txid(), 1), b"sig"),), (TxOut(9, PROBE_SCRIPT),))
+    reorgs = canister.reorgs
+    rival = builder.extend(parent=fork_point)
+    respond(canister, [rival, builder.extend(parent=rival.header.hash(), extra_txs=(respend,))])
+    assert canister.reorgs == reorgs + 1
+    check()
+    # folds take the copies into the materialized set one at a time
+    anchor = canister.anchor_height()
+    for _ in range(5):
+        respond(canister, builder.build(1))
+        check()
+    assert canister.anchor_height() > anchor + 2
 
 
 def test_block_life_derives_each_address_and_hash_once(builder, monkeypatch):

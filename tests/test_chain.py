@@ -192,6 +192,19 @@ def test_block_roundtrip_property(header, txs):
     assert Block.from_bytes(block.to_bytes()) == block
 
 
+@given(header_strategy, st.lists(tx_strategy, min_size=1, max_size=3), st.booleans())
+@settings(max_examples=30)
+def test_block_size_is_the_serialized_length(header, txs, hashed_first):
+    # Sizes come from each transaction's kept length, whether or not its
+    # txid was taken before; 253 transactions or more need a longer count.
+    if hashed_first:
+        for tx in txs:
+            tx.txid()
+    for block in (Block(header, tuple(txs)), Block(header, tuple(txs) * 253)):
+        assert block.size() == len(block.to_bytes())
+    assert [tx.size() for tx in txs] == [len(tx.to_bytes()) for tx in txs]
+
+
 # -- merkle ---------------------------------------------------------------------
 
 
