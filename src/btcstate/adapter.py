@@ -14,7 +14,7 @@ are all retained and the requester resolves them.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from btcstate import wire
@@ -53,15 +53,15 @@ class AdapterConfig:
 
     @classmethod
     def for_network(cls, network: NetworkKind, **overrides) -> "AdapterConfig":
+        """The network's settings with `overrides` applied; an override
+        that names no field raises TypeError."""
         if network is NetworkKind.MAINNET:
-            cfg = cls(network, connection_target=5, addr_pool_low=500, addr_pool_high=2000)
+            cfg = cls(network)
         elif network is NetworkKind.TESTNET:
-            cfg = cls(network, connection_target=5, addr_pool_low=100, addr_pool_high=1000)
+            cfg = cls(network, addr_pool_low=100, addr_pool_high=1000)
         else:
             cfg = cls(network, connection_target=1, addr_pool_low=1, addr_pool_high=1)
-        for key, value in overrides.items():
-            setattr(cfg, key, value)
-        return cfg
+        return replace(cfg, **overrides)
 
 
 @dataclass(frozen=True)
@@ -102,9 +102,8 @@ class Adapter:
         self.policy = policy
         self.rng = rng
         self.address_book = address_book
+        # Every header heard of, and the body of each block fetched.
         self.tree = BlockTree(genesis)
-        self.block_store: dict[Hash256, Block] = {}
-        self._block_sizes: dict[Hash256, int] = {}
         self.peers: set[int] = set()
         self.addr_pool: set[int] = set()
         self.tx_cache: dict[Hash256, _TxCacheEntry] = {}
@@ -181,12 +180,11 @@ class Adapter:
         """Keep a body whose header is already known and whose merkle root
         commits to its transactions; anything else is ignored."""
         h = block.header.hash()
-        if h not in self.tree or h in self.block_store:
+        if h not in self.tree or self.tree.has_block(h):
             return False
         if block.computed_merkle_root() != block.header.merkle_root:
             return False
-        self.block_store[h] = block
-        self._block_sizes[h] = block.size()
+        self.tree.set_block(h, block)
         self.pending_fetch.discard(h)
         self._announced_by.pop(h, None)  # only fetches of missing bodies read it
         return True
@@ -235,7 +233,7 @@ class Adapter:
                 break
             parent = self.tree.parent(cur)
             if parent == anchor_hash or parent in processed or parent in included:
-                body = self.block_store.get(cur)
+                body = self.tree.block(cur)
                 if body is None:
                     self._schedule_fetch(cur)
                 elif total_bytes < self.config.max_response_bytes and (
@@ -245,7 +243,7 @@ class Adapter:
                     assert header is not None
                     blocks.append((body, header))
                     included.add(cur)
-                    total_bytes += self._block_sizes[cur]
+                    total_bytes += body.size()
             if cur not in included:
                 header = self.tree.header(cur)
                 assert header is not None
@@ -310,8 +308,7 @@ class Adapter:
                     fresh += 1
                     self._orphan_asks.pop(h, None)
                     self._announced_by[h] = peer
-                    if h not in self.block_store:
-                        self._schedule_fetch(h)
+                    self._schedule_fetch(h)  # a header just inserted has no body
             # A header whose parent we lack arrived ahead of it: ask the
             # peer for every header we are missing, which it sends in
             # height order (Bitcoin Core's unconnecting-headers handling).
@@ -326,8 +323,9 @@ class Adapter:
         elif isinstance(msg, wire.Inv):
             wanted = []
             for item in msg.items:
-                if item.kind == BLOCK_ITEM and item.hash in self.tree and item.hash not in self.block_store:
-                    self._announced_by[item.hash] = peer
+                h = item.hash
+                if item.kind == BLOCK_ITEM and h in self.tree and not self.tree.has_block(h):
+                    self._announced_by[h] = peer
                     wanted.append(item)
             if wanted:
                 self._send(peer, wire.GetData(tuple(wanted)))
@@ -337,8 +335,10 @@ class Adapter:
                     entry = self.tx_cache[item.hash]
                     entry.delivered_to.add(peer)
                     self._send(peer, wire.TxMsg(entry.tx))
-                elif item.kind == BLOCK_ITEM and item.hash in self.block_store:
-                    self._send(peer, wire.BlockMsg(self.block_store[item.hash]))
+                elif item.kind == BLOCK_ITEM and item.hash in self.tree:
+                    body = self.tree.block(item.hash)
+                    if body is not None:
+                        self._send(peer, wire.BlockMsg(body))
         elif isinstance(msg, wire.AddrMsg):
             self.addr_pool.update(msg.addresses)
         elif isinstance(msg, wire.TxMsg):

@@ -5,10 +5,10 @@ the highest block considered stable under the work-based stability rule
 (threshold delta, 144 in production). Full blocks above the anchor are kept
 separately so any reorganization above the anchor resolves automatically;
 queries overlay the applied chain (the selected chain's bodied blocks above
-the anchor) on the materialized set. Each unstable block's outputs, with
-their addresses, and the outpoints it spends are derived once, on the first
-query that needs them, and kept until the block's body is dropped; folding
-the block into the materialized set takes its outputs' addresses from
+the anchor) on the materialized set. A block's outputs, with their
+addresses, and the outpoints it spends are derived when it joins the
+overlay index and kept there while it stays applied; folding a block the
+index holds into the materialized set takes its outputs' addresses from
 there. The materialized set keeps each output's address beside it, so
 spending it derives nothing.
 
@@ -257,29 +257,26 @@ class UtxoSet:
 
 class OverlayDelta(NamedTuple):
     """What one unstable block changes for queries: every output as a row,
-    in block order, with the output's address at the same position; the
-    outpoints it spends; and its txids. Every address of the block is
-    derived once, here, and the anchor fold reuses them."""
+    in block order, with the output's address at the same position, and
+    the outpoints it spends. Every address of the block is derived once,
+    here, and the anchor fold reuses them."""
 
     rows: list[Utxo]
     addresses: list[str]
     spent: frozenset[OutPoint]
-    txids: frozenset[Hash256]
 
     @classmethod
     def of_block(cls, block: Block, height: int, network: NetworkKind) -> "OverlayDelta":
         rows: list[Utxo] = []
         spent: list[OutPoint] = []
-        txids: list[Hash256] = []
         for tx in block.transactions:
             if not tx.is_coinbase():
                 spent.extend(txin.outpoint for txin in tx.inputs)
             txid = tx.txid()
-            txids.append(txid)
             rows.extend(
                 Utxo(OutPoint(txid, vout), txout.value, height) for vout, txout in enumerate(tx.outputs)
             )
-        return cls(rows, output_addresses(block, network), frozenset(spent), frozenset(txids))
+        return cls(rows, output_addresses(block, network), frozenset(spent))
 
 
 class OverlayIndex:
@@ -327,6 +324,13 @@ class OverlayIndex:
     def top(self) -> int:
         """Height of the highest applied block; the anchor's when none."""
         return self.first + len(self.blocks) - 1
+
+    def delta(self, h: Hash256, height: int) -> Optional[OverlayDelta]:
+        """Block `h`'s delta when the index holds it at `height`, else None."""
+        pos = height - self.first
+        if 0 <= pos < len(self.blocks) and self.blocks[pos][0] == h:
+            return self.blocks[pos][1]
+        return None
 
     def push(self, h: Hash256, delta: OverlayDelta, touched: set[OutPoint]) -> None:
         """Join a block at the top; the outpoints whose spends changed go
@@ -487,8 +491,6 @@ class Canister:
         self.tree = BlockTree(genesis)
         self.anchor: Hash256 = genesis.hash()
         self.utxos = UtxoSet(network)
-        # Overlay deltas of bodied blocks above the anchor, built on first use.
-        self.deltas: dict[Hash256, OverlayDelta] = {}
         # The applied chain's overlay, built on the first query and brought
         # up to date on the first query after each response.
         self._index: Optional[OverlayIndex] = None
@@ -519,6 +521,11 @@ class Canister:
                 return height
         return top
 
+    def _bodies_within_tau(self) -> bool:
+        """Whether the known headers outrun the held bodies by at most tau
+        blocks: what the synced flag says."""
+        return self.tree.max_height() - self.max_body_height() <= self.tau
+
     def build_request(self) -> GetSuccessorsRequest:
         """Anchor, the hashes we already hold bodies for (all above the
         anchor), and the drained outbound transaction queue."""
@@ -546,8 +553,7 @@ class Canister:
                 self._advance_anchor()
         for header in resp.next_headers:
             self._ingest_header(header, now)
-        gap = self.tree.max_height() - self.max_body_height()
-        self.synced = gap <= self.tau
+        self.synced = self._bodies_within_tau()
         if old_tip not in self.tree or self.tree.path_to(self.tree.tip, old_tip) is None:
             self.reorgs += 1
 
@@ -589,10 +595,11 @@ class Canister:
         most 0 against it and can never fold.
 
         Each advancement folds the block into the UTXO set, prunes rival
-        branches at that height, and drops the block body; overlay deltas
-        of the blocks whose bodies are gone go with them.
+        branches at that height, and drops the block body. The outputs'
+        addresses come from the overlay index when it holds the block, and
+        are derived otherwise.
         """
-        pruned = False
+        index = self._index
         while True:
             next_height = self.anchor_height() + 1
             best = self.tree.selected_at(next_height)
@@ -604,18 +611,14 @@ class Canister:
                 )
             ):
                 break
-            delta = self.deltas.pop(best, None)
+            delta = index.delta(best, next_height) if index is not None else None
             addresses = delta.addresses if delta is not None else None
             self.anomaly_count += self.utxos.apply_block(block, next_height, addresses)
             for rival in self.tree.at_height(next_height):
                 if rival != best:
                     self.tree.remove_subtree(rival)
-                    pruned = True
             self.tree.drop_block(best)
             self.anchor = best
-        if pruned:
-            # Bodies leave the tree only by folding or with a pruned branch.
-            self.deltas = {h: d for h, d in self.deltas.items() if h in self.tree}
 
     # -- query helpers ---------------------------------------------------------
 
@@ -644,7 +647,7 @@ class Canister:
             index = OverlayIndex(top + 1)
         height = index.top() + 1
         while (h := tree.selected_at(height)) is not None and tree.has_block(h):
-            index.push(h, self._delta(h), touched)
+            index.push(h, OverlayDelta.of_block(tree.block(h), height, self.network), touched)
             height += 1
         index.settle(touched, self.utxos.by_outpoint)
         self._index = index
@@ -675,21 +678,11 @@ class Canister:
             return index.first - 1
         if tip in self.tree:
             height = self.tree.height(tip)
-            pos = height - index.first
-            if 0 <= pos < len(index.blocks) and index.blocks[pos][0] == tip:
+            if index.delta(tip, height) is not None:
                 return height
-            if pos >= 0 and self.tree.selected_at(height) == tip:
+            if height >= index.first and self.tree.selected_at(height) == tip:
                 raise FilterRejectedError("page token's tip is above the held blocks")
         raise FilterRejectedError("page token's tip left the selected chain")
-
-    def _delta(self, h: Hash256) -> OverlayDelta:
-        delta = self.deltas.get(h)
-        if delta is None:
-            block = self.tree.block(h)
-            assert block is not None
-            delta = OverlayDelta.of_block(block, self.tree.height(h), self.network)
-            self.deltas[h] = delta
-        return delta
 
     def _overlay(
         self, address: str, cut: int, after_key: Optional[tuple[int, bytes, int]] = None
@@ -878,7 +871,9 @@ class Canister:
         """Confirmation count of the unstable block containing txid, if any;
         of several, the lowest, and of rivals the first held at its height."""
         tree = self.tree
-        holders = [h for h in tree.bodied() if txid in self._delta(h).txids]
+        holders = [
+            h for h in tree.bodied() if any(tx.txid() == txid for tx in tree.block(h).transactions)
+        ]
         if not holders:
             return None
         first = min(
@@ -937,11 +932,7 @@ class Canister:
                 parent == self.anchor or parent in bodied,
                 "every body's parent is bodied or is the anchor",
             )
-        require(set(self.deltas) <= bodied, "deltas cover only bodied blocks above the anchor")
-        require(
-            self.synced == (tree.max_height() - self.max_body_height() <= self.tau),
-            "synced matches tau",
-        )
+        require(self.synced == self._bodies_within_tau(), "synced matches tau")
         if not self._index_current:
             return  # brought up to date by the next query
         applied = []
@@ -1111,7 +1102,13 @@ class Canister:
                     f"line {lineno}: utxo height {height} is above the anchor's height {top}"
                 )
             state.utxos.add(outpoint, txout, height, _address(txout.script_pubkey, network))
-        state.synced = fields.get("synced", (0, "1"))[1] == "1"
+        state.synced = state._bodies_within_tau()
+        if "synced" in fields:
+            lineno, value = fields["synced"]
+            if value != str(int(state.synced)):
+                raise SnapshotError(
+                    f"line {lineno}: bad synced {value!r}: the loaded tree says {int(state.synced)}"
+                )
         state.outbound_txs.extend(queued)
         return state
 

@@ -63,6 +63,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except FileNotFoundError as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"cannot read scenario {args.scenario}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         scenario = parse_scenario(text)
     except ScenarioParseError as exc:
@@ -106,14 +109,15 @@ def _write_csv_row(out: Optional[str], header: list[str], row: list) -> None:
 
 
 def _cmd_montecarlo(args: argparse.Namespace) -> int:
-    if args.trials < 1:
-        print("trials must be at least 1", file=sys.stderr)
+    try:
+        if args.experiment == "eclipse":
+            estimate = run_eclipse_trials(args.n, args.ell, args.phi, args.trials, args.seed)
+        else:
+            estimate = run_downtime_trials(args.n, args.f, args.c_star, args.trials, args.seed)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return EXIT_USAGE
     if args.experiment == "eclipse":
-        if not 0.0 <= args.phi < 1.0:
-            print("phi must be in [0, 1)", file=sys.stderr)
-            return EXIT_USAGE
-        estimate = run_eclipse_trials(args.n, args.ell, args.phi, args.trials, args.seed)
         one_ref, any_ref = eclipse_analytic(args.n, args.ell, args.phi)
         rows = [
             ("per-adapter", estimate.per_adapter, one_ref),
@@ -128,10 +132,6 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
                 ["eclipse", label, f"{est:.8g}", f"{ref:.8g}", args.trials, args.seed],
             )
         return EXIT_OK
-    if 3 * args.f >= args.n:
-        print("f must satisfy f < n/3", file=sys.stderr)
-        return EXIT_USAGE
-    estimate = run_downtime_trials(args.n, args.f, args.c_star, args.trials, args.seed)
     ref = downtime_analytic(args.n, args.f, args.c_star)
     bound = downtime_bound(args.c_star)
     rel = abs(estimate.success - ref) / ref if ref else 0.0
@@ -163,6 +163,9 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     try:
         tree = BlockTree.from_dump(path.read_text().splitlines())
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"cannot read {path}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except TreeStructureError as exc:
         print(f"bad tree dump: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -193,11 +196,11 @@ def _cmd_api(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     try:
         state = Canister.from_snapshot(path.read_text().splitlines())
-    except (SnapshotError, UnicodeDecodeError) as exc:
+    except (OSError, SnapshotError, UnicodeDecodeError) as exc:
         print(f"bad snapshot: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    network = NetworkKind.from_str(args.network) if args.network else state.network
     try:
+        network = NetworkKind.from_str(args.network) if args.network else state.network
         if args.call == "get_utxos":
             page = state.get_utxos(
                 args.address, network, min_confirmations=args.min_conf, page=args.page

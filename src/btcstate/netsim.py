@@ -741,6 +741,10 @@ def run_eclipse_trials(
     phi fraction corrupted."""
     if trials < 1:
         raise ValueError("trials must be positive")
+    if n < 1 or ell < 1:
+        raise ValueError("n and ell must be positive")
+    if not 0.0 <= phi < 1.0:
+        raise ValueError("phi must be in [0, 1)")
     rng = random.Random(seed)
     corrupted = round(phi * population)
     eclipsed_adapters = 0
@@ -789,8 +793,12 @@ def run_downtime_trials(n: int, f: int, c_star: int, trials: int, seed: int) -> 
     reveals the real headers and ends the attempt."""
     if trials < 1:
         raise ValueError("trials must be positive")
-    if f and 3 * f >= n:
-        raise ValueError("f must satisfy f < n/3")
+    if n < 1:
+        raise ValueError("n must be positive")
+    if f < 0 or 3 * f >= n:
+        raise ValueError("f must satisfy 0 <= f < n/3")
+    if c_star < 1:
+        raise ValueError("c_star must be at least 1")
     rng = random.Random(seed)
     wins = 0
     for _ in range(trials):

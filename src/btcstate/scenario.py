@@ -87,6 +87,14 @@ class Scenario:
     script: list[Action] = field(default_factory=list)
 
 
+def _parse_bool(value: str) -> bool:
+    if value in ("on", "1", "true", "yes"):
+        return True
+    if value in ("off", "0", "false", "no"):
+        return False
+    raise ValueError(f"expected on/off, got {value!r}")
+
+
 _PARAM_KEYS = {
     "n": ("n", int),
     "f": ("f", int),
@@ -100,7 +108,7 @@ _PARAM_KEYS = {
     "latency-max": ("latency_max", float),
     "round-interval": ("round_interval", float),
     "tick-interval": ("tick_interval", float),
-    "ensure-honest-peer": ("ensure_honest_peer", lambda v: v in ("on", "1", "true", "yes")),
+    "ensure-honest-peer": ("ensure_honest_peer", _parse_bool),
 }
 
 # op -> (min args, max args, types for the leading numeric args)
@@ -151,14 +159,6 @@ def _check_action(op: str, args: list[str], lineno: int) -> None:
                 ) from None
 
 
-def _parse_bool(value: str, lineno: int) -> bool:
-    if value in ("on", "1", "true", "yes"):
-        return True
-    if value in ("off", "0", "false", "no"):
-        return False
-    raise ScenarioParseError(lineno, f"expected on/off, got {value!r}")
-
-
 def parse_scenario(text: str) -> Scenario:
     scenario = Scenario()
     section = None
@@ -190,7 +190,7 @@ def parse_scenario(text: str) -> Scenario:
                 elif key == "seed":
                     scenario.seed = int(value)
                 elif key == "trace":
-                    scenario.trace_wire = _parse_bool(value, lineno)
+                    scenario.trace_wire = _parse_bool(value)
                 else:
                     raise ScenarioParseError(lineno, f"unknown top-level key {key!r}")
             elif section == "params":
@@ -216,9 +216,9 @@ def parse_scenario(text: str) -> Scenario:
                     except ValueError:
                         raise ScenarioParseError(lineno, f"unknown strategy {value!r}") from None
                 elif key == "budget":
-                    scenario.adversary.budget_enforced = _parse_bool(value, lineno)
+                    scenario.adversary.budget_enforced = _parse_bool(value)
                 elif key == "corrupting-tx":
-                    scenario.adversary.with_corrupting_tx = _parse_bool(value, lineno)
+                    scenario.adversary.with_corrupting_tx = _parse_bool(value)
                 else:
                     raise ScenarioParseError(lineno, f"unknown adversary key {key!r}")
         except ScenarioParseError:

@@ -244,7 +244,7 @@ def whole_walk_response(adapter, req):
         if len(next_headers) >= cfg.max_headers:
             break
         if cur not in processed and (tree.parent(cur) in available or tree.parent(cur) in included):
-            body = adapter.block_store.get(cur)
+            body = tree.block(cur)
             if body is None:
                 adapter._schedule_fetch(cur)
             elif total < cfg.max_response_bytes and (block_cap is None or len(blocks) < block_cap):
@@ -420,6 +420,14 @@ def test_mainnet_thresholds():
     cfg = AdapterConfig.for_network(NetworkKind.MAINNET)
     assert (cfg.addr_pool_low, cfg.addr_pool_high) == (500, 2000)
     assert cfg.connection_target == 5
+    assert cfg == AdapterConfig(NetworkKind.MAINNET)
+
+
+def test_config_overrides_name_fields():
+    cfg = AdapterConfig.for_network(NetworkKind.TESTNET, max_headers=5)
+    assert (cfg.max_headers, cfg.addr_pool_low) == (5, 100)
+    with pytest.raises(TypeError, match="max_header"):
+        AdapterConfig.for_network(NetworkKind.REGTEST, max_header=5)
 
 
 def test_regtest_uses_preset_peers(builder):
@@ -514,10 +522,19 @@ def test_block_for_unknown_header_ignored(builder):
     block = builder.extend()
     stray = builder.extend()
     adapter.on_peer_message(4, wire.BlockMsg(stray), NOW)
-    assert stray.header.hash() not in adapter.block_store
+    assert stray.header.hash() not in adapter.tree
     adapter.on_peer_message(4, wire.HeadersMsg((block.header, stray.header)), NOW)
     adapter.on_peer_message(4, wire.BlockMsg(stray), NOW)
-    assert stray.header.hash() in adapter.block_store
+    assert adapter.tree.has_block(stray.header.hash())
+    # a request or an announcement naming a hash outside the tree is ignored
+    adapter.take_outbox()
+    outside = wire.InvItem(wire.BLOCK_ITEM, builder.extend().header.hash())
+    adapter.on_peer_message(4, wire.GetData((outside,)), NOW)
+    adapter.on_peer_message(4, wire.Inv((outside,)), NOW)
+    assert adapter.take_outbox() == [] and adapter.peers == {4}
+    asked = wire.InvItem(wire.BLOCK_ITEM, stray.header.hash())
+    adapter.on_peer_message(4, wire.GetData((outside, asked)), NOW)
+    assert adapter.take_outbox() == [(4, wire.BlockMsg(stray))]
 
 
 def test_malformed_message_disconnects_and_replaces(builder):

@@ -626,24 +626,55 @@ def test_repeated_confirmations_of_tx_rehash_nothing(builder, monkeypatch):
     paying = builder.extend(extra_txs=(payment,))
     respond(canister, sources + [paying] + builder.build(2))
     txid, unknown = payment.txid(), Hash256(sha256d(b"unknown"))
-    calls = {"txid": 0}
-    real_txid = Transaction.txid
+    digests = {"sha256d": 0}
+    real_sha256d = chain_module.sha256d
 
-    def counting_txid(tx):
-        calls["txid"] += 1
-        return real_txid(tx)
+    def counting_sha256d(data):
+        digests["sha256d"] += 1
+        return real_sha256d(data)
 
-    monkeypatch.setattr(Transaction, "txid", counting_txid)
+    monkeypatch.setattr(chain_module, "sha256d", counting_sha256d)
     want = canister.tree.confirmations(paying.header.hash())
     assert want == 3
-    assert canister.confirmations_of_tx(txid) == want
-    assert canister.confirmations_of_tx(unknown) is None
-    assert calls["txid"] > 0
-    calls["txid"] = 0
-    assert canister.confirmations_of_tx(txid) == want
-    assert canister.confirmations_of_tx(unknown) is None
-    assert calls["txid"] == 0
+    for _ in range(2):
+        assert canister.confirmations_of_tx(txid) == want
+        assert canister.confirmations_of_tx(unknown) is None
+        assert digests["sha256d"] == 0
 
+
+def test_fold_derives_no_address_for_a_block_the_index_holds(builder, monkeypatch):
+    # Twin states take the same blocks; one is queried before the response
+    # that folds its lowest applied block, so the fold reads that block's
+    # addresses from the overlay index, while the other derives them.
+    sources = builder.build(2)
+    paying = builder.extend(extra_txs=(pay_probe(builder, sources[0], 3),))
+    later = builder.build(2)
+    queried, unqueried = make_canister(builder, delta=3), make_canister(builder, delta=3)
+    for canister in (queried, unqueried):
+        respond(canister, sources + [paying] + later[:1])
+        assert canister.anchor_height() == 2
+    queried.get_balance(PROBE, NET)
+    assert queried._index.blocks[0][0] == paying.header.hash()
+    calls = {"script_address": 0}
+    real_address = canister_module.script_address
+
+    def counting_address(script, network):
+        calls["script_address"] += 1
+        return real_address(script, network)
+
+    monkeypatch.setattr(canister_module, "script_address", counting_address)
+    derived = []
+    for canister in (queried, unqueried):
+        calls["script_address"] = 0
+        respond(canister, later[1:])
+        derived.append(calls["script_address"])
+    monkeypatch.undo()
+    assert derived == [0, sum(len(tx.outputs) for tx in paying.transactions)]
+    for canister in (queried, unqueried):
+        assert canister.anchor == paying.header.hash()
+        canister.check_invariants()
+    assert queried.utxos.by_outpoint == unqueried.utxos.by_outpoint
+    assert queried.get_balance(PROBE, NET) == 100 + 101 + 102
 
 def count_calls(monkeypatch, owner, names, counts: Counter, key=None) -> None:
     """Count every call of the named methods of `owner` in `counts`, under
@@ -1186,6 +1217,36 @@ def test_snapshot_bodies_only_above_the_anchor_on_held_parents(builder):
     ):
         Canister.from_snapshot(gapped)
     assert Canister.from_snapshot(lines).snapshot_lines() == lines
+
+
+def synced_and_unsynced_snapshots(builder) -> list[tuple[bool, list[str]]]:
+    """The snapshots of one state before and after headers outrun its
+    bodies by more than tau, each with its synced flag."""
+    canister = make_canister(builder, delta=10)
+    respond(canister, builder.build(2))
+    states = [(canister.synced, canister.snapshot_lines())]
+    respond(canister, headers=builder.build(4))
+    states.append((canister.synced, canister.snapshot_lines()))
+    assert [synced for synced, _ in states] == [True, False]
+    return states
+
+
+def test_snapshot_synced_line_that_disagrees_with_the_tree_rejected(builder):
+    for synced, lines in synced_and_unsynced_snapshots(builder):
+        i = lines.index(f"synced {int(synced)}")
+        flipped = lines[:i] + [f"synced {int(not synced)}"] + lines[i + 1 :]
+        with pytest.raises(SnapshotError, match=f"^line {i + 1}: bad synced '{int(not synced)}'"):
+            Canister.from_snapshot(flipped)
+
+
+def test_snapshot_without_a_synced_line_derives_it(builder):
+    for synced, lines in synced_and_unsynced_snapshots(builder):
+        restored = Canister.from_snapshot([line for line in lines if not line.startswith("synced")])
+        assert restored.synced == synced
+        restored.check_invariants()
+        assert restored.snapshot_lines() == lines
+    with pytest.raises(ApiUnavailableError):
+        restored.get_balance(PROBE, NET)
 
 
 @pytest.mark.parametrize("line", ["delta -5", "delta 0", "tau -1", "page-size 0"])

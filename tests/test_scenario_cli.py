@@ -57,6 +57,10 @@ def test_parse_error_reports_line_number():
     with pytest.raises(ScenarioParseError) as err:
         parse_scenario(bad)
     assert err.value.lineno == 3
+    # every on/off key accepts only the on/off words
+    with pytest.raises(ScenarioParseError, match="line 2: .*ensure-honest-peer.*'maybe'"):
+        parse_scenario("[params]\nensure-honest-peer maybe\n")
+    assert not parse_scenario("[params]\nensure-honest-peer off\n").params.ensure_honest_peer
 
 
 def test_parse_unknown_section():
@@ -222,7 +226,7 @@ def test_wire_trace_flag():
     assert not any(",wire," in l for l in untraced.observation_lines)
 
 
-def test_cli_run_exit_codes(tmp_path):
+def test_cli_run_exit_codes(tmp_path, capsys):
     scn = tmp_path / "quick.scn"
     scn.write_text(FAST_SCENARIO)
     assert main(["run", str(scn), "--out", str(tmp_path / "o")]) == 0
@@ -237,6 +241,15 @@ def test_cli_run_exit_codes(tmp_path):
     assert not (tmp_path / "broken-out").exists()
 
     assert main(["run", str(tmp_path / "missing.scn")]) == 2
+    capsys.readouterr()
+    binary = tmp_path / "binary.scn"
+    binary.write_bytes(b"\xff\xfe[script]\n")
+    assert main(["run", str(binary)]) == 2
+    assert main(["run", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert len(lines) == 2 and all(l.startswith("cannot read scenario ") for l in lines)
+    assert "Traceback" not in err
 
 
 def test_cli_run_bad_parameters_are_scenario_errors(tmp_path, capsys):
@@ -300,10 +313,22 @@ def test_cli_montecarlo_downtime(capsys):
     assert "bound=" in capsys.readouterr().out
 
 
-def test_cli_montecarlo_usage_errors():
-    assert main(["montecarlo", "eclipse", "--trials", "0"]) == 2
-    assert main(["montecarlo", "downtime", "--trials", "10", "--n", "12", "--f", "4"]) == 2
-    assert main(["montecarlo", "eclipse", "--trials", "10", "--phi", "1.0"]) == 2
+def test_cli_montecarlo_usage_errors(capsys):
+    cases = [
+        ["eclipse", "--trials", "0"],
+        ["downtime", "--trials", "10", "--n", "12", "--f", "4"],
+        ["eclipse", "--trials", "10", "--phi", "1.0"],
+        ["eclipse", "--trials", "10", "--n", "0"],
+        ["eclipse", "--trials", "10", "--ell", "0"],
+        ["downtime", "--trials", "10", "--c-star", "0"],
+        ["downtime", "--trials", "10", "--n", "0", "--f", "0"],
+        ["downtime", "--trials", "10", "--f", "-1"],
+    ]
+    for argv in cases:
+        assert main(["montecarlo", *argv]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1, argv
+        assert "Traceback" not in captured.err
 
 
 def test_cli_inspect_fixture(capsys):
@@ -337,7 +362,7 @@ def test_cli_inspect_negative_delta_is_usage_error(capsys):
     assert main(["inspect", str(FIXTURES / "two_fork_tree.txt"), "--delta", "0"]) == 0
 
 
-def test_cli_inspect_errors(tmp_path):
+def test_cli_inspect_errors(tmp_path, capsys):
     assert main(["inspect", str(tmp_path / "absent.txt")]) == 2
     empty = tmp_path / "empty.txt"
     empty.write_text("")
@@ -350,6 +375,15 @@ def test_cli_inspect_errors(tmp_path):
         "1111111111111111111111111111111111111111111111111111111111111111 1 207fffff 0\n"
     )
     assert main(["inspect", str(cyclic)]) == 2
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"\xff\xfeblocktree 1\n")
+    capsys.readouterr()
+    assert main(["inspect", str(binary)]) == 2
+    assert main(["inspect", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert len(lines) == 2 and all(l.startswith("cannot read ") for l in lines)
+    assert "Traceback" not in err
 
 
 SNAPSHOT_SCENARIO = """
@@ -440,11 +474,15 @@ def test_cli_api_against_snapshot(tmp_path, capsys):
     assert text.endswith("end\n")
     (tmp_path / "cut.txt").write_text(text[: -len("end\n")])
     assert main(["api", str(tmp_path / "cut.txt"), "get_balance", alice]) == 2
+    assert main(["api", str(tmp_path), "get_balance", alice]) == 2
+    assert main(["api", str(snap), "get_balance", alice, "--network", "foo"]) == 2
     err = capsys.readouterr().err
     assert f"bad snapshot: anchor {stray}" in err
     assert "bad snapshot: unsupported snapshot version" in err
     assert "bad snapshot: snapshot cut off before end" in err
-    assert "Traceback" not in err
+    assert "bad snapshot: [Errno 21] Is a directory" in err
+    assert "usage error: unknown network 'foo'" in err
+    assert len(err.splitlines()) == 5 and "Traceback" not in err
 
 
 @pytest.fixture(scope="module")
