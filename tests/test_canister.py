@@ -676,6 +676,7 @@ def test_fold_derives_no_address_for_a_block_the_index_holds(builder, monkeypatc
     assert queried.utxos.by_outpoint == unqueried.utxos.by_outpoint
     assert queried.get_balance(PROBE, NET) == 100 + 101 + 102
 
+
 def count_calls(monkeypatch, owner, names, counts: Counter, key=None) -> None:
     """Count every call of the named methods of `owner` in `counts`, under
     `key` when given, else under each method's name."""
@@ -1245,7 +1246,7 @@ def test_snapshot_without_a_synced_line_derives_it(builder):
         assert restored.synced == synced
         restored.check_invariants()
         assert restored.snapshot_lines() == lines
-    with pytest.raises(ApiUnavailableError):
+    with pytest.raises(ApiUnavailableError):  # the unsynced one refuses queries
         restored.get_balance(PROBE, NET)
 
 
