@@ -8,13 +8,15 @@ requester's chain plus the headers of anything further that still needs
 syncing.
 
 The endpoint performs no fork resolution on purpose; competing branches
-are all retained and the requester resolves them.
+are all retained and the requester resolves them. It chooses no peers
+either: it connects to the peers it is given, which the simulated world
+draws uniformly at random (`SimWorld.sample_adapter_peers`).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from btcstate import wire
@@ -28,11 +30,10 @@ from btcstate.chain import (
     Transaction,
 )
 from btcstate.validation import ChainPolicy, ViolationCode, header_violation
-from btcstate.wire import BLOCK_ITEM, TX_ITEM
+from btcstate.wire import BLOCK_ITEM, MAX_HEADERS_RESULTS, TX_ITEM
 
 MAX_HEADERS_PER_RESPONSE = 100
 MAX_RESPONSE_BYTES = 2 * 1024 * 1024  # soft limit
-HEADERS_BATCH = 2000
 
 
 class UnknownAnchorError(KeyError):
@@ -42,9 +43,6 @@ class UnknownAnchorError(KeyError):
 @dataclass
 class AdapterConfig:
     network: NetworkKind
-    connection_target: int = 5  # peers to stay connected to
-    addr_pool_low: int = 500
-    addr_pool_high: int = 2000
     max_headers: int = MAX_HEADERS_PER_RESPONSE
     max_response_bytes: int = MAX_RESPONSE_BYTES
     tx_expiry: float = 600.0  # seconds an undelivered transaction is kept
@@ -55,13 +53,7 @@ class AdapterConfig:
     def for_network(cls, network: NetworkKind, **overrides) -> "AdapterConfig":
         """The network's settings with `overrides` applied; an override
         that names no field raises TypeError."""
-        if network is NetworkKind.MAINNET:
-            cfg = cls(network)
-        elif network is NetworkKind.TESTNET:
-            cfg = cls(network, addr_pool_low=100, addr_pool_high=1000)
-        else:
-            cfg = cls(network, connection_target=1, addr_pool_low=1, addr_pool_high=1)
-        return replace(cfg, **overrides)
+        return cls(network, **overrides)
 
 
 @dataclass(frozen=True)
@@ -88,7 +80,12 @@ class _TxCacheEntry:
 
 
 class Adapter:
-    """Single logical actor; callers serialize message and request handling."""
+    """Single logical actor; callers serialize message and request handling.
+
+    `rng` is kept but never read: the adapter makes no random choice, as
+    its peers are given to it. `bench/workloads.py` still passes it by
+    position.
+    """
 
     def __init__(
         self,
@@ -96,16 +93,13 @@ class Adapter:
         genesis: BlockHeader,
         policy: ChainPolicy,
         rng: random.Random,
-        address_book=None,
     ):
         self.config = config
         self.policy = policy
         self.rng = rng
-        self.address_book = address_book
         # Every header heard of, and the body of each block fetched.
         self.tree = BlockTree(genesis)
         self.peers: set[int] = set()
-        self.addr_pool: set[int] = set()
         self.tx_cache: dict[Hash256, _TxCacheEntry] = {}
         self.pending_fetch: set[Hash256] = set()
         self._announced_by: dict[Hash256, int] = {}
@@ -125,43 +119,25 @@ class Adapter:
     def _send(self, peer: int, msg: wire.Message) -> None:
         self._outbox.append((peer, msg))
 
-    # -- peer discovery ---------------------------------------------------------
+    # -- peers ------------------------------------------------------------------
 
-    def discover_peers(self, now: float) -> None:
-        """Top up the address pool and maintain the connection count.
-
-        Regtest connects to the preconfigured list and skips discovery.
-        Service continues as long as at least one connection is active,
-        even when the pool cannot be refilled.
-        """
-        if self.config.network is NetworkKind.REGTEST and self.config.preset_peers:
-            for peer in self.config.preset_peers:
-                if peer not in self.peers:
-                    self._connect(peer)
-            return
-        if len(self.addr_pool) < self.config.addr_pool_low and self.address_book is not None:
-            need = self.config.addr_pool_high - len(self.addr_pool)
-            self.addr_pool.update(self.address_book.sample_addresses(self.rng, need))
-        candidates = sorted(self.addr_pool - self.peers)
-        while len(self.peers) < self.config.connection_target and candidates:
-            pick = candidates.pop(self.rng.randrange(len(candidates)))
-            self._connect(pick)
-
-    def _connect(self, peer: int) -> None:
-        self.peers.add(peer)
-        self._ask_headers(peer)
+    def connect_peers(self) -> None:
+        """Connect every preset peer not yet connected and ask it for
+        headers, in the preset order."""
+        for peer in self.config.preset_peers:
+            if peer not in self.peers:
+                self.peers.add(peer)
+                self._ask_headers(peer)
 
     def _ask_headers(self, peer: int) -> None:
         self._send(peer, wire.GetHeaders(frozenset(self.tree.hashes())))
 
-    def drop_peer(self, peer: int, now: float) -> None:
-        """Remove a lost or misbehaving connection and replace it. The peer
-        also leaves the address pool so it is not immediately redialed."""
+    def drop_peer(self, peer: int) -> None:
+        """Remove a lost or misbehaving connection and its delivery marks.
+        The peer is not redialed."""
         self.peers.discard(peer)
-        self.addr_pool.discard(peer)
         for entry in self.tx_cache.values():
             entry.delivered_to.discard(peer)
-        self.discover_peers(now)
 
     # -- header/block ingestion ---------------------------------------------------
 
@@ -290,7 +266,7 @@ class Adapter:
 
     def on_peer_message(self, peer: int, msg: wire.Message, now: float) -> None:
         """Apply one message from a connected peer. Malformed traffic gets
-        the peer disconnected and replaced."""
+        the peer disconnected."""
         if peer not in self.peers:
             return
         if isinstance(msg, wire.HeadersMsg):
@@ -315,7 +291,7 @@ class Adapter:
             # Once per header and peer, so a peer that serves a branch
             # without its base cannot draw the same request forever. A full
             # batch means the peer may hold more than it sent.
-            if unasked_orphan or (fresh and len(msg.headers) >= HEADERS_BATCH):
+            if unasked_orphan or (fresh and len(msg.headers) >= MAX_HEADERS_RESULTS):
                 self._ask_headers(peer)
         elif isinstance(msg, wire.BlockMsg):
             self.pending_fetch.discard(msg.block.header.hash())
@@ -339,9 +315,7 @@ class Adapter:
                     body = self.tree.block(item.hash)
                     if body is not None:
                         self._send(peer, wire.BlockMsg(body))
-        elif isinstance(msg, wire.AddrMsg):
-            self.addr_pool.update(msg.addresses)
         elif isinstance(msg, wire.TxMsg):
             pass  # inbound transactions are not our concern; peers relay them
         else:
-            self.drop_peer(peer, now)
+            self.drop_peer(peer)

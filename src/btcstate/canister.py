@@ -71,6 +71,7 @@ from btcstate.validation import (
     ChainPolicy,
     ValidationError,
     check_block,
+    check_block_shape,
     check_header,
 )
 
@@ -1077,7 +1078,9 @@ class Canister:
         top = state.anchor_height()
         # Bodies are held only above the anchor, each on the anchor or on a
         # bodied parent (snapshots list them parents first), as ingest keeps
-        # them; the overlay and the anchor fold rely on both.
+        # them; the overlay and the anchor fold rely on both. Each body also
+        # passes the shape check ingest applies, so its transactions are the
+        # ones its header commits to.
         for lineno, block in blocks:
             h = block.header.hash()
             if h not in state.tree:
@@ -1093,6 +1096,10 @@ class Canister:
                     f"line {lineno}: block {h.rev_hex()} has parent {prev.rev_hex()}, "
                     "which is neither the anchor nor bodied"
                 )
+            try:
+                check_block_shape(block)
+            except ValidationError as exc:
+                raise SnapshotError(f"line {lineno}: bad block {h.rev_hex()}: {exc}") from None
             state.tree.set_block(h, block)
         # Queries list materialized outputs after the overlay's, which
         # holds only if none of them lies above the anchor.

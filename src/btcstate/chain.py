@@ -249,6 +249,7 @@ class Transaction:
 
     @classmethod
     def read(cls, r: ByteReader) -> "Transaction":
+        start = r.pos
         version = r.i32()
         n_in = r.varint()
         if n_in > 1_000_000:
@@ -269,7 +270,12 @@ class Transaction:
             script = r.take(r.varint())
             outputs.append(TxOut(value, script))
         lock_time = r.u32()
-        return cls(version, tuple(inputs), tuple(outputs), lock_time)
+        tx = cls(version, tuple(inputs), tuple(outputs), lock_time)
+        # Varints are canonical, so the bytes read are the serialization.
+        raw = r.data[start : r.pos]
+        object.__setattr__(tx, "_txid", Hash256(sha256d(raw)))
+        object.__setattr__(tx, "_size", len(raw))
+        return tx
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Transaction":

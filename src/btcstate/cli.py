@@ -84,6 +84,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as exc:
+        print(f"cannot write --out {args.out}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     print(f"scenario {result.scenario} seed={result.seed}")
     for key in sorted(result.metrics):
         print(f"  {key} = {format_metric(result.metrics[key])}")
@@ -95,9 +98,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _write_csv_row(out: Optional[str], header: list[str], row: list) -> None:
-    if not out:
-        return
+def _append_csv_rows(out: str, header: list[str], rows: list[list]) -> None:
     path = Path(out)
     path.parent.mkdir(parents=True, exist_ok=True)
     fresh = not path.exists()
@@ -105,7 +106,7 @@ def _write_csv_row(out: Optional[str], header: list[str], row: list) -> None:
         writer = csv.writer(fh)
         if fresh:
             writer.writerow(header)
-        writer.writerow(row)
+        writer.writerows(rows)
 
 
 def _cmd_montecarlo(args: argparse.Namespace) -> int:
@@ -119,31 +120,33 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     if args.experiment == "eclipse":
         one_ref, any_ref = eclipse_analytic(args.n, args.ell, args.phi)
-        rows = [
+        header = ["experiment", "metric", "estimate", "analytic", "trials", "seed"]
+        rows = []
+        for label, est, ref in (
             ("per-adapter", estimate.per_adapter, one_ref),
             ("any-adapter", estimate.any_adapter, any_ref),
-        ]
-        for label, est, ref in rows:
+        ):
             rel = abs(est - ref) / ref if ref else 0.0
             print(f"eclipse {label}: estimate={est:.6g} analytic={ref:.6g} rel-err={rel:.3%}")
-            _write_csv_row(
-                args.out,
-                ["experiment", "metric", "estimate", "analytic", "trials", "seed"],
-                ["eclipse", label, f"{est:.8g}", f"{ref:.8g}", args.trials, args.seed],
-            )
-        return EXIT_OK
-    ref = downtime_analytic(args.n, args.f, args.c_star)
-    bound = downtime_bound(args.c_star)
-    rel = abs(estimate.success - ref) / ref if ref else 0.0
-    print(
-        f"downtime success: estimate={estimate.success:.6g} analytic={ref:.6g} "
-        f"bound={bound:.6g} rel-err={rel:.3%}"
-    )
-    _write_csv_row(
-        args.out,
-        ["experiment", "metric", "estimate", "analytic", "bound", "trials", "seed"],
-        ["downtime", "success", f"{estimate.success:.8g}", f"{ref:.8g}", f"{bound:.8g}", args.trials, args.seed],
-    )
+            rows.append(["eclipse", label, f"{est:.8g}", f"{ref:.8g}", args.trials, args.seed])
+    else:
+        ref = downtime_analytic(args.n, args.f, args.c_star)
+        bound = downtime_bound(args.c_star)
+        rel = abs(estimate.success - ref) / ref if ref else 0.0
+        print(
+            f"downtime success: estimate={estimate.success:.6g} analytic={ref:.6g} "
+            f"bound={bound:.6g} rel-err={rel:.3%}"
+        )
+        header = ["experiment", "metric", "estimate", "analytic", "bound", "trials", "seed"]
+        rows = [
+            ["downtime", "success", f"{estimate.success:.8g}", f"{ref:.8g}", f"{bound:.8g}", args.trials, args.seed]
+        ]
+    if args.out:
+        try:
+            _append_csv_rows(args.out, header, rows)
+        except OSError as exc:
+            print(f"cannot write --out {args.out}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     return EXIT_OK
 
 

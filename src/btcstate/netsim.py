@@ -163,7 +163,7 @@ class SimPeer:
         if isinstance(msg, wire.GetHeaders):
             missing = [h for h in served if h not in msg.have]
             missing.sort(key=lambda h: (world.tree.height(h), h))
-            headers = tuple(world.tree.header(h) for h in missing[:2000])
+            headers = tuple(world.tree.header(h) for h in missing[: wire.MAX_HEADERS_RESULTS])
             return [wire.HeadersMsg(headers)] if headers else []
         if isinstance(msg, wire.GetData):
             replies: list[wire.Message] = []
@@ -323,14 +323,13 @@ class SimWorld:
             chosen = self.sample_adapter_peers(adapter_id)
             cfg = AdapterConfig.for_network(
                 self.network,
-                connection_target=params.ell,
                 checkpoint_height=checkpoint_height,
                 preset_peers=tuple(sorted(chosen)),
             )
             adapter = Adapter(cfg, genesis.header, self.policy, self.rng)
             adapter.store_block(genesis)
             self.adapters.append(adapter)
-            adapter.discover_peers(self.clock)
+            adapter.connect_peers()
             for peer in chosen:
                 self.peer_links[peer].append(adapter_id)
             self._drain_adapter(adapter_id)

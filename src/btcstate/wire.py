@@ -10,6 +10,8 @@ from btcstate.chain import Block, BlockHeader, Hash256, Transaction
 
 BLOCK_ITEM = "block"
 TX_ITEM = "tx"
+# Most headers one `headers` reply carries (Bitcoin Core's MAX_HEADERS_RESULTS).
+MAX_HEADERS_RESULTS = 2000
 
 
 @dataclass(frozen=True)
@@ -49,16 +51,11 @@ class TxMsg:
 
 
 @dataclass(frozen=True)
-class AddrMsg:
-    addresses: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class Malformed:
     note: str = ""
 
 
-Message = Inv | GetData | HeadersMsg | GetHeaders | BlockMsg | TxMsg | AddrMsg | Malformed
+Message = Inv | GetData | HeadersMsg | GetHeaders | BlockMsg | TxMsg | Malformed
 
 
 def describe(msg: Message) -> str:
@@ -74,6 +71,4 @@ def describe(msg: Message) -> str:
         return f"block {msg.block.header.hash().rev_hex()[:12]}"
     if isinstance(msg, TxMsg):
         return f"tx {msg.tx.txid().rev_hex()[:12]}"
-    if isinstance(msg, AddrMsg):
-        return f"addr n={len(msg.addresses)}"
     return f"malformed {msg.note}"

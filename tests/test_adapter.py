@@ -1,5 +1,6 @@
 """The sync endpoint: header ingestion, the update-request algorithm and
-its limits, the transaction cache, peer discovery, and peer messages."""
+its limits, the transaction cache, configuration and peers, and peer
+messages."""
 
 import random
 
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from btcstate import wire
 from btcstate.adapter import (
+    MAX_HEADERS_PER_RESPONSE,
+    MAX_RESPONSE_BYTES,
     Adapter,
     AdapterConfig,
     GetSuccessorsRequest,
@@ -197,7 +200,7 @@ def test_fork_traversal_breadth_first_ascending(builder):
 
 def test_missing_bodies_scheduled_for_fetch(builder):
     adapter = make_adapter(builder, preset_peers=(3,))
-    adapter.discover_peers(NOW)
+    adapter.connect_peers()
     adapter.take_outbox()
     blocks = builder.build(2)
     feed_chain(adapter, blocks, with_bodies=False)
@@ -278,7 +281,7 @@ def test_response_matches_the_whole_subtree_walk(seed):
     )
     twins = [make_adapter(builder, preset_peers=(3, 5), **limits) for _ in range(2)]
     for adapter in twins:
-        adapter.discover_peers(NOW)
+        adapter.connect_peers()
         feed_chain(adapter, fresh, with_bodies=False)
         for block in bodied:
             assert adapter.store_block(block)
@@ -322,7 +325,7 @@ def spend_tx(builder):
 
 def test_tx_expiry(builder):
     adapter = make_adapter(builder, preset_peers=(1, 2))
-    adapter.discover_peers(0.0)
+    adapter.connect_peers()
     blocks = builder.build(1)
     feed_chain(adapter, blocks)
     tx = spend_tx(builder)
@@ -335,7 +338,7 @@ def test_tx_expiry(builder):
 
 def test_tx_removed_once_delivered_to_all_peers(builder):
     adapter = make_adapter(builder, preset_peers=(1, 2))
-    adapter.discover_peers(0.0)
+    adapter.connect_peers()
     builder.build(1)
     tx = spend_tx(builder)
     adapter.cache_transaction(tx, now=0.0)
@@ -350,7 +353,7 @@ def test_tx_removed_once_delivered_to_all_peers(builder):
 
 def test_tx_readvertised_to_lagging_peers(builder):
     adapter = make_adapter(builder, preset_peers=(1, 2))
-    adapter.discover_peers(0.0)
+    adapter.connect_peers()
     builder.build(1)
     tx = spend_tx(builder)
     adapter.cache_transaction(tx, now=0.0)
@@ -363,7 +366,7 @@ def test_tx_readvertised_to_lagging_peers(builder):
 
 def test_empty_cache_tick_noop(builder):
     adapter = make_adapter(builder, preset_peers=(1,))
-    adapter.discover_peers(0.0)
+    adapter.connect_peers()
     adapter.take_outbox()
     adapter.tick_tx_cache(now=100.0)
     assert adapter.take_outbox() == []
@@ -388,83 +391,36 @@ def test_unparseable_transaction_dropped(builder):
     assert not adapter.tx_cache
 
 
-# -- discovery ----------------------------------------------------------------------
-
-
-class FakeAddressBook:
-    def __init__(self, universe):
-        self.universe = list(universe)
-        self.calls = 0
-
-    def sample_addresses(self, rng, k):
-        self.calls += 1
-        return rng.sample(self.universe, min(k, len(self.universe)))
-
-
-def test_pool_refilled_to_upper_threshold(builder):
-    cfg = AdapterConfig.for_network(NetworkKind.TESTNET)
-    assert (cfg.addr_pool_low, cfg.addr_pool_high) == (100, 1000)
-    policy = ChainPolicy.for_network(NetworkKind.REGTEST)
-    book = FakeAddressBook(range(5000))
-    adapter = Adapter(cfg, builder.genesis.header, policy, random.Random(3), book)
-    adapter.discover_peers(0.0)
-    assert len(adapter.addr_pool) == 1000
-    assert len(adapter.peers) == cfg.connection_target
-    # above the low threshold: no further refill
-    book.calls = 0
-    adapter.discover_peers(1.0)
-    assert book.calls == 0
+# -- configuration and peers ----------------------------------------------------------
 
 
 def test_mainnet_thresholds():
     cfg = AdapterConfig.for_network(NetworkKind.MAINNET)
-    assert (cfg.addr_pool_low, cfg.addr_pool_high) == (500, 2000)
-    assert cfg.connection_target == 5
     assert cfg == AdapterConfig(NetworkKind.MAINNET)
+    assert (cfg.max_headers, cfg.max_response_bytes) == (MAX_HEADERS_PER_RESPONSE, MAX_RESPONSE_BYTES)
+    assert (cfg.tx_expiry, cfg.checkpoint_height, cfg.preset_peers) == (600.0, 1 << 31, ())
 
 
 def test_config_overrides_name_fields():
-    cfg = AdapterConfig.for_network(NetworkKind.TESTNET, max_headers=5)
-    assert (cfg.max_headers, cfg.addr_pool_low) == (5, 100)
+    for network in NetworkKind:
+        cfg = AdapterConfig.for_network(network, max_headers=5)
+        assert cfg == AdapterConfig(network, max_headers=5)
     with pytest.raises(TypeError, match="max_header"):
         AdapterConfig.for_network(NetworkKind.REGTEST, max_header=5)
 
 
-def test_regtest_uses_preset_peers(builder):
-    adapter = make_adapter(builder, preset_peers=(7, 9))
-    adapter.discover_peers(0.0)
+@pytest.mark.parametrize("network", list(NetworkKind), ids=lambda n: n.value)
+def test_preset_peers_connected_on_every_network(builder, network):
+    cfg = AdapterConfig.for_network(network, preset_peers=(9, 7))
+    policy = ChainPolicy.for_network(NetworkKind.REGTEST)
+    adapter = Adapter(cfg, builder.genesis.header, policy, random.Random(1))
+    adapter.connect_peers()
     assert adapter.peers == {7, 9}
-    assert adapter.addr_pool == set()
-
-
-def test_peer_drop_replaced_with_uniform_draw(builder):
-    cfg = AdapterConfig.for_network(NetworkKind.TESTNET, connection_target=3)
-    policy = ChainPolicy.for_network(NetworkKind.REGTEST)
-    book = FakeAddressBook(range(2000))
-    rng = random.Random(5)
-    adapter = Adapter(cfg, builder.genesis.header, policy, rng, book)
-    adapter.discover_peers(0.0)
-    before = set(adapter.peers)
-    victim = sorted(before)[0]
-    # trace oracle: replay the rng draw the adapter will make
-    rng_copy = random.Random(5)
-    rng_copy.setstate(rng.getstate())
-    candidates = sorted(adapter.addr_pool - before - {victim})
-    expected_new = candidates[rng_copy.randrange(len(candidates))]
-    adapter.drop_peer(victim, 1.0)
-    assert len(adapter.peers) == 3
-    assert victim not in adapter.peers
-    added = set(adapter.peers) - before
-    assert added == {expected_new}
-
-
-def test_no_addresses_keeps_running(builder):
-    cfg = AdapterConfig.for_network(NetworkKind.TESTNET, connection_target=2)
-    policy = ChainPolicy.for_network(NetworkKind.REGTEST)
-    adapter = Adapter(cfg, builder.genesis.header, policy, random.Random(1), None)
-    adapter.peers.add(42)  # one existing connection, empty pool
-    adapter.discover_peers(0.0)
-    assert adapter.peers == {42}
+    out = adapter.take_outbox()
+    assert [peer for peer, _ in out] == [9, 7]
+    assert all(m == wire.GetHeaders(frozenset(adapter.tree.hashes())) for _, m in out)
+    adapter.connect_peers()  # connected peers are not asked again
+    assert adapter.take_outbox() == []
 
 
 # -- peer messages -------------------------------------------------------------------
@@ -472,7 +428,7 @@ def test_no_addresses_keeps_running(builder):
 
 def test_headers_message_inserts_all(builder):
     adapter = make_adapter(builder, preset_peers=(4,))
-    adapter.discover_peers(0.0)
+    adapter.connect_peers()
     blocks = builder.build(5)
     msg = wire.HeadersMsg(tuple(b.header for b in blocks))
     adapter.on_peer_message(4, msg, NOW)
@@ -481,7 +437,7 @@ def test_headers_message_inserts_all(builder):
 
 def test_unconnecting_header_asks_that_peer_for_headers(builder):
     adapter = make_adapter(builder, preset_peers=(4, 5))
-    adapter.discover_peers(0.0)
+    adapter.connect_peers()
     adapter.take_outbox()
     b1, b2 = builder.build(2)
     adapter.on_peer_message(4, wire.HeadersMsg((b2.header,)), NOW)  # b2 overtook b1
@@ -499,7 +455,7 @@ def test_unconnecting_header_asked_about_once_per_peer(builder):
     # a peer that serves a branch without its base can only ever answer
     # with headers that still do not connect
     adapter = make_adapter(builder, preset_peers=(4, 5))
-    adapter.discover_peers(0.0)
+    adapter.connect_peers()
     adapter.take_outbox()
     _, b2, b3 = builder.build(3)
 
@@ -518,7 +474,7 @@ def test_unconnecting_header_asked_about_once_per_peer(builder):
 
 def test_block_for_unknown_header_ignored(builder):
     adapter = make_adapter(builder, preset_peers=(4,))
-    adapter.discover_peers(0.0)
+    adapter.connect_peers()
     block = builder.extend()
     stray = builder.extend()
     adapter.on_peer_message(4, wire.BlockMsg(stray), NOW)
@@ -538,22 +494,28 @@ def test_block_for_unknown_header_ignored(builder):
 
 
 def test_malformed_message_disconnects_and_replaces(builder):
-    cfg = AdapterConfig.for_network(NetworkKind.TESTNET, connection_target=2)
-    policy = ChainPolicy.for_network(NetworkKind.REGTEST)
-    book = FakeAddressBook(range(1500))
-    adapter = Adapter(cfg, builder.genesis.header, policy, random.Random(11), book)
-    adapter.discover_peers(0.0)
-    target = sorted(adapter.peers)[0]
-    adapter.on_peer_message(target, wire.Malformed("junk"), 1.0)
-    assert target not in adapter.peers
-    assert len(adapter.peers) == 2
+    # the peer is dropped with its delivery marks and not dialed again;
+    # nothing replaces it, since peers are only ever given to the adapter
+    adapter = make_adapter(builder, preset_peers=(4, 5))
+    adapter.connect_peers()
+    builder.build(1)
+    tx = spend_tx(builder)
+    adapter.cache_transaction(tx, now=0.0)
+    adapter.on_peer_message(4, wire.GetData((wire.InvItem(wire.TX_ITEM, tx.txid()),)), 1.0)
+    adapter.take_outbox()
+    adapter.on_peer_message(4, wire.Malformed("junk"), 1.0)
+    assert adapter.peers == {5}
+    assert adapter.tx_cache[tx.txid()].delivered_to == set()
+    assert adapter.take_outbox() == []
+    adapter.on_peer_message(4, wire.HeadersMsg((builder.extend().header,)), NOW)
+    assert adapter.take_outbox() == []  # a dropped peer is no longer heard
 
 
 def test_announcer_forgotten_once_the_body_is_stored(builder):
     # the announcing peer only serves fetches of missing bodies, so a
     # stored body's entry would only grow the map with the chain
     adapter = make_adapter(builder, preset_peers=(4,))
-    adapter.discover_peers(NOW)
+    adapter.connect_peers()
     first, second = builder.build(2)
     adapter.on_peer_message(4, wire.HeadersMsg((first.header, second.header)), NOW)
     assert adapter._announced_by == {first.header.hash(): 4, second.header.hash(): 4}
@@ -567,7 +529,7 @@ def test_announcer_forgotten_once_the_body_is_stored(builder):
 
 def test_inv_triggers_getdata_for_unknown_body(builder):
     adapter = make_adapter(builder, preset_peers=(4,))
-    adapter.discover_peers(0.0)
+    adapter.connect_peers()
     block = builder.extend()
     adapter.accept_header(block.header, NOW)
     adapter.take_outbox()

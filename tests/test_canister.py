@@ -860,8 +860,6 @@ def test_block_life_derives_each_address_and_hash_once(builder, monkeypatch):
     spend = Transaction(1, (TxIn(paid, b"sig"),), (TxOut(50, PROBE_SCRIPT),))
     spending = builder.extend(extra_txs=(spend,))
     built = sources + [paying] + later + [spending] + builder.build(1)
-    # rebuilt from bytes, as blocks arrive off the wire: nothing hashed yet
-    blocks = [Block.from_bytes(b.to_bytes()) for b in built]
     addresses = {"calls": 0}
     hashed: dict[bytes, int] = {}
     real_address, real_sha256d = canister_module.script_address, chain_module.sha256d
@@ -876,6 +874,9 @@ def test_block_life_derives_each_address_and_hash_once(builder, monkeypatch):
 
     monkeypatch.setattr(canister_module, "script_address", counting_address)
     monkeypatch.setattr(chain_module, "sha256d", counting_sha256d)
+    # rebuilt from bytes, as blocks arrive off the wire; parsing is part of
+    # a block's life (it keeps each transaction's txid)
+    blocks = [Block.from_bytes(b.to_bytes()) for b in built]
     for block in blocks:
         respond(canister, [block])
         canister.get_balance(PROBE, NET)
@@ -1195,6 +1196,22 @@ def test_snapshot_errors_name_the_line(builder):
     body = next(i for i, line in enumerate(headless) if line.startswith(f"block {header_hex}"))
     with pytest.raises(SnapshotError, match=f"^line {body + 1}: block .* has no header line"):
         Canister.from_snapshot(headless)
+
+
+def test_snapshot_block_that_fails_its_shape_check_rejected(builder):
+    lines = snapshot_with(builder)
+    i = next(i for i, line in enumerate(lines) if line.startswith("block "))
+    block = Block.from_bytes(bytes.fromhex(lines[i].split()[1]))
+    coinbase, *rest = block.transactions
+    paid = TxOut(coinbase.outputs[0].value - 1, coinbase.outputs[0].script_pubkey)
+    forged = Transaction(
+        coinbase.version, coinbase.inputs, (paid, *coinbase.outputs[1:]), coinbase.lock_time
+    )
+    cases = [(Block(block.header, (forged, *rest)), "merkle-mismatch"), (Block(block.header, ()), "malformed")]
+    for bad, code in cases:
+        tampered = lines[:i] + [f"block {bad.to_bytes().hex()}"] + lines[i + 1 :]
+        with pytest.raises(SnapshotError, match=f"^line {i + 1}: bad block .*: {code}: "):
+            Canister.from_snapshot(tampered)
 
 
 def test_snapshot_bodies_only_above_the_anchor_on_held_parents(builder):

@@ -182,7 +182,10 @@ def test_header_roundtrip_property(header):
 @given(tx_strategy)
 @settings(max_examples=60)
 def test_transaction_roundtrip_property(tx):
-    assert Transaction.from_bytes(tx.to_bytes()) == tx
+    parsed = Transaction.from_bytes(tx.to_bytes())
+    assert parsed == tx
+    # the parser keeps the txid and length of the bytes it read
+    assert (parsed._txid, parsed._size) == (tx.txid(), len(tx.to_bytes()))
 
 
 @given(header_strategy, st.lists(tx_strategy, min_size=1, max_size=3))

@@ -219,6 +219,15 @@ def test_sample_peers_reproducible():
     assert samples[0] == samples[1]
 
 
+def test_adapters_connect_exactly_their_drawn_peers():
+    world = SimWorld(small_params(n=4, ell=3, peer_count=8), seed=5)
+    for adapter_id, adapter in enumerate(world.adapters):
+        assert len(adapter.config.preset_peers) == 3
+        assert adapter.peers == set(adapter.config.preset_peers)
+        linked = {peer for peer, ids in world.peer_links.items() if adapter_id in ids}
+        assert linked == adapter.peers
+
+
 def test_sample_peers_insufficient_population():
     world = SimWorld(small_params(), seed=1)
     world.params.ell = 99

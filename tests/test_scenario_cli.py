@@ -251,6 +251,13 @@ def test_cli_run_exit_codes(tmp_path, capsys):
     assert len(lines) == 2 and all(l.startswith("cannot read scenario ") for l in lines)
     assert "Traceback" not in err
 
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["run", str(scn), "--out", str(taken)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"cannot write --out {taken}: ")
+
 
 def test_cli_run_bad_parameters_are_scenario_errors(tmp_path, capsys):
     # invalid values found while building or running the scenario: one
@@ -313,7 +320,7 @@ def test_cli_montecarlo_downtime(capsys):
     assert "bound=" in capsys.readouterr().out
 
 
-def test_cli_montecarlo_usage_errors(capsys):
+def test_cli_montecarlo_usage_errors(capsys, tmp_path):
     cases = [
         ["eclipse", "--trials", "0"],
         ["downtime", "--trials", "10", "--n", "12", "--f", "4"],
@@ -329,6 +336,10 @@ def test_cli_montecarlo_usage_errors(capsys):
         captured = capsys.readouterr()
         assert captured.out == "" and len(captured.err.splitlines()) == 1, argv
         assert "Traceback" not in captured.err
+    # the estimates are printed before the output path fails
+    assert main(["montecarlo", "eclipse", "--trials", "1", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"cannot write --out {tmp_path}: ")
 
 
 def test_cli_inspect_fixture(capsys):
