@@ -101,7 +101,8 @@ class Adapter:
         self.tree = BlockTree(genesis)
         self.peers: set[int] = set()
         self.tx_cache: dict[Hash256, _TxCacheEntry] = {}
-        self.pending_fetch: set[Hash256] = set()
+        # Each body asked for and not yet stored, with the peer asked.
+        self.pending_fetch: dict[Hash256, int] = {}
         self._announced_by: dict[Hash256, int] = {}
         # Peers already asked for headers because of an unconnected header,
         # by that header's hash, until the header connects.
@@ -133,11 +134,13 @@ class Adapter:
         self._send(peer, wire.GetHeaders(frozenset(self.tree.hashes())))
 
     def drop_peer(self, peer: int) -> None:
-        """Remove a lost or misbehaving connection and its delivery marks.
+        """Remove a lost or misbehaving connection, its delivery marks and
+        the fetches it owes, which the next request asks of another peer.
         The peer is not redialed."""
         self.peers.discard(peer)
         for entry in self.tx_cache.values():
             entry.delivered_to.discard(peer)
+        self.pending_fetch = {h: asked for h, asked in self.pending_fetch.items() if asked != peer}
 
     # -- header/block ingestion ---------------------------------------------------
 
@@ -161,7 +164,7 @@ class Adapter:
         if block.computed_merkle_root() != block.header.merkle_root:
             return False
         self.tree.set_block(h, block)
-        self.pending_fetch.discard(h)
+        self.pending_fetch.pop(h, None)
         self._announced_by.pop(h, None)  # only fetches of missing bodies read it
         return True
 
@@ -234,7 +237,7 @@ class Adapter:
             ordered = sorted(self.peers)
             peer = ordered[self._rr % len(ordered)]
             self._rr += 1
-        self.pending_fetch.add(hash_)
+        self.pending_fetch[hash_] = peer
         self._send(peer, wire.GetData((wire.InvItem(BLOCK_ITEM, hash_),)))
 
     # -- transaction cache -----------------------------------------------------------
@@ -294,7 +297,7 @@ class Adapter:
             if unasked_orphan or (fresh and len(msg.headers) >= MAX_HEADERS_RESULTS):
                 self._ask_headers(peer)
         elif isinstance(msg, wire.BlockMsg):
-            self.pending_fetch.discard(msg.block.header.hash())
+            self.pending_fetch.pop(msg.block.header.hash(), None)
             self.store_block(msg.block)
         elif isinstance(msg, wire.Inv):
             wanted = []
@@ -319,3 +322,32 @@ class Adapter:
             pass  # inbound transactions are not our concern; peers relay them
         else:
             self.drop_peer(peer)
+
+    # -- invariants -------------------------------------------------------------
+
+    def check_invariants(self) -> None:
+        """Check every invariant the adapter keeps, by full scans; raise
+        AssertionError naming the first one broken."""
+        tree = self.tree
+
+        def require(holds: bool, invariant: str) -> None:
+            if not holds:
+                raise AssertionError(f"broken invariant: {invariant}")
+
+        require(self.peers <= set(self.config.preset_peers), "every peer is a preset peer")
+        require(
+            all(h in tree and not tree.has_block(h) for h in self.pending_fetch),
+            "every pending fetch names a known header without a body",
+        )
+        require(
+            set(self.pending_fetch.values()) <= self.peers,
+            "every pending fetch was asked of a connected peer",
+        )
+        require(
+            all(h in tree and not tree.has_block(h) for h in self._announced_by),
+            "every announcer names a known header without a body",
+        )
+        require(
+            tree.bodied() == {h for h in tree.hashes() if tree.has_block(h)},
+            "the tree's kept bodied set equals a scan of has_block",
+        )

@@ -10,7 +10,8 @@ addresses, and the outpoints it spends are derived when it joins the
 overlay index and kept there while it stays applied; folding a block the
 index holds into the materialized set takes its outputs' addresses from
 there. The materialized set keeps each output's address beside it, so
-spending it derives nothing.
+spending it derives nothing, and the address of each script it holds, so
+a new output paid to a held script derives nothing either.
 
 Every listed output, materialized or overlaid, is stored as an immutable
 `Utxo` row when it is first indexed, and queries hand out those stored
@@ -50,8 +51,9 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left, bisect_right, insort
 from collections import Counter, deque
+from functools import partial
 from itertools import accumulate
-from typing import Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from btcstate.adapter import GetSuccessorsRequest, GetSuccessorsResponse
 from btcstate.blocktree import BlockTree, DepthKind
@@ -160,34 +162,48 @@ def _address(script: bytes, network: NetworkKind) -> str:
     return sys.intern(script_address(script, network))
 
 
-def output_addresses(block: Block, network: NetworkKind) -> list[str]:
+def output_addresses(block: Block, address_of: Callable[[bytes], str]) -> list[str]:
     """The address of every output of the block, in block order."""
-    return [
-        _address(txout.script_pubkey, network) for tx in block.transactions for txout in tx.outputs
-    ]
+    return [address_of(txout.script_pubkey) for tx in block.transactions for txout in tx.outputs]
 
 
 class UtxoSet:
     """Outpoint-indexed unspent outputs, each with its height and address,
-    an address index for retrieval, and a kept listing for each address a
-    query has asked for."""
+    an address index for retrieval, a kept listing for each address a
+    query has asked for, and the address of each script a held output
+    pays. Each script has its own address (`script_address` is one-to-one
+    on a network), so a script is held exactly while its address's bucket
+    is."""
 
     def __init__(self, network: NetworkKind):
         self.network = network
         self.by_outpoint: dict[OutPoint, tuple[TxOut, int, str]] = {}
         self.by_address: dict[str, set[OutPoint]] = {}
+        self.names: dict[bytes, str] = {}
         # Built on an address's first query and kept current by every write.
         self.listings: dict[str, Listing] = {}
 
     def __len__(self) -> int:
         return len(self.by_outpoint)
 
+    def address_of(self, script: bytes) -> str:
+        """The script's address: the kept one while an output pays it,
+        derived otherwise."""
+        address = self.names.get(script)
+        if address is None:
+            address = _address(script, self.network)
+        return address
+
     def add(self, outpoint: OutPoint, txout: TxOut, height: int, address: str) -> None:
         """Hold an output; `address` is its script's address."""
         if outpoint in self.by_outpoint:
             self.remove(outpoint)  # a repeated txid replaces the older output
         self.by_outpoint[outpoint] = (txout, height, address)
-        self.by_address.setdefault(address, set()).add(outpoint)
+        bucket = self.by_address.get(address)
+        if bucket is None:
+            bucket = self.by_address[address] = set()
+            self.names[txout.script_pubkey] = address
+        bucket.add(outpoint)
         listing = self.listings.get(address)
         if listing is not None:
             insort(listing.rows, Utxo(outpoint, txout.value, height), key=_page_key)
@@ -203,6 +219,7 @@ class UtxoSet:
             bucket.discard(outpoint)
             if not bucket:
                 del self.by_address[address]
+                del self.names[txout.script_pubkey]
         listing = self.listings.get(address)
         if listing is not None:
             if bucket:
@@ -241,7 +258,7 @@ class UtxoSet:
         the two indexes consistent no matter what the block contains.
         """
         if addresses is None:
-            addresses = output_addresses(block, self.network)
+            addresses = output_addresses(block, self.address_of)
         anomalies = 0
         pos = 0
         for tx in block.transactions:
@@ -259,15 +276,17 @@ class UtxoSet:
 class OverlayDelta(NamedTuple):
     """What one unstable block changes for queries: every output as a row,
     in block order, with the output's address at the same position, and
-    the outpoints it spends. Every address of the block is derived once,
-    here, and the anchor fold reuses them."""
+    the outpoints it spends. Every address of the block is found once,
+    here, by `address_of`, and the anchor fold reuses them."""
 
     rows: list[Utxo]
     addresses: list[str]
     spent: frozenset[OutPoint]
 
     @classmethod
-    def of_block(cls, block: Block, height: int, network: NetworkKind) -> "OverlayDelta":
+    def of_block(
+        cls, block: Block, height: int, address_of: Callable[[bytes], str]
+    ) -> "OverlayDelta":
         rows: list[Utxo] = []
         spent: list[OutPoint] = []
         for tx in block.transactions:
@@ -277,7 +296,7 @@ class OverlayDelta(NamedTuple):
             rows.extend(
                 Utxo(OutPoint(txid, vout), txout.value, height) for vout, txout in enumerate(tx.outputs)
             )
-        return cls(rows, output_addresses(block, network), frozenset(spent))
+        return cls(rows, output_addresses(block, address_of), frozenset(spent))
 
 
 class OverlayIndex:
@@ -648,7 +667,8 @@ class Canister:
             index = OverlayIndex(top + 1)
         height = index.top() + 1
         while (h := tree.selected_at(height)) is not None and tree.has_block(h):
-            index.push(h, OverlayDelta.of_block(tree.block(h), height, self.network), touched)
+            delta = OverlayDelta.of_block(tree.block(h), height, self.utxos.address_of)
+            index.push(h, delta, touched)
             height += 1
         index.settle(touched, self.utxos.by_outpoint)
         self._index = index
@@ -901,6 +921,7 @@ class Canister:
         require(chain is not None, "the anchor is on the selected chain")
         top = self.anchor_height()
         by_address: dict[str, set[OutPoint]] = {}
+        names: dict[bytes, str] = {}
         for op, (txout, height, address) in by_outpoint.items():
             require(height <= top, "materialized outputs lie at or below the anchor")
             require(
@@ -908,7 +929,9 @@ class Canister:
                 "each materialized output keeps its script's address",
             )
             by_address.setdefault(address, set()).add(op)
+            names[txout.script_pubkey] = address
         require(by_address == utxos.by_address, "the address and outpoint indexes agree")
+        require(names == utxos.names, "the kept names are the held outputs' scripts' addresses")
         for address, listing in utxos.listings.items():
             rows = sorted(
                 (
@@ -943,8 +966,9 @@ class Canister:
             applied.append(h)
         fresh = OverlayIndex(top + 1)
         touched: set[OutPoint] = set()
+        derive = partial(_address, network=self.network)  # not through the kept names
         for h in applied:
-            fresh.push(h, OverlayDelta.of_block(tree.block(h), tree.height(h), self.network), touched)
+            fresh.push(h, OverlayDelta.of_block(tree.block(h), tree.height(h), derive), touched)
         fresh.settle(touched, by_outpoint)
         require(
             self._index == fresh, "the overlay index equals a fresh build from the applied chain"
@@ -1035,9 +1059,11 @@ class Canister:
                     utxo_lines.append(
                         (
                             lineno,
-                            OutPoint(Hash256.from_rev_hex(txid_hex), int(vout)),
-                            TxOut(int(amount), bytes.fromhex(script_hex)),
-                            int(height),
+                            OutPoint(
+                                Hash256.from_rev_hex(txid_hex), _bounded("vout", vout, 2**32 - 1)
+                            ),
+                            TxOut(_bounded("value", amount, MAX_MONEY), bytes.fromhex(script_hex)),
+                            _bounded("height", height),
                         )
                     )
                 elif key == "queued-tx":
@@ -1108,7 +1134,11 @@ class Canister:
                 raise SnapshotError(
                     f"line {lineno}: utxo height {height} is above the anchor's height {top}"
                 )
-            state.utxos.add(outpoint, txout, height, _address(txout.script_pubkey, network))
+            if outpoint in state.utxos.by_outpoint:
+                raise SnapshotError(
+                    f"line {lineno}: utxo {outpoint.txid.rev_hex()}:{outpoint.vout} is listed twice"
+                )
+            state.utxos.add(outpoint, txout, height, state.utxos.address_of(txout.script_pubkey))
         state.synced = state._bodies_within_tau()
         if "synced" in fields:
             lineno, value = fields["synced"]
@@ -1118,6 +1148,16 @@ class Canister:
                 )
         state.outbound_txs.extend(queued)
         return state
+
+
+def _bounded(name: str, text: str, high: Optional[int] = None) -> int:
+    """A snapshot number that must lie in [0, high]; ValueError names it
+    when it does not."""
+    value = int(text)
+    if value < 0 or (high is not None and value > high):
+        limit = "at least 0" if high is None else f"in [0, {high}]"
+        raise ValueError(f"{name} {value} is not {limit}")
+    return value
 
 
 def _snapshot_field(fields: dict[str, tuple[int, str]], name: str, parse):

@@ -349,6 +349,7 @@ def test_tx_removed_once_delivered_to_all_peers(builder):
     assert len(served) == 2
     adapter.tick_tx_cache(now=5.0)  # well before expiry
     assert txid not in adapter.tx_cache
+    adapter.check_invariants()
 
 
 def test_tx_readvertised_to_lagging_peers(builder):
@@ -362,6 +363,7 @@ def test_tx_readvertised_to_lagging_peers(builder):
     adapter.tick_tx_cache(now=10.0)
     invs = [(p, m) for p, m in adapter.take_outbox() if isinstance(m, wire.Inv)]
     assert invs and all(p == 2 for p, _ in invs)
+    adapter.check_invariants()
 
 
 def test_empty_cache_tick_noop(builder):
@@ -433,6 +435,7 @@ def test_headers_message_inserts_all(builder):
     msg = wire.HeadersMsg(tuple(b.header for b in blocks))
     adapter.on_peer_message(4, msg, NOW)
     assert all(b.header.hash() in adapter.tree for b in blocks)
+    adapter.check_invariants()
 
 
 def test_unconnecting_header_asks_that_peer_for_headers(builder):
@@ -449,6 +452,7 @@ def test_unconnecting_header_asks_that_peer_for_headers(builder):
     adapter.on_peer_message(4, wire.HeadersMsg((b1.header, b2.header)), NOW)
     assert b1.header.hash() in adapter.tree and b2.header.hash() in adapter.tree
     assert not any(isinstance(m, wire.GetHeaders) for _, m in adapter.take_outbox())
+    adapter.check_invariants()
 
 
 def test_unconnecting_header_asked_about_once_per_peer(builder):
@@ -470,6 +474,7 @@ def test_unconnecting_header_asked_about_once_per_peer(builder):
     assert asks() == [5]
     adapter.on_peer_message(4, wire.HeadersMsg((b2.header, b3.header)), NOW)
     assert asks() == [4]  # b3 is a new unconnected header
+    adapter.check_invariants()
 
 
 def test_block_for_unknown_header_ignored(builder):
@@ -491,6 +496,7 @@ def test_block_for_unknown_header_ignored(builder):
     asked = wire.InvItem(wire.BLOCK_ITEM, stray.header.hash())
     adapter.on_peer_message(4, wire.GetData((outside, asked)), NOW)
     assert adapter.take_outbox() == [(4, wire.BlockMsg(stray))]
+    adapter.check_invariants()
 
 
 def test_malformed_message_disconnects_and_replaces(builder):
@@ -509,6 +515,57 @@ def test_malformed_message_disconnects_and_replaces(builder):
     assert adapter.take_outbox() == []
     adapter.on_peer_message(4, wire.HeadersMsg((builder.extend().header,)), NOW)
     assert adapter.take_outbox() == []  # a dropped peer is no longer heard
+    adapter.check_invariants()
+
+
+def test_dropped_peers_fetches_asked_of_another_peer(builder):
+    adapter = make_adapter(builder, preset_peers=(4, 5))
+    adapter.connect_peers()
+    adapter.take_outbox()
+    block = builder.extend()
+    h = block.header.hash()
+    fetch = wire.GetData((wire.InvItem(wire.BLOCK_ITEM, h),))
+    adapter.on_peer_message(4, wire.HeadersMsg((block.header,)), NOW)
+    assert adapter.take_outbox() == [(4, fetch)]
+    assert adapter.pending_fetch == {h: 4}
+    adapter.on_peer_message(4, wire.Malformed("junk"), NOW)
+    assert adapter.pending_fetch == {}
+    adapter.check_invariants()
+    request(adapter, builder.genesis.header)
+    assert adapter.take_outbox() == [(5, fetch)]
+    assert adapter.pending_fetch == {h: 5}
+    adapter.check_invariants()
+    adapter.on_peer_message(5, wire.BlockMsg(block), NOW)
+    assert [b for b, _ in request(adapter, builder.genesis.header).blocks] == [block]
+    adapter.check_invariants()
+
+
+def test_check_invariants_names_the_broken_one(builder):
+    block = builder.extend()
+    h = block.header.hash()
+
+    def bodied_unasked(adapter):  # the body is held; nothing is owed for it
+        adapter.pending_fetch.clear()
+        adapter._announced_by.clear()
+        adapter.tree.set_block(h, block)
+
+    breaks = [
+        (lambda a: a.peers.add(6), "every peer is a preset peer"),
+        (lambda a: a.pending_fetch.update({Hash256(sha256d(b"x")): 4}), "pending fetch names"),
+        (lambda a: a.tree.set_block(h, block), "pending fetch names"),
+        (lambda a: a.pending_fetch.update({h: 6}), "every pending fetch was asked of a connected"),
+        (lambda a: (bodied_unasked(a), a._announced_by.update({h: 4})), "every announcer names"),
+        (lambda a: (bodied_unasked(a), a.tree._bodied.discard(h)), "kept bodied set equals a scan"),
+    ]
+    for breaking, invariant in breaks:
+        adapter = make_adapter(builder, preset_peers=(4, 5))
+        adapter.connect_peers()
+        adapter.on_peer_message(4, wire.HeadersMsg((block.header,)), NOW)
+        assert adapter.pending_fetch == {h: 4} and adapter._announced_by == {h: 4}
+        adapter.check_invariants()
+        breaking(adapter)
+        with pytest.raises(AssertionError, match=f"^broken invariant: .*{invariant}"):
+            adapter.check_invariants()
 
 
 def test_announcer_forgotten_once_the_body_is_stored(builder):
@@ -525,6 +582,7 @@ def test_announcer_forgotten_once_the_body_is_stored(builder):
     assert adapter._announced_by == {second.header.hash(): 4}
     assert adapter.store_block(second)
     assert adapter._announced_by == {}
+    adapter.check_invariants()
 
 
 def test_inv_triggers_getdata_for_unknown_body(builder):
@@ -540,6 +598,7 @@ def test_inv_triggers_getdata_for_unknown_body(builder):
     assert any(
         isinstance(m, wire.GetData) and m.items[0].hash == h for _, m in out
     )
+    adapter.check_invariants()
 
 
 # -- fuzzed limit sweep (small-scale; the acceptance suite does 10^4) ---------------

@@ -850,8 +850,9 @@ def test_unfiltered_balance_follows_repeats_same_block_spends_reorgs_and_folds(b
 
 def test_block_life_derives_each_address_and_hash_once(builder, monkeypatch):
     # From a block's first query through its fold to the spend of its
-    # output: every output's address is derived once, and every header and
-    # transaction object is hashed once.
+    # output: an output's address is derived once, when its block joins the
+    # overlay, and only when no held output pays its script; every header
+    # and transaction object is hashed once.
     canister = make_canister(builder, delta=2)
     sources = builder.build(2)
     paying = builder.extend(extra_txs=(pay_probe(builder, sources[0], 3),))
@@ -877,18 +878,64 @@ def test_block_life_derives_each_address_and_hash_once(builder, monkeypatch):
     # rebuilt from bytes, as blocks arrive off the wire; parsing is part of
     # a block's life (it keeps each transaction's txid)
     blocks = [Block.from_bytes(b.to_bytes()) for b in built]
+    unheld = 0  # outputs whose script no held output paid when their block joined the overlay
     for block in blocks:
         respond(canister, [block])
+        held = {txout.script_pubkey for txout, _, _ in canister.utxos.by_outpoint.values()}
+        scripts = [out.script_pubkey for tx in block.transactions for out in tx.outputs]
+        unheld += sum(script not in held for script in scripts)
         canister.get_balance(PROBE, NET)
     assert canister.anchor == spending.header.hash()  # folded, and the paying block before it
     assert paid not in canister.utxos.by_outpoint
-    assert addresses["calls"] == sum(len(tx.outputs) for b in blocks for tx in b.transactions)
+    outputs = sum(len(tx.outputs) for b in blocks for tx in b.transactions)
+    assert addresses["calls"] == unheld < outputs
     for block in blocks:
         assert hashed[block.header.to_bytes()] == 1
         for tx in block.transactions:
             assert hashed[tx.to_bytes()] == 1
     monkeypatch.undo()
     assert canister.get_balance(PROBE, NET) == sum(v for _, v, _ in overlay_oracle(canister, PROBE))
+
+
+def test_held_script_address_reused_until_its_last_output_folds_away(builder, monkeypatch):
+    # A payment to a script the state holds derives nothing; once the
+    # script's last held output is spent and folded, its name is dropped,
+    # and the next payment to it derives it again, once.
+    canister = make_canister(builder, delta=2)
+    derived: Counter = Counter()
+    real_address = canister_module.script_address
+
+    def counting_address(script, network):
+        derived[script] += 1
+        return real_address(script, network)
+
+    monkeypatch.setattr(canister_module, "script_address", counting_address)
+
+    def take(blocks):
+        derived.clear()
+        for block in blocks:
+            respond(canister, [block])
+            canister.get_balance(PROBE, NET)
+        count = derived[PROBE_SCRIPT]
+        canister.check_invariants()  # derives on its own, so not counted
+        return count
+
+    sources = builder.build(3)
+    first = pay_probe(builder, sources[0], 1)
+    assert take(sources + [builder.extend(extra_txs=(first,))] + builder.build(2)) == 1
+    assert canister.utxos.names[PROBE_SCRIPT] == PROBE
+    second = pay_probe(builder, sources[1], 1)
+    assert take([builder.extend(extra_txs=(second,))] + builder.build(2)) == 0
+    held = [op for op, (_, _, address) in canister.utxos.by_outpoint.items() if address == PROBE]
+    assert len(held) == 2
+    spend = Transaction(1, tuple(TxIn(op, b"sig") for op in held), (TxOut(150, b"\x51"),))
+    assert take([builder.extend(extra_txs=(spend,))] + builder.build(2)) == 0
+    assert PROBE not in canister.utxos.by_address
+    assert PROBE_SCRIPT not in canister.utxos.names
+    third = pay_probe(builder, sources[2], 1)
+    assert take([builder.extend(extra_txs=(third,))] + builder.build(2)) == 1
+    assert canister.utxos.names[PROBE_SCRIPT] == PROBE
+    assert canister.get_balance(PROBE, NET) == 100
 
 
 def test_repeated_transaction_keeps_the_latest_outputs(builder):
@@ -1196,6 +1243,40 @@ def test_snapshot_errors_name_the_line(builder):
     body = next(i for i, line in enumerate(headless) if line.startswith(f"block {header_hex}"))
     with pytest.raises(SnapshotError, match=f"^line {body + 1}: block .* has no header line"):
         Canister.from_snapshot(headless)
+
+
+@pytest.mark.parametrize(
+    "field, value, error",
+    [
+        (1, "-1", "vout -1 is not in \\[0, 4294967295\\]"),
+        (1, str(2**32), "vout 4294967296 is not in"),
+        (2, "-5", "value -5 is not in \\[0, 2100000000000000\\]"),
+        (2, "99999999999999999999", "value 99999999999999999999 is not in"),
+        (4, "-4", "height -4 is not at least 0"),
+        (None, None, "utxo [0-9a-f]{64}:0 is listed twice"),
+    ],
+    ids=[
+        "vout-negative",
+        "vout-too-large",
+        "value-negative",
+        "value-above-max-money",
+        "height-negative",
+        "outpoint-twice",
+    ],
+)
+def test_snapshot_utxo_line_out_of_bounds_rejected(builder, field, value, error):
+    lines = snapshot_with(builder)
+    i = next(i for i, line in enumerate(lines) if line.startswith("utxo "))
+    if field is None:  # the same outpoint again, with another value
+        _, txid, vout, amount, *rest = lines[i].split()
+        lines.insert(i + 1, " ".join(["utxo", txid, vout, str(int(amount) - 1), *rest]))
+        i += 1
+    else:
+        parts = lines[i].split()
+        parts[1 + field] = value
+        lines[i] = " ".join(parts)
+    with pytest.raises(SnapshotError, match=f"^line {i + 1}: .*{error}"):
+        Canister.from_snapshot(lines)
 
 
 def test_snapshot_block_that_fails_its_shape_check_rejected(builder):

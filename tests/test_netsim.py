@@ -68,6 +68,8 @@ def test_liveness_sync_smoke():
     assert chain == honest[: len(chain)]
     assert world.honest_height() - canister.current_tip_height() <= canister.tau + 1
     assert canister.synced
+    for adapter in world.adapters:
+        adapter.check_invariants()
 
 
 def test_same_seed_identical_observations():
@@ -342,6 +344,8 @@ def test_fork_injection_reorgs_state():
     assert world.canister.tree.current_chain()[-1] == world.honest_tip or (
         world.honest_height() > world.canister.current_tip_height()
     )
+    for adapter in world.adapters:
+        adapter.check_invariants()
 
 
 def test_transaction_relay_path():
@@ -356,6 +360,8 @@ def test_transaction_relay_path():
     start_height = world.honest_height()
     world.run_until(lambda: world.honest_height() >= start_height + 3, max_duration=1e7)
     assert tx.txid() in world._mined_txids
+    for adapter in world.adapters:
+        adapter.check_invariants()
 
 
 # -- sync at production depth (delta 144, the benchmark's network shape) -----------
@@ -380,6 +386,8 @@ def test_out_of_order_headers_do_not_stall_sync():
     )
     assert all(a.tree.max_height() == top for a in world.adapters)
     assert world.rounds_failed == 0
+    for adapter in world.adapters:
+        adapter.check_invariants()
 
 
 def test_sync_tree_work_per_block_flat_in_chain_length(monkeypatch):
