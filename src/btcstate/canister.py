@@ -1,46 +1,25 @@
 """The replicated state machine that tracks the chain's spendable outputs.
 
-The materialized UTXO set covers the chain up to and including the anchor,
-the highest block considered stable under the work-based stability rule
-(threshold delta, 144 in production). Full blocks above the anchor are kept
-separately so any reorganization above the anchor resolves automatically;
-queries overlay the applied chain (the selected chain's bodied blocks above
-the anchor) on the materialized set. A block's outputs, with their
-addresses, and the outpoints it spends are derived when it joins the
-overlay index and kept there while it stays applied; folding a block the
-index holds into the materialized set takes its outputs' addresses from
-there. The materialized set keeps each output's address beside it, so
-spending it derives nothing, and the address of each script it holds, so
-a new output paid to a held script derives nothing either.
+The materialized UTXO set (`utxoset`) covers the chain up to and including
+the anchor, the highest block considered stable under the work-based
+stability rule (threshold delta, 144 in production). Full blocks above the
+anchor are kept separately so any reorganization above the anchor resolves
+automatically; queries overlay the applied chain (the selected chain's
+bodied blocks above the anchor) on the materialized set, through the
+overlay index (`overlay`). The state saves to and loads from a text
+snapshot (`snapshot`).
 
-Every listed output, materialized or overlaid, is stored as an immutable
-`Utxo` row when it is first indexed, and queries hand out those stored
-rows: serving a page builds nothing per entry.
-
-The overlay is one index over the applied chain: each address's overlay
-rows in page order, the heights of the blocks that spend each outpoint,
-each address's materialized outpoints that the applied chain spends, and
-each address's value over its overlay outputs that no applied block
-spends. It is built on the first query after a load and brought up to date
-on the first query after each response: folded blocks leave from the
-bottom, the blocks of a branch that lost leave from the top and new blocks
-join at the top, each at the cost of its own outputs and inputs. A
-confirmation filter or a page token's tip is a height cut on those rows and
-spends, so no query walks the unstable blocks; the applied blocks'
-confirmation counts are taken once per response, on the first filtered
-query.
-
-An address's materialized outputs are listed once, on the first query that
-needs them, sorted by the page key (height descending, then txid and
-output index) together with their total value; every later write keeps that
-listing current with a bisected insert or delete. Every overlay output lies
-above the anchor and every materialized output at or below it, so a listing
-is the overlay's unspent outputs followed by the kept listing minus the
-outpoints the overlay spends, with no merge. A page token names the key of
-the last entry served, and its continuation bisects to that key, so a full
-walk is linear in its entries. An unfiltered balance is the kept total,
-less the materialized outputs the overlay spends, plus the index's kept
-value; a filtered balance scans the address's overlay rows up to its cut.
+A confirmation filter or a page token's tip is a height cut on the
+overlay's rows and spends, so no query walks the unstable blocks; the
+applied blocks' confirmation counts are taken once per response, on the
+first filtered query. Every overlay output lies above the anchor and every
+materialized output at or below it, so a listing is the overlay's unspent
+outputs followed by the kept listing minus the outpoints the overlay
+spends, with no merge. A page token names the key of the last entry
+served, and its continuation bisects to that key, so a full walk is linear
+in its entries. An unfiltered balance is the kept total, less the
+materialized outputs the overlay spends, plus the index's kept value; a
+filtered balance scans the address's overlay rows up to its cut.
 
 Responses from the sync endpoint are applied one at a time in simulator
 order; the whole state is deterministic given the message sequence.
@@ -48,13 +27,13 @@ order; the whole state is deterministic given the message sequence.
 
 from __future__ import annotations
 
-import sys
-from bisect import bisect_left, bisect_right, insort
-from collections import Counter, deque
+from bisect import bisect_left, bisect_right
+from collections import deque
 from functools import partial
 from itertools import accumulate
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
+from btcstate import snapshot
 from btcstate.adapter import GetSuccessorsRequest, GetSuccessorsResponse
 from btcstate.blocktree import BlockTree, DepthKind
 from btcstate.chain import (
@@ -66,27 +45,20 @@ from btcstate.chain import (
     OutPoint,
     SerializationError,
     Transaction,
-    TxOut,
     script_address,
 )
+from btcstate.overlay import OverlayDelta, OverlayIndex
+from btcstate.utxoset import Utxo, UtxoSet, _address, _page_key
 from btcstate.validation import (
     ChainPolicy,
     ValidationError,
     check_block,
-    check_block_shape,
     check_header,
 )
 
 DEFAULT_DELTA = 144
 DEFAULT_TAU = 2
 DEFAULT_PAGE_SIZE = 1000
-
-SNAPSHOT_MAGIC = "btcstate-snapshot 2"
-
-
-class SnapshotError(ValueError):
-    """A state snapshot that cannot be loaded; the message names the
-    offending line or field."""
 
 
 class ApiError(Exception):
@@ -109,15 +81,6 @@ class MalformedTransactionError(ApiError):
     pass
 
 
-class Utxo(NamedTuple):
-    """One unspent output as listed. Every stored row is one of these and
-    queries hand the stored objects out, so they are immutable."""
-
-    outpoint: OutPoint
-    value: int
-    height: int
-
-
 class UtxosPage:
     """One page of a UTXO listing, height-descending, with the tip of the
     chain the listing reflects and a continuation token when truncated."""
@@ -135,327 +98,6 @@ class UtxosPage:
         self.tip_hash = tip_hash
         self.tip_height = tip_height
         self.next_page = next_page
-
-
-def _page_key(row: Utxo) -> tuple[int, bytes, int]:
-    """Listing order: height descending, then txid bytes, then output index."""
-    outpoint = row[0]
-    return (-row[2], outpoint.txid, outpoint.vout)
-
-
-class Listing:
-    """One address's materialized outputs in page order, and their total."""
-
-    __slots__ = ("rows", "total")
-
-    def __init__(self, rows: list[Utxo], total: int):
-        self.rows = rows
-        self.total = total
-
-
-_NO_LISTING = Listing((), 0)  # shared by every address with no outputs; a tuple, so never written
-
-
-def _address(script: bytes, network: NetworkKind) -> str:
-    """The script's address, interned so that one string serves every
-    output paid to it."""
-    return sys.intern(script_address(script, network))
-
-
-def output_addresses(block: Block, address_of: Callable[[bytes], str]) -> list[str]:
-    """The address of every output of the block, in block order."""
-    return [address_of(txout.script_pubkey) for tx in block.transactions for txout in tx.outputs]
-
-
-class UtxoSet:
-    """Outpoint-indexed unspent outputs, each with its height and address,
-    an address index for retrieval, a kept listing for each address a
-    query has asked for, and the address of each script a held output
-    pays. Each script has its own address (`script_address` is one-to-one
-    on a network), so a script is held exactly while its address's bucket
-    is."""
-
-    def __init__(self, network: NetworkKind):
-        self.network = network
-        self.by_outpoint: dict[OutPoint, tuple[TxOut, int, str]] = {}
-        self.by_address: dict[str, set[OutPoint]] = {}
-        self.names: dict[bytes, str] = {}
-        # Built on an address's first query and kept current by every write.
-        self.listings: dict[str, Listing] = {}
-
-    def __len__(self) -> int:
-        return len(self.by_outpoint)
-
-    def address_of(self, script: bytes) -> str:
-        """The script's address: the kept one while an output pays it,
-        derived otherwise."""
-        address = self.names.get(script)
-        if address is None:
-            address = _address(script, self.network)
-        return address
-
-    def add(self, outpoint: OutPoint, txout: TxOut, height: int, address: str) -> None:
-        """Hold an output; `address` is its script's address."""
-        if outpoint in self.by_outpoint:
-            self.remove(outpoint)  # a repeated txid replaces the older output
-        self.by_outpoint[outpoint] = (txout, height, address)
-        bucket = self.by_address.get(address)
-        if bucket is None:
-            bucket = self.by_address[address] = set()
-            self.names[txout.script_pubkey] = address
-        bucket.add(outpoint)
-        listing = self.listings.get(address)
-        if listing is not None:
-            insort(listing.rows, Utxo(outpoint, txout.value, height), key=_page_key)
-            listing.total += txout.value
-
-    def remove(self, outpoint: OutPoint) -> bool:
-        entry = self.by_outpoint.pop(outpoint, None)
-        if entry is None:
-            return False
-        txout, height, address = entry
-        bucket = self.by_address.get(address)
-        if bucket is not None:
-            bucket.discard(outpoint)
-            if not bucket:
-                del self.by_address[address]
-                del self.names[txout.script_pubkey]
-        listing = self.listings.get(address)
-        if listing is not None:
-            if bucket:
-                rows = listing.rows
-                del rows[bisect_left(rows, (-height, outpoint.txid, outpoint.vout), key=_page_key)]
-                listing.total -= txout.value
-            else:
-                del self.listings[address]
-        return True
-
-    def listing(self, address: str) -> Listing:
-        """The address's kept listing, built on first use. An address with
-        no outputs gets an empty listing that is not kept."""
-        listing = self.listings.get(address)
-        if listing is None:
-            bucket = self.by_address.get(address)
-            if not bucket:
-                return _NO_LISTING
-            rows = []
-            for outpoint in bucket:
-                txout, height, _ = self.by_outpoint[outpoint]
-                rows.append(Utxo(outpoint, txout.value, height))
-            rows.sort(key=_page_key)
-            listing = self.listings[address] = Listing(rows, sum(row.value for row in rows))
-        return listing
-
-    def apply_block(
-        self, block: Block, height: int, addresses: Optional[list[str]] = None
-    ) -> int:
-        """Spend the inputs and insert the outputs of every transaction.
-        `addresses` are the outputs' addresses in block order, as
-        `output_addresses` gives them; derived here when not given.
-
-        Spending conditions are never verified here; an input that names
-        an unknown outpoint is counted as an anomaly and skipped, keeping
-        the two indexes consistent no matter what the block contains.
-        """
-        if addresses is None:
-            addresses = output_addresses(block, self.address_of)
-        anomalies = 0
-        pos = 0
-        for tx in block.transactions:
-            if not tx.is_coinbase():
-                for txin in tx.inputs:
-                    if not self.remove(txin.outpoint):
-                        anomalies += 1
-            txid = tx.txid()
-            for vout, txout in enumerate(tx.outputs):
-                self.add(OutPoint(txid, vout), txout, height, addresses[pos])
-                pos += 1
-        return anomalies
-
-
-class OverlayDelta(NamedTuple):
-    """What one unstable block changes for queries: every output as a row,
-    in block order, with the output's address at the same position, and
-    the outpoints it spends. Every address of the block is found once,
-    here, by `address_of`, and the anchor fold reuses them."""
-
-    rows: list[Utxo]
-    addresses: list[str]
-    spent: frozenset[OutPoint]
-
-    @classmethod
-    def of_block(
-        cls, block: Block, height: int, address_of: Callable[[bytes], str]
-    ) -> "OverlayDelta":
-        rows: list[Utxo] = []
-        spent: list[OutPoint] = []
-        for tx in block.transactions:
-            if not tx.is_coinbase():
-                spent.extend(txin.outpoint for txin in tx.inputs)
-            txid = tx.txid()
-            rows.extend(
-                Utxo(OutPoint(txid, vout), txout.value, height) for vout, txout in enumerate(tx.outputs)
-            )
-        return cls(rows, output_addresses(block, address_of), frozenset(spent))
-
-
-class OverlayIndex:
-    """The applied chain's overlay, indexed by address.
-
-    `blocks` are the applied blocks with their deltas in chain order, the
-    lowest at height `first`. `rows` holds each address's overlay rows in
-    page order, every copy of a repeated outpoint included; `outputs` the
-    address, value and number of rows of each overlay outpoint; `spenders`
-    the heights of the applied blocks that spend each outpoint, ascending,
-    whether or not the outpoint is known; `unspent_value` each address's
-    total over its overlay outpoints that no applied block spends, which is
-    what an unfiltered query adds to the materialized outputs; `held_spent`
-    each address's materialized outpoints that an applied block spends, and
-    `held_address` the address of each of those. Blocks join and leave
-    only at the two ends, so each costs its own rows and spends.
-    """
-
-    __slots__ = (
-        "first",
-        "blocks",
-        "rows",
-        "outputs",
-        "spenders",
-        "unspent_value",
-        "held_spent",
-        "held_address",
-    )
-
-    def __init__(self, first: int):
-        self.first = first
-        self.blocks: list[tuple[Hash256, OverlayDelta]] = []
-        self.rows: dict[str, list[Utxo]] = {}
-        self.outputs: dict[OutPoint, tuple[str, int, int]] = {}
-        self.spenders: dict[OutPoint, list[int]] = {}
-        self.unspent_value: dict[str, int] = {}
-        self.held_spent: dict[str, set[OutPoint]] = {}
-        self.held_address: dict[OutPoint, str] = {}
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, OverlayIndex) and all(
-            getattr(self, name) == getattr(other, name) for name in self.__slots__
-        )
-
-    def top(self) -> int:
-        """Height of the highest applied block; the anchor's when none."""
-        return self.first + len(self.blocks) - 1
-
-    def delta(self, h: Hash256, height: int) -> Optional[OverlayDelta]:
-        """Block `h`'s delta when the index holds it at `height`, else None."""
-        pos = height - self.first
-        if 0 <= pos < len(self.blocks) and self.blocks[pos][0] == h:
-            return self.blocks[pos][1]
-        return None
-
-    def push(self, h: Hash256, delta: OverlayDelta, touched: set[OutPoint]) -> None:
-        """Join a block at the top; the outpoints whose spends changed go
-        into `touched`."""
-        height = self.first + len(self.blocks)
-        self.blocks.append((h, delta))
-        outputs, spenders = self.outputs, self.spenders
-        fresh: dict[str, list[Utxo]] = {}
-        for address, row in zip(delta.addresses, delta.rows):
-            fresh.setdefault(address, []).append(row)
-            op = row.outpoint
-            entry = outputs.get(op)
-            if entry is None:
-                outputs[op] = (address, row.value, 1)
-                if op not in spenders:
-                    self._add_unspent(address, row.value)
-            else:
-                outputs[op] = (address, row.value, entry[2] + 1)
-        for address, rows in fresh.items():
-            rows.sort(key=_page_key)
-            # The block lies above every indexed row, so its rows lead.
-            self.rows.setdefault(address, [])[:0] = rows
-        for op in delta.spent:
-            heights = spenders.get(op)
-            if heights is None:
-                spenders[op] = [height]
-                self._spend_changed(op, -1)
-            else:
-                heights.append(height)
-        touched |= delta.spent
-
-    def drop_top(self, touched: set[OutPoint]) -> None:
-        """Take the top block off: a reorganization left it behind."""
-        _, delta = self.blocks.pop()
-        self._forget(delta, bottom=False)
-        touched |= delta.spent
-
-    def drop_bottom(self, touched: set[OutPoint]) -> None:
-        """Take the lowest block off: it was folded into the materialized
-        set, which now holds its outputs and lacks what it spent."""
-        _, delta = self.blocks.pop(0)
-        self.first += 1
-        self._forget(delta, bottom=True)
-        touched |= delta.spent
-        touched.update(row.outpoint for row in delta.rows)
-
-    def _forget(self, delta: OverlayDelta, bottom: bool) -> None:
-        """Delete an end block's rows and spends. The lowest block's rows
-        close each address's rows and its height opens each outpoint's
-        spending heights; the top block's are the other way round."""
-        outputs, spenders = self.outputs, self.spenders
-        for address, count in Counter(delta.addresses).items():
-            rows = self.rows[address]
-            if bottom:
-                del rows[-count:]
-            else:
-                del rows[:count]
-            if not rows:
-                del self.rows[address]
-        for address, row in zip(delta.addresses, delta.rows):
-            op = row.outpoint
-            copies = outputs[op][2]
-            if copies > 1:
-                outputs[op] = (address, row.value, copies - 1)
-            else:
-                del outputs[op]
-                if op not in spenders:
-                    self._add_unspent(address, -row.value)
-        for op in delta.spent:
-            heights = spenders[op]
-            del heights[0 if bottom else -1]
-            if not heights:
-                del spenders[op]
-                self._spend_changed(op, 1)
-
-    def _spend_changed(self, op: OutPoint, sign: int) -> None:
-        """An outpoint gained its first spender (sign -1) or lost its last
-        (sign 1): an overlay outpoint leaves or rejoins the unspent value."""
-        entry = self.outputs.get(op)
-        if entry is not None:
-            self._add_unspent(entry[0], sign * entry[1])
-
-    def _add_unspent(self, address: str, value: int) -> None:
-        total = self.unspent_value.get(address, 0) + value
-        if total:
-            self.unspent_value[address] = total
-        else:
-            self.unspent_value.pop(address, None)
-
-    def settle(self, touched: set[OutPoint], by_outpoint: dict) -> None:
-        """Bring `held_spent` up to date for the outpoints whose spends or
-        materialized entries changed."""
-        for op in touched:
-            address = self.held_address.get(op)
-            entry = by_outpoint.get(op) if op in self.spenders else None
-            if entry is not None:
-                if address is None:
-                    self.held_address[op] = entry[2]
-                    self.held_spent.setdefault(entry[2], set()).add(op)
-            elif address is not None:
-                del self.held_address[op]
-                spent = self.held_spent[address]
-                spent.discard(op)
-                if not spent:
-                    del self.held_spent[address]
 
 
 _PAGE_TAG = "p2"
@@ -992,181 +634,5 @@ class Canister:
 
     # -- snapshot ---------------------------------------------------------------
 
-    def snapshot_lines(self) -> list[str]:
-        lines = [
-            SNAPSHOT_MAGIC,
-            f"network {self.network.value}",
-            f"delta {self.delta}",
-            f"tau {self.tau}",
-            f"page-size {self.page_size}",
-            f"anchor {self.anchor.rev_hex()}",
-            f"synced {1 if self.synced else 0}",
-        ]
-        order = list(self.tree.bfs())
-        for h in order:
-            header = self.tree.header(h)
-            assert header is not None
-            lines.append(f"header {header.to_bytes().hex()}")
-        for h in order:
-            block = self.tree.block(h)
-            if block is not None:
-                lines.append(f"block {block.to_bytes().hex()}")
-        for outpoint, (txout, height, _) in sorted(
-            self.utxos.by_outpoint.items(), key=lambda kv: (bytes(kv[0].txid), kv[0].vout)
-        ):
-            lines.append(
-                "utxo "
-                f"{outpoint.txid.rev_hex()} {outpoint.vout} {txout.value} "
-                f"{txout.script_pubkey.hex()} {height}"
-            )
-        for raw in self.outbound_txs:
-            lines.append(f"queued-tx {raw.hex()}")
-        lines.append("end")
-        return lines
-
-    @classmethod
-    def from_snapshot(cls, lines: Iterable[str]) -> "Canister":
-        """Load a state written by snapshot_lines. Anything malformed raises
-        SnapshotError, naming the line (counted from 1) or the field."""
-        numbered = enumerate(lines, start=1)
-        magic = next(numbered, (1, ""))[1].strip()
-        if magic != SNAPSHOT_MAGIC:
-            if magic.startswith("btcstate-snapshot "):
-                raise SnapshotError(f"unsupported snapshot version {magic!r}")
-            raise SnapshotError("not a state snapshot (bad magic)")
-        fields: dict[str, tuple[int, str]] = {}
-        headers: list[tuple[int, BlockHeader]] = []
-        blocks: list[tuple[int, Block]] = []
-        utxo_lines: list[tuple[int, OutPoint, TxOut, int]] = []
-        queued: list[bytes] = []
-        for lineno, raw in numbered:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line == "end":
-                break
-            key, _, value = line.partition(" ")
-            try:
-                if key == "header":
-                    headers.append((lineno, BlockHeader.from_bytes(bytes.fromhex(value))))
-                elif key == "block":
-                    blocks.append((lineno, Block.from_bytes(bytes.fromhex(value))))
-                elif key == "utxo":
-                    parts = value.split()
-                    if len(parts) != 5:
-                        raise ValueError(f"needs 5 fields, got {len(parts)}")
-                    txid_hex, vout, amount, script_hex, height = parts
-                    utxo_lines.append(
-                        (
-                            lineno,
-                            OutPoint(
-                                Hash256.from_rev_hex(txid_hex), _bounded("vout", vout, 2**32 - 1)
-                            ),
-                            TxOut(_bounded("value", amount, MAX_MONEY), bytes.fromhex(script_hex)),
-                            _bounded("height", height),
-                        )
-                    )
-                elif key == "queued-tx":
-                    queued.append(bytes.fromhex(value))
-                else:
-                    fields[key] = (lineno, value)
-            except ValueError as exc:
-                raise SnapshotError(f"line {lineno}: bad {key} line: {exc}") from None
-        else:
-            raise SnapshotError("snapshot cut off before end")
-        if not headers:
-            raise SnapshotError("snapshot has no headers")
-        network = _snapshot_field(fields, "network", NetworkKind.from_str)
-        delta = _snapshot_field(fields, "delta", int)
-        tau = _snapshot_field(fields, "tau", int)
-        page_size = _snapshot_field(fields, "page-size", int)
-        try:
-            state = cls(headers[0][1], network, delta=delta, tau=tau, page_size=page_size)
-        except ValueError as exc:
-            raise SnapshotError(str(exc)) from None
-        for lineno, header in headers[1:]:
-            if header.prev not in state.tree:
-                raise SnapshotError(
-                    f"line {lineno}: header {header.hash().rev_hex()} has unknown parent "
-                    f"{header.prev.rev_hex()}"
-                )
-            try:
-                state.tree.add_header(header)
-            except ValueError as exc:
-                raise SnapshotError(f"line {lineno}: bad header line: {exc}") from None
-        state.anchor = _snapshot_field(fields, "anchor", Hash256.from_rev_hex)
-        if state.anchor not in state.tree:
-            raise SnapshotError(f"anchor {state.anchor.rev_hex()} is not in the snapshot's tree")
-        if state.tree.path_to(state.tree.tip, state.anchor) is None:
-            raise SnapshotError(
-                f"anchor {state.anchor.rev_hex()} is not on the snapshot's selected chain"
-            )
-        top = state.anchor_height()
-        # Bodies are held only above the anchor, each on the anchor or on a
-        # bodied parent (snapshots list them parents first), as ingest keeps
-        # them; the overlay and the anchor fold rely on both. Each body also
-        # passes the shape check ingest applies, so its transactions are the
-        # ones its header commits to.
-        for lineno, block in blocks:
-            h = block.header.hash()
-            if h not in state.tree:
-                raise SnapshotError(f"line {lineno}: block {h.rev_hex()} has no header line")
-            if state.tree.height(h) <= top:
-                raise SnapshotError(
-                    f"line {lineno}: block {h.rev_hex()} at height {state.tree.height(h)} "
-                    f"is at or below the anchor's height {top}"
-                )
-            prev = block.header.prev
-            if prev != state.anchor and not state.tree.has_block(prev):
-                raise SnapshotError(
-                    f"line {lineno}: block {h.rev_hex()} has parent {prev.rev_hex()}, "
-                    "which is neither the anchor nor bodied"
-                )
-            try:
-                check_block_shape(block)
-            except ValidationError as exc:
-                raise SnapshotError(f"line {lineno}: bad block {h.rev_hex()}: {exc}") from None
-            state.tree.set_block(h, block)
-        # Queries list materialized outputs after the overlay's, which
-        # holds only if none of them lies above the anchor.
-        for lineno, outpoint, txout, height in utxo_lines:
-            if height > top:
-                raise SnapshotError(
-                    f"line {lineno}: utxo height {height} is above the anchor's height {top}"
-                )
-            if outpoint in state.utxos.by_outpoint:
-                raise SnapshotError(
-                    f"line {lineno}: utxo {outpoint.txid.rev_hex()}:{outpoint.vout} is listed twice"
-                )
-            state.utxos.add(outpoint, txout, height, state.utxos.address_of(txout.script_pubkey))
-        state.synced = state._bodies_within_tau()
-        if "synced" in fields:
-            lineno, value = fields["synced"]
-            if value != str(int(state.synced)):
-                raise SnapshotError(
-                    f"line {lineno}: bad synced {value!r}: the loaded tree says {int(state.synced)}"
-                )
-        state.outbound_txs.extend(queued)
-        return state
-
-
-def _bounded(name: str, text: str, high: Optional[int] = None) -> int:
-    """A snapshot number that must lie in [0, high]; ValueError names it
-    when it does not."""
-    value = int(text)
-    if value < 0 or (high is not None and value > high):
-        limit = "at least 0" if high is None else f"in [0, {high}]"
-        raise ValueError(f"{name} {value} is not {limit}")
-    return value
-
-
-def _snapshot_field(fields: dict[str, tuple[int, str]], name: str, parse):
-    """A snapshot field's value, parsed; SnapshotError names the field's
-    line when it is missing or does not parse."""
-    if name not in fields:
-        raise SnapshotError(f"missing {name} line")
-    lineno, value = fields[name]
-    try:
-        return parse(value)
-    except ValueError as exc:
-        raise SnapshotError(f"line {lineno}: bad {name} {value!r}: {exc}") from None
+    snapshot_lines = snapshot.snapshot_lines
+    from_snapshot = classmethod(snapshot.from_snapshot)

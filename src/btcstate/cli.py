@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Optional
 
 from btcstate.blocktree import BlockTree, DepthKind, TreeStructureError, WorkRatio
-from btcstate.canister import ApiError, Canister, SnapshotError
+from btcstate.canister import ApiError, Canister
 from btcstate.chain import NetworkKind
 from btcstate.netsim import (
     downtime_analytic,
@@ -34,6 +34,7 @@ from btcstate.scenario import (
     format_metric,
     parse_scenario,
 )
+from btcstate.snapshot import SnapshotError
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1

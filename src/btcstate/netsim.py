@@ -29,7 +29,7 @@ from btcstate.adapter import (
     UnknownAnchorError,
 )
 from btcstate.blocktree import BlockTree
-from btcstate.canister import Canister, UtxoSet
+from btcstate.canister import Canister
 from btcstate.chain import (
     Block,
     BlockHeader,
@@ -46,6 +46,7 @@ from btcstate.chain import (
     sha256d,
     work_from_bits,
 )
+from btcstate.utxoset import UtxoSet
 from btcstate.validation import REGTEST_BITS, ChainPolicy, median_time_past
 
 COINBASE_VALUE = 50 * 100_000_000

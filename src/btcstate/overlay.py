@@ -1,0 +1,210 @@
+"""The overlay index: what the applied chain (the selected chain's bodied
+blocks above the anchor) changes for queries, indexed by address.
+
+A block's outputs, with their addresses, and the outpoints it spends are
+derived when it joins the overlay index and kept there while it stays
+applied; folding a block the index holds into the materialized set takes
+its outputs' addresses from there.
+
+The overlay is one index over the applied chain: each address's overlay
+rows in page order, the heights of the blocks that spend each outpoint,
+each address's materialized outpoints that the applied chain spends, and
+each address's value over its overlay outputs that no applied block
+spends. It is built on the first query after a load and brought up to date
+on the first query after each response: folded blocks leave from the
+bottom, the blocks of a branch that lost leave from the top and new blocks
+join at the top, each at the cost of its own outputs and inputs.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from typing import Callable, NamedTuple, Optional
+
+from btcstate.chain import Block, Hash256, OutPoint
+from btcstate.utxoset import Utxo, _page_key, output_addresses
+
+
+class OverlayDelta(NamedTuple):
+    """What one unstable block changes for queries: every output as a row,
+    in block order, with the output's address at the same position, and
+    the outpoints it spends. Every address of the block is found once,
+    here, by `address_of`, and the anchor fold reuses them."""
+
+    rows: list[Utxo]
+    addresses: list[str]
+    spent: frozenset[OutPoint]
+
+    @classmethod
+    def of_block(
+        cls, block: Block, height: int, address_of: Callable[[bytes], str]
+    ) -> "OverlayDelta":
+        rows: list[Utxo] = []
+        spent: list[OutPoint] = []
+        for tx in block.transactions:
+            if not tx.is_coinbase():
+                spent.extend(txin.outpoint for txin in tx.inputs)
+            txid = tx.txid()
+            rows.extend(
+                Utxo(OutPoint(txid, vout), txout.value, height) for vout, txout in enumerate(tx.outputs)
+            )
+        return cls(rows, output_addresses(block, address_of), frozenset(spent))
+
+
+class OverlayIndex:
+    """The applied chain's overlay, indexed by address.
+
+    `blocks` are the applied blocks with their deltas in chain order, the
+    lowest at height `first`. `rows` holds each address's overlay rows in
+    page order, every copy of a repeated outpoint included; `outputs` the
+    address, value and number of rows of each overlay outpoint; `spenders`
+    the heights of the applied blocks that spend each outpoint, ascending,
+    whether or not the outpoint is known; `unspent_value` each address's
+    total over its overlay outpoints that no applied block spends, which is
+    what an unfiltered query adds to the materialized outputs; `held_spent`
+    each address's materialized outpoints that an applied block spends, and
+    `held_address` the address of each of those. Blocks join and leave
+    only at the two ends, so each costs its own rows and spends.
+    """
+
+    __slots__ = (
+        "first",
+        "blocks",
+        "rows",
+        "outputs",
+        "spenders",
+        "unspent_value",
+        "held_spent",
+        "held_address",
+    )
+
+    def __init__(self, first: int):
+        self.first = first
+        self.blocks: list[tuple[Hash256, OverlayDelta]] = []
+        self.rows: dict[str, list[Utxo]] = {}
+        self.outputs: dict[OutPoint, tuple[str, int, int]] = {}
+        self.spenders: dict[OutPoint, list[int]] = {}
+        self.unspent_value: dict[str, int] = {}
+        self.held_spent: dict[str, set[OutPoint]] = {}
+        self.held_address: dict[OutPoint, str] = {}
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, OverlayIndex) and all(
+            getattr(self, name) == getattr(other, name) for name in self.__slots__
+        )
+
+    def top(self) -> int:
+        """Height of the highest applied block; the anchor's when none."""
+        return self.first + len(self.blocks) - 1
+
+    def delta(self, h: Hash256, height: int) -> Optional[OverlayDelta]:
+        """Block `h`'s delta when the index holds it at `height`, else None."""
+        pos = height - self.first
+        if 0 <= pos < len(self.blocks) and self.blocks[pos][0] == h:
+            return self.blocks[pos][1]
+        return None
+
+    def push(self, h: Hash256, delta: OverlayDelta, touched: set[OutPoint]) -> None:
+        """Join a block at the top; the outpoints whose spends changed go
+        into `touched`."""
+        height = self.first + len(self.blocks)
+        self.blocks.append((h, delta))
+        outputs, spenders = self.outputs, self.spenders
+        fresh: dict[str, list[Utxo]] = {}
+        for address, row in zip(delta.addresses, delta.rows):
+            fresh.setdefault(address, []).append(row)
+            op = row.outpoint
+            entry = outputs.get(op)
+            if entry is None:
+                outputs[op] = (address, row.value, 1)
+                if op not in spenders:
+                    self._add_unspent(address, row.value)
+            else:
+                outputs[op] = (address, row.value, entry[2] + 1)
+        for address, rows in fresh.items():
+            rows.sort(key=_page_key)
+            # The block lies above every indexed row, so its rows lead.
+            self.rows.setdefault(address, [])[:0] = rows
+        for op in delta.spent:
+            heights = spenders.get(op)
+            if heights is None:
+                spenders[op] = [height]
+                self._spend_changed(op, -1)
+            else:
+                heights.append(height)
+        touched |= delta.spent
+
+    def drop_top(self, touched: set[OutPoint]) -> None:
+        """Take the top block off: a reorganization left it behind."""
+        _, delta = self.blocks.pop()
+        self._forget(delta, bottom=False)
+        touched |= delta.spent
+
+    def drop_bottom(self, touched: set[OutPoint]) -> None:
+        """Take the lowest block off: it was folded into the materialized
+        set, which now holds its outputs and lacks what it spent."""
+        _, delta = self.blocks.pop(0)
+        self.first += 1
+        self._forget(delta, bottom=True)
+        touched |= delta.spent
+        touched.update(row.outpoint for row in delta.rows)
+
+    def _forget(self, delta: OverlayDelta, bottom: bool) -> None:
+        """Delete an end block's rows and spends. The lowest block's rows
+        close each address's rows and its height opens each outpoint's
+        spending heights; the top block's are the other way round."""
+        outputs, spenders = self.outputs, self.spenders
+        for address, count in Counter(delta.addresses).items():
+            rows = self.rows[address]
+            if bottom:
+                del rows[-count:]
+            else:
+                del rows[:count]
+            if not rows:
+                del self.rows[address]
+        for address, row in zip(delta.addresses, delta.rows):
+            op = row.outpoint
+            copies = outputs[op][2]
+            if copies > 1:
+                outputs[op] = (address, row.value, copies - 1)
+            else:
+                del outputs[op]
+                if op not in spenders:
+                    self._add_unspent(address, -row.value)
+        for op in delta.spent:
+            heights = spenders[op]
+            del heights[0 if bottom else -1]
+            if not heights:
+                del spenders[op]
+                self._spend_changed(op, 1)
+
+    def _spend_changed(self, op: OutPoint, sign: int) -> None:
+        """An outpoint gained its first spender (sign -1) or lost its last
+        (sign 1): an overlay outpoint leaves or rejoins the unspent value."""
+        entry = self.outputs.get(op)
+        if entry is not None:
+            self._add_unspent(entry[0], sign * entry[1])
+
+    def _add_unspent(self, address: str, value: int) -> None:
+        total = self.unspent_value.get(address, 0) + value
+        if total:
+            self.unspent_value[address] = total
+        else:
+            self.unspent_value.pop(address, None)
+
+    def settle(self, touched: set[OutPoint], by_outpoint: dict) -> None:
+        """Bring `held_spent` up to date for the outpoints whose spends or
+        materialized entries changed."""
+        for op in touched:
+            address = self.held_address.get(op)
+            entry = by_outpoint.get(op) if op in self.spenders else None
+            if entry is not None:
+                if address is None:
+                    self.held_address[op] = entry[2]
+                    self.held_spent.setdefault(entry[2], set()).add(op)
+            elif address is not None:
+                del self.held_address[op]
+                spent = self.held_spent[address]
+                spent.discard(op)
+                if not spent:
+                    del self.held_spent[address]

@@ -1,0 +1,169 @@
+"""The materialized UTXO set: the chain's unspent outputs up to and
+including the anchor.
+
+The set keeps each output's address beside it, so spending it derives
+nothing, and the address of each script it holds, so a new output paid to
+a held script derives nothing either.
+
+Every listed output, materialized or overlaid, is stored as an immutable
+`Utxo` row when it is first indexed, and queries hand out those stored
+rows: serving a page builds nothing per entry.
+
+An address's materialized outputs are listed once, on the first query that
+needs them, sorted by the page key (height descending, then txid and
+output index) together with their total value; every later write keeps that
+listing current with a bisected insert or delete.
+"""
+
+from __future__ import annotations
+
+import sys
+from bisect import bisect_left, insort
+from typing import Callable, NamedTuple, Optional
+
+from btcstate.chain import Block, NetworkKind, OutPoint, TxOut, script_address
+
+
+class Utxo(NamedTuple):
+    """One unspent output as listed. Every stored row is one of these and
+    queries hand the stored objects out, so they are immutable."""
+
+    outpoint: OutPoint
+    value: int
+    height: int
+
+
+def _page_key(row: Utxo) -> tuple[int, bytes, int]:
+    """Listing order: height descending, then txid bytes, then output index."""
+    outpoint = row[0]
+    return (-row[2], outpoint.txid, outpoint.vout)
+
+
+class Listing:
+    """One address's materialized outputs in page order, and their total."""
+
+    __slots__ = ("rows", "total")
+
+    def __init__(self, rows: list[Utxo], total: int):
+        self.rows = rows
+        self.total = total
+
+
+_NO_LISTING = Listing((), 0)  # shared by every address with no outputs; a tuple, so never written
+
+
+def _address(script: bytes, network: NetworkKind) -> str:
+    """The script's address, interned so that one string serves every
+    output paid to it."""
+    return sys.intern(script_address(script, network))
+
+
+def output_addresses(block: Block, address_of: Callable[[bytes], str]) -> list[str]:
+    """The address of every output of the block, in block order."""
+    return [address_of(txout.script_pubkey) for tx in block.transactions for txout in tx.outputs]
+
+
+class UtxoSet:
+    """Outpoint-indexed unspent outputs, each with its height and address,
+    an address index for retrieval, a kept listing for each address a
+    query has asked for, and the address of each script a held output
+    pays. Each script has its own address (`script_address` is one-to-one
+    on a network), so a script is held exactly while its address's bucket
+    is."""
+
+    def __init__(self, network: NetworkKind):
+        self.network = network
+        self.by_outpoint: dict[OutPoint, tuple[TxOut, int, str]] = {}
+        self.by_address: dict[str, set[OutPoint]] = {}
+        self.names: dict[bytes, str] = {}
+        # Built on an address's first query and kept current by every write.
+        self.listings: dict[str, Listing] = {}
+
+    def __len__(self) -> int:
+        return len(self.by_outpoint)
+
+    def address_of(self, script: bytes) -> str:
+        """The script's address: the kept one while an output pays it,
+        derived otherwise."""
+        address = self.names.get(script)
+        if address is None:
+            address = _address(script, self.network)
+        return address
+
+    def add(self, outpoint: OutPoint, txout: TxOut, height: int, address: str) -> None:
+        """Hold an output; `address` is its script's address."""
+        if outpoint in self.by_outpoint:
+            self.remove(outpoint)  # a repeated txid replaces the older output
+        self.by_outpoint[outpoint] = (txout, height, address)
+        bucket = self.by_address.get(address)
+        if bucket is None:
+            bucket = self.by_address[address] = set()
+            self.names[txout.script_pubkey] = address
+        bucket.add(outpoint)
+        listing = self.listings.get(address)
+        if listing is not None:
+            insort(listing.rows, Utxo(outpoint, txout.value, height), key=_page_key)
+            listing.total += txout.value
+
+    def remove(self, outpoint: OutPoint) -> bool:
+        entry = self.by_outpoint.pop(outpoint, None)
+        if entry is None:
+            return False
+        txout, height, address = entry
+        bucket = self.by_address.get(address)
+        if bucket is not None:
+            bucket.discard(outpoint)
+            if not bucket:
+                del self.by_address[address]
+                del self.names[txout.script_pubkey]
+        listing = self.listings.get(address)
+        if listing is not None:
+            if bucket:
+                rows = listing.rows
+                del rows[bisect_left(rows, (-height, outpoint.txid, outpoint.vout), key=_page_key)]
+                listing.total -= txout.value
+            else:
+                del self.listings[address]
+        return True
+
+    def listing(self, address: str) -> Listing:
+        """The address's kept listing, built on first use. An address with
+        no outputs gets an empty listing that is not kept."""
+        listing = self.listings.get(address)
+        if listing is None:
+            bucket = self.by_address.get(address)
+            if not bucket:
+                return _NO_LISTING
+            rows = []
+            for outpoint in bucket:
+                txout, height, _ = self.by_outpoint[outpoint]
+                rows.append(Utxo(outpoint, txout.value, height))
+            rows.sort(key=_page_key)
+            listing = self.listings[address] = Listing(rows, sum(row.value for row in rows))
+        return listing
+
+    def apply_block(
+        self, block: Block, height: int, addresses: Optional[list[str]] = None
+    ) -> int:
+        """Spend the inputs and insert the outputs of every transaction.
+        `addresses` are the outputs' addresses in block order, as
+        `output_addresses` gives them; derived here when not given.
+
+        Spending conditions are never verified here; an input that names
+        an unknown outpoint is counted as an anomaly and skipped, keeping
+        the two indexes consistent no matter what the block contains.
+        """
+        if addresses is None:
+            addresses = output_addresses(block, self.address_of)
+        anomalies = 0
+        pos = 0
+        for tx in block.transactions:
+            if not tx.is_coinbase():
+                for txin in tx.inputs:
+                    if not self.remove(txin.outpoint):
+                        anomalies += 1
+            txid = tx.txid()
+            for vout, txout in enumerate(tx.outputs):
+                self.add(OutPoint(txid, vout), txout, height, addresses[pos])
+                pos += 1
+        return anomalies

@@ -7,8 +7,8 @@ from collections import Counter
 
 import pytest
 
-from btcstate import canister as canister_module
 from btcstate import chain as chain_module
+from btcstate import overlay, utxoset
 from btcstate.adapter import GetSuccessorsResponse
 from btcstate.blocktree import BlockTree
 from btcstate.canister import (
@@ -17,9 +17,6 @@ from btcstate.canister import (
     FilterRejectedError,
     MalformedTransactionError,
     NetworkMismatchError,
-    OverlayIndex,
-    SnapshotError,
-    UtxoSet,
 )
 from btcstate.chain import (
     Block,
@@ -34,6 +31,9 @@ from btcstate.chain import (
     sha256d,
 )
 from btcstate.netsim import make_coinbase, replay_utxo_set
+from btcstate.overlay import OverlayIndex
+from btcstate.snapshot import SnapshotError
+from btcstate.utxoset import Utxo, UtxoSet
 
 from conftest import NOW, ChainBuilder, overlay_oracle
 
@@ -569,7 +569,7 @@ def test_repeated_queries_rederive_no_txid_or_address(builder, monkeypatch):
     warm = Canister.from_snapshot(lines)
     cold = Canister.from_snapshot(lines)
     calls = {"script_address": 0, "txid": 0}
-    real_address, real_txid = canister_module.script_address, Transaction.txid
+    real_address, real_txid = utxoset.script_address, Transaction.txid
 
     def counting_address(script, network):
         calls["script_address"] += 1
@@ -579,7 +579,7 @@ def test_repeated_queries_rederive_no_txid_or_address(builder, monkeypatch):
         calls["txid"] += 1
         return real_txid(tx)
 
-    monkeypatch.setattr(canister_module, "script_address", counting_address)
+    monkeypatch.setattr(utxoset, "script_address", counting_address)
     monkeypatch.setattr(Transaction, "txid", counting_txid)
 
     def counted(query):
@@ -656,13 +656,13 @@ def test_fold_derives_no_address_for_a_block_the_index_holds(builder, monkeypatc
     queried.get_balance(PROBE, NET)
     assert queried._index.blocks[0][0] == paying.header.hash()
     calls = {"script_address": 0}
-    real_address = canister_module.script_address
+    real_address = utxoset.script_address
 
     def counting_address(script, network):
         calls["script_address"] += 1
         return real_address(script, network)
 
-    monkeypatch.setattr(canister_module, "script_address", counting_address)
+    monkeypatch.setattr(utxoset, "script_address", counting_address)
     derived = []
     for canister in (queried, unqueried):
         calls["script_address"] = 0
@@ -707,7 +707,7 @@ def test_filtered_queries_take_confirmation_counts_once_per_response(builder, mo
         calls.clear()
         for min_conf, rows in expected.items():
             assert canister.list_utxos(PROBE, NET, min_conf) == tuple(
-                canister_module.Utxo(*row) for row in rows
+                Utxo(*row) for row in rows
             )
             first = canister.get_utxos(PROBE, NET, min_confirmations=min_conf)
             assert listed(walk(canister, PROBE, first)) == rows
@@ -779,7 +779,8 @@ def test_repeated_walks_build_no_utxo_and_only_filtered_balances_scan_the_overla
     assert any(height <= canister.anchor_height() for _, _, height in expected)
     cold = Canister.from_snapshot(canister.snapshot_lines())
     calls: Counter = Counter()
-    count_calls(monkeypatch, canister_module, ("Utxo", "Listing"), calls)
+    count_calls(monkeypatch, utxoset, ("Utxo", "Listing"), calls)
+    count_calls(monkeypatch, overlay, ("Utxo",), calls)
     count_calls(monkeypatch, Canister, ("_overlay",), calls)
 
     def counted(query):
@@ -863,7 +864,7 @@ def test_block_life_derives_each_address_and_hash_once(builder, monkeypatch):
     built = sources + [paying] + later + [spending] + builder.build(1)
     addresses = {"calls": 0}
     hashed: dict[bytes, int] = {}
-    real_address, real_sha256d = canister_module.script_address, chain_module.sha256d
+    real_address, real_sha256d = utxoset.script_address, chain_module.sha256d
 
     def counting_address(script, network):
         addresses["calls"] += 1
@@ -873,7 +874,7 @@ def test_block_life_derives_each_address_and_hash_once(builder, monkeypatch):
         hashed[data] = hashed.get(data, 0) + 1
         return real_sha256d(data)
 
-    monkeypatch.setattr(canister_module, "script_address", counting_address)
+    monkeypatch.setattr(utxoset, "script_address", counting_address)
     monkeypatch.setattr(chain_module, "sha256d", counting_sha256d)
     # rebuilt from bytes, as blocks arrive off the wire; parsing is part of
     # a block's life (it keeps each transaction's txid)
@@ -903,13 +904,13 @@ def test_held_script_address_reused_until_its_last_output_folds_away(builder, mo
     # and the next payment to it derives it again, once.
     canister = make_canister(builder, delta=2)
     derived: Counter = Counter()
-    real_address = canister_module.script_address
+    real_address = utxoset.script_address
 
     def counting_address(script, network):
         derived[script] += 1
         return real_address(script, network)
 
-    monkeypatch.setattr(canister_module, "script_address", counting_address)
+    monkeypatch.setattr(utxoset, "script_address", counting_address)
 
     def take(blocks):
         derived.clear()
