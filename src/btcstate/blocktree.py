@@ -457,7 +457,8 @@ class BlockTree:
     # -- dump / load -----------------------------------------------------------
 
     def dump_lines(self) -> list[str]:
-        """One node per line, in `bfs` order."""
+        """One node per line, in `bfs` order: the writer that round-trips
+        with `from_dump`."""
         lines = ["blocktree 1"]
         for h in self.bfs():
             node = self._nodes[h]

@@ -40,7 +40,6 @@ from btcstate.chain import (
     Block,
     BlockHeader,
     Hash256,
-    MAX_MONEY,
     NetworkKind,
     OutPoint,
     SerializationError,
@@ -54,6 +53,7 @@ from btcstate.validation import (
     ValidationError,
     check_block,
     check_header,
+    check_transaction_shape,
 )
 
 DEFAULT_DELTA = 144
@@ -519,12 +519,9 @@ class Canister:
         self._check_available(network)
         try:
             tx = Transaction.from_bytes(bytes(tx_bytes))
-        except SerializationError as exc:
+            check_transaction_shape(tx)
+        except (SerializationError, ValidationError) as exc:
             raise MalformedTransactionError(str(exc)) from None
-        if not tx.inputs or not tx.outputs:
-            raise MalformedTransactionError("transaction needs inputs and outputs")
-        if any(not 0 <= out.value <= MAX_MONEY for out in tx.outputs):
-            raise MalformedTransactionError("output value out of range")
         self.outbound_txs.append(bytes(tx_bytes))
         return tx.txid()
 

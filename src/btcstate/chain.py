@@ -115,9 +115,6 @@ class ByteReader:
     def i32(self) -> int:
         return struct.unpack("<i", self.take(4))[0]
 
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
     def varint(self) -> int:
         first = self.take(1)[0]
         if first < 0xFD:

@@ -17,9 +17,15 @@ from btcstate.chain import (
     MAX_MONEY,
     NetworkKind,
     OutPoint,
+    Transaction,
     TxOut,
 )
-from btcstate.validation import ValidationError, check_block_shape
+from btcstate.validation import (
+    ValidationError,
+    check_block_shape,
+    check_header,
+    check_transaction_shape,
+)
 
 SNAPSHOT_MAGIC = "btcstate-snapshot 2"
 
@@ -104,10 +110,14 @@ def from_snapshot(cls, lines: Iterable[str]) -> "Canister":
                     )
                 )
             elif key == "queued-tx":
-                queued.append(bytes.fromhex(value))
+                # Parsed and shape-checked as send_transaction does; the
+                # raw bytes are kept, so the round trip is byte-identical.
+                tx_bytes = bytes.fromhex(value)
+                check_transaction_shape(Transaction.from_bytes(tx_bytes))
+                queued.append(tx_bytes)
             else:
                 fields[key] = (lineno, value)
-        except ValueError as exc:
+        except (ValueError, ValidationError) as exc:
             raise SnapshotError(f"line {lineno}: bad {key} line: {exc}") from None
     else:
         raise SnapshotError("snapshot cut off before end")
@@ -121,6 +131,10 @@ def from_snapshot(cls, lines: Iterable[str]) -> "Canister":
         state = cls(headers[0][1], network, delta=delta, tau=tau, page_size=page_size)
     except ValueError as exc:
         raise SnapshotError(str(exc)) from None
+    # Every header below the root passes the check ingest applies. A
+    # snapshot carries no clock, so the clock is its latest header time:
+    # the future-time bound never rejects, every other header rule can.
+    now = max(header.time for _, header in headers)
     for lineno, header in headers[1:]:
         if header.prev not in state.tree:
             raise SnapshotError(
@@ -128,7 +142,12 @@ def from_snapshot(cls, lines: Iterable[str]) -> "Canister":
                 f"{header.prev.rev_hex()}"
             )
         try:
+            check_header(header, state.tree, state.policy, now)
             state.tree.add_header(header)
+        except ValidationError as exc:
+            raise SnapshotError(
+                f"line {lineno}: bad header {header.hash().rev_hex()}: {exc}"
+            ) from None
         except ValueError as exc:
             raise SnapshotError(f"line {lineno}: bad header line: {exc}") from None
     state.anchor = _snapshot_field(fields, "anchor", Hash256.from_rev_hex)

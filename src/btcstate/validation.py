@@ -23,6 +23,7 @@ from btcstate.chain import (
     Hash256,
     MAX_MONEY,
     NetworkKind,
+    Transaction,
     bits_to_target,
     target_to_bits,
 )
@@ -147,6 +148,16 @@ def header_violation(
     return None
 
 
+def check_transaction_shape(tx: Transaction, name: str = "transaction") -> None:
+    """The one transaction-shape rule: inputs and outputs, and every
+    output value in [0, MAX_MONEY]. `name` names the transaction in the
+    error."""
+    if not tx.inputs or not tx.outputs:
+        raise ValidationError(ViolationCode.MALFORMED, f"{name} lacks inputs or outputs")
+    if not all(0 <= txout.value <= MAX_MONEY for txout in tx.outputs):
+        raise ValidationError(ViolationCode.MALFORMED, f"{name} output value out of range")
+
+
 def check_block_shape(block: Block) -> None:
     """Structural block checks that need no chain context.
 
@@ -156,11 +167,7 @@ def check_block_shape(block: Block) -> None:
     if not block.transactions:
         raise ValidationError(ViolationCode.MALFORMED, "block has no transactions")
     for i, tx in enumerate(block.transactions):
-        if not tx.inputs or not tx.outputs:
-            raise ValidationError(ViolationCode.MALFORMED, f"tx {i} lacks inputs or outputs")
-        for txout in tx.outputs:
-            if not 0 <= txout.value <= MAX_MONEY:
-                raise ValidationError(ViolationCode.MALFORMED, f"tx {i} output value out of range")
+        check_transaction_shape(tx, f"tx {i}")
     if not block.transactions[0].is_coinbase():
         raise ValidationError(ViolationCode.BAD_COINBASE, "first transaction is not a coinbase")
     for i, tx in enumerate(block.transactions[1:], start=1):

@@ -10,11 +10,13 @@ import pytest
 from btcstate.blocktree import BlockTree, DepthKind
 from btcstate.chain import (
     Block,
+    BlockHeader,
     Hash256,
     OutPoint,
     Transaction,
     TxIn,
     TxOut,
+    bits_to_target,
     merkle_root,
     p2pkh_script,
     script_address,
@@ -35,6 +37,19 @@ NOW = REGTEST_GENESIS_TIME + 10 * 365 * 24 * 3600
 
 EASY_BITS = REGTEST_BITS
 HARDER_BITS = 0x207FFF00  # slightly smaller target than regtest, still easy to mine
+
+
+def header_with_bad_pow(parent: BlockHeader) -> BlockHeader:
+    """A child of `parent` that meets every header rule but proof of work:
+    its hash exceeds the regtest target its bits name."""
+    target = bits_to_target(EASY_BITS)
+    merkle = Hash256(sha256d(b"bad-pow"))
+    nonce = 0
+    while True:
+        header = BlockHeader(2, parent.hash(), merkle, parent.time + 1, EASY_BITS, nonce)
+        if header.hash().as_int() > target:
+            return header
+        nonce += 1
 
 
 def name_hash(name: str) -> Hash256:

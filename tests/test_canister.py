@@ -20,6 +20,7 @@ from btcstate.canister import (
 )
 from btcstate.chain import (
     Block,
+    BlockHeader,
     Hash256,
     NetworkKind,
     OutPoint,
@@ -35,7 +36,7 @@ from btcstate.overlay import OverlayIndex
 from btcstate.snapshot import SnapshotError
 from btcstate.utxoset import Utxo, UtxoSet
 
-from conftest import NOW, ChainBuilder, overlay_oracle
+from conftest import NOW, ChainBuilder, header_with_bad_pow, overlay_oracle
 
 NET = NetworkKind.REGTEST
 
@@ -1294,6 +1295,37 @@ def test_snapshot_block_that_fails_its_shape_check_rejected(builder):
         tampered = lines[:i] + [f"block {bad.to_bytes().hex()}"] + lines[i + 1 :]
         with pytest.raises(SnapshotError, match=f"^line {i + 1}: bad block .*: {code}: "):
             Canister.from_snapshot(tampered)
+
+
+def test_snapshot_queued_tx_that_send_transaction_would_refuse_rejected(builder):
+    canister = make_canister(builder, delta=2)
+    blocks = builder.build(4)
+    respond(canister, blocks)
+    tx = builder.spend(builder.coinbase_outpoint(blocks[0]), [(1, PROBE_SCRIPT)])
+    canister.send_transaction(tx.to_bytes(), NET)
+    lines = canister.snapshot_lines()
+    i = lines.index(f"queued-tx {tx.to_bytes().hex()}")
+    restored = Canister.from_snapshot(lines)
+    assert list(restored.outbound_txs) == [tx.to_bytes()]
+    assert restored.snapshot_lines() == lines
+    no_outputs = Transaction(tx.version, tx.inputs, (), tx.lock_time)
+    cases = [("00", "unexpected end of data"), (no_outputs.to_bytes().hex(), "lacks inputs or outputs")]
+    for raw, error in cases:
+        tampered = lines[:i] + [f"queued-tx {raw}"] + lines[i + 1 :]
+        with pytest.raises(SnapshotError, match=f"^line {i + 1}: bad queued-tx line: .*{error}"):
+            Canister.from_snapshot(tampered)
+
+
+def test_snapshot_header_with_bad_pow_rejected(builder):
+    lines = snapshot_with(builder)
+    last = max(i for i, line in enumerate(lines) if line.startswith("header "))
+    tip = BlockHeader.from_bytes(bytes.fromhex(lines[last].split()[1]))
+    bad = header_with_bad_pow(tip)
+    lines.insert(last + 1, f"header {bad.to_bytes().hex()}")
+    with pytest.raises(
+        SnapshotError, match=f"^line {last + 2}: bad header {bad.hash().rev_hex()}: bad-pow: "
+    ):
+        Canister.from_snapshot(lines)
 
 
 def test_snapshot_bodies_only_above_the_anchor_on_held_parents(builder):

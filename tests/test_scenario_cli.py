@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from btcstate.chain import BlockHeader
 from btcstate.cli import bundled_scenario_names, main
 from btcstate.scenario import (
     ScenarioParseError,
@@ -12,6 +13,8 @@ from btcstate.scenario import (
     parse_scenario,
     run_scenario_text,
 )
+
+from conftest import header_with_bad_pow
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -544,3 +547,13 @@ def test_cli_api_snapshot_header_with_unknown_parent(saved_state, tmp_path, caps
     err = api_on_broken(tmp_path, capsys, alice, lines)
     assert f"bad snapshot: line {second + 1}: header " in err
     assert "has unknown parent" in err
+
+
+def test_cli_api_snapshot_header_with_bad_pow(saved_state, tmp_path, capsys):
+    lines, alice = saved_state
+    lines = list(lines)
+    last = max(i for i, line in enumerate(lines) if line.startswith("header "))
+    bad = header_with_bad_pow(BlockHeader.from_bytes(bytes.fromhex(lines[last].split()[1])))
+    lines.insert(last + 1, f"header {bad.to_bytes().hex()}")
+    err = api_on_broken(tmp_path, capsys, alice, lines)
+    assert f"bad snapshot: line {last + 2}: bad header {bad.hash().rev_hex()}: bad-pow: " in err
