@@ -1309,7 +1309,10 @@ def test_snapshot_queued_tx_that_send_transaction_would_refuse_rejected(builder)
     assert list(restored.outbound_txs) == [tx.to_bytes()]
     assert restored.snapshot_lines() == lines
     no_outputs = Transaction(tx.version, tx.inputs, (), tx.lock_time)
-    cases = [("00", "unexpected end of data"), (no_outputs.to_bytes().hex(), "lacks inputs or outputs")]
+    cases = [
+        ("00", "unexpected end of data"),
+        (no_outputs.to_bytes().hex(), "lacks inputs or outputs"),
+    ]
     for raw, error in cases:
         tampered = lines[:i] + [f"queued-tx {raw}"] + lines[i + 1 :]
         with pytest.raises(SnapshotError, match=f"^line {i + 1}: bad queued-tx line: .*{error}"):

@@ -27,7 +27,8 @@ def snapshot() -> list[str]:
     builder = ChainBuilder()
     state = Canister(builder.genesis.header, NET, delta=3, tau=2)
     main = builder.build(3)
-    paying = builder.extend(extra_txs=(builder.spend(builder.coinbase_outpoint(main[0]), [(5, PAYEE), (6, PAYEE)]),))
+    payment = builder.spend(builder.coinbase_outpoint(main[0]), [(5, PAYEE), (6, PAYEE)])
+    paying = builder.extend(extra_txs=(payment,))
     rival = builder.extend(parent=main[-1].header.hash())
     later = builder.build(3, parent=paying.header.hash())
     blocks = main + [paying, rival] + later[:-1]
