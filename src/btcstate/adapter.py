@@ -347,7 +347,4 @@ class Adapter:
             all(h in tree and not tree.has_block(h) for h in self._announced_by),
             "every announcer names a known header without a body",
         )
-        require(
-            tree.bodied() == {h for h in tree.hashes() if tree.has_block(h)},
-            "the tree's kept bodied set equals a scan of has_block",
-        )
+        require(tree.bodied_matches_scan(), "the tree's kept bodied set equals a scan of has_block")

@@ -16,6 +16,14 @@ the tip's chain work minus its own, plus its own work: one subtraction.
 Every other depth is memoized per node and invalidated along the ancestor
 path on insertion, so repeated queries after incremental growth stay cheap
 and exactly match a from-scratch traversal.
+
+A tree that serves update requests walks the anchor's subtree minus the
+blocks the requester holds (`bfs` with a skip set). For that it keeps, from
+its first such walk on, the set of its nodes above a height mark that
+follows the walks' start heights; the blocks the requester lacks are that
+set minus the skip set, one set difference, so a round costs what the
+requester lacks rather than what it holds. The hashes of the bodied nodes
+are kept as a frozenset, rebuilt only after the bodies change.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from functools import cmp_to_key
 from itertools import filterfalse
 from typing import AbstractSet, Iterable, Iterator, Optional
 
-from btcstate.chain import Block, BlockHeader, Hash256, work_from_bits
+from btcstate.chain import Block, BlockHeader, CompactBitsError, Hash256, work_from_bits
 
 
 class UnknownBlockError(KeyError):
@@ -108,8 +116,14 @@ class BlockTree:
         self._by_height: dict[int, list[Hash256]] = {}
         self._depth_c: dict[Hash256, int] = {}
         self._depth_w: dict[Hash256, int] = {}
-        # The hashes of the nodes that hold a body.
+        # The hashes of the nodes that hold a body, and a frozen copy of
+        # them kept until they change.
         self._bodied: set[Hash256] = set()
+        self._bodied_frozen: Optional[frozenset[Hash256]] = None
+        # The nodes above the height `_mark`, kept from the first walk
+        # with a skip set on (`_above_mark`); None until then.
+        self._above: Optional[set[Hash256]] = None
+        self._mark = 0
         # Every height from 0 up to this one holds a node: each node's
         # parent sits one height below it.
         self._max_height = 0
@@ -128,6 +142,8 @@ class BlockTree:
         self._by_height.setdefault(node.height, []).append(node.hash)
         if node.height > self._max_height:
             self._max_height = node.height
+        if self._above is not None and node.height > self._mark:
+            self._above.add(node.hash)
 
     def __contains__(self, hash_: Hash256) -> bool:
         return hash_ in self._nodes
@@ -174,6 +190,7 @@ class BlockTree:
         parent = self._node(node.prev)
         parent.children.remove(hash_)
         removed = 0
+        above = self._above
         stack = [hash_]
         while stack:
             h = stack.pop()
@@ -183,7 +200,11 @@ class BlockTree:
                 del self._by_height[n.height]
             self._depth_c.pop(h, None)
             self._depth_w.pop(h, None)
-            self._bodied.discard(h)
+            if n.block is not None:
+                self._bodied.discard(h)
+                self._bodied_frozen = None
+            if above is not None:
+                above.discard(h)
             stack.extend(n.children)
             removed += 1
         while self._max_height not in self._by_height:
@@ -235,12 +256,18 @@ class BlockTree:
         return self._node(hash_).chain_work
 
     def set_block(self, hash_: Hash256, block: Block) -> None:
-        self._node(hash_).block = block
-        self._bodied.add(hash_)
+        node = self._node(hash_)
+        if node.block is None:
+            self._bodied.add(hash_)
+            self._bodied_frozen = None
+        node.block = block
 
     def drop_block(self, hash_: Hash256) -> None:
-        self._node(hash_).block = None
-        self._bodied.discard(hash_)
+        node = self._node(hash_)
+        if node.block is not None:
+            self._bodied.discard(hash_)
+            self._bodied_frozen = None
+        node.block = None
 
     def block(self, hash_: Hash256) -> Optional[Block]:
         return self._node(hash_).block
@@ -249,8 +276,17 @@ class BlockTree:
         return self._node(hash_).block is not None
 
     def bodied(self) -> frozenset[Hash256]:
-        """The hashes of the nodes that hold a body."""
-        return frozenset(self._bodied)
+        """The hashes of the nodes that hold a body; the same frozenset
+        until a body is set, dropped or removed."""
+        if self._bodied_frozen is None:
+            self._bodied_frozen = frozenset(self._bodied)
+        return self._bodied_frozen
+
+    def bodied_matches_scan(self) -> bool:
+        """Whether the kept bodied set and its frozen copy are both the
+        nodes that hold a body: an invariant check, one pass over the tree."""
+        scan = {h for h, node in self._nodes.items() if node.block is not None}
+        return self._bodied == scan and self.bodied() == scan
 
     def ancestor_headers(self, hash_: Hash256, count: int) -> list[Optional[BlockHeader]]:
         """The headers of up to `count` blocks ending at `hash_`, newest
@@ -284,20 +320,25 @@ class BlockTree:
         The nodes in `skip` are left out and their subtrees are not walked
         through: an unskipped child of a skipped node inside the subtree
         joins the walk as a root at its own level, in path order against
-        the nodes already there. Finding those roots is one pass over
-        `skip`; after that the walk visits only the nodes it yields.
+        the nodes already there. Those roots are found among the kept
+        nodes above `start`'s height minus `skip`, one set difference that
+        never iterates `skip` in Python; the walk then visits only the
+        nodes it yields.
         """
         top = self._node(self.root if start is None else start)
         nodes, skipped = self._nodes, skip.__contains__
         by_path = cmp_to_key(lambda a, b: -1 if self._path_before(nodes[a], nodes[b]) else 1)
         joins: dict[int, list[Hash256]] = {}
-        for h in skip:
-            node = nodes.get(h)
-            if node is None or node.height <= top.height:
-                continue
-            for c in node.children:
-                if c not in skip and self._descends(node, top):
-                    joins.setdefault(node.height + 1, []).append(c)
+        if skip:
+            for h in self._above_mark(top.height).difference(skip):
+                node = nodes[h]
+                parent = nodes[node.prev]
+                if (
+                    parent.height > top.height
+                    and skipped(parent.hash)
+                    and self._descends(parent, top)
+                ):
+                    joins.setdefault(node.height, []).append(h)
         if top.hash not in skip:
             yield top.hash
         level = list(filterfalse(skipped, top.children))
@@ -313,6 +354,24 @@ class BlockTree:
                 below.extend(filterfalse(skipped, nodes[h].children))
             level = below
             height += 1
+
+    def _above_mark(self, height: int) -> set[Hash256]:
+        """The kept set of the nodes above `height`, its mark moved there
+        from the last one: a cost in the nodes between the two heights.
+        The first call starts it with the mark at the top."""
+        above = self._above
+        if above is None:
+            above = self._above = set()
+            self._mark = self._max_height
+        by_height, mark = self._by_height, self._mark
+        # At most one of the two loops runs: lowering the mark adds the
+        # heights it passes, raising it removes them.
+        for h in range(height + 1, mark + 1):
+            above.update(by_height.get(h, ()))
+        for h in range(mark + 1, height + 1):
+            above.difference_update(by_height.get(h, ()))
+        self._mark = height
+        return above
 
     def _descends(self, node: _Node, top: _Node) -> bool:
         """Whether `node`, above `top`'s height, lies in `top`'s subtree. A
@@ -485,28 +544,36 @@ class BlockTree:
             fields = line.split()
             if len(fields) != 6 or fields[0] != "node":
                 raise TreeStructureError(f"line {lineno}: malformed node line")
-            _, hash_hex, prev_hex, height_s, bits_hex, _flag = fields
+            _, hash_hex, prev_hex, height_s, bits_hex, has_block = fields
+            if has_block not in ("0", "1"):
+                raise TreeStructureError(f"line {lineno}: has_block must be 0 or 1")
             try:
                 h = Hash256.from_rev_hex(hash_hex)
+                prev = None if prev_hex == "-" else Hash256.from_rev_hex(prev_hex)
                 bits = int(bits_hex, 16)
                 height = int(height_s)
             except ValueError as exc:
                 raise TreeStructureError(f"line {lineno}: {exc}") from None
-            if prev_hex == "-":
+            if prev is None:
                 if tree is not None:
                     raise TreeStructureError(f"line {lineno}: second root")
-                tree = cls((h, bits))
                 if height != 0:
                     raise TreeStructureError(f"line {lineno}: root height must be 0")
-            else:
-                if tree is None:
-                    raise TreeStructureError(f"line {lineno}: node before root")
-                prev = Hash256.from_rev_hex(prev_hex)
-                if prev not in tree:
-                    raise TreeStructureError(f"line {lineno}: orphaned node (unknown parent)")
-                tree.add_raw(h, prev, bits)
-                if tree.height(h) != height:
-                    raise TreeStructureError(f"line {lineno}: stated height disagrees with parent")
+            elif tree is None:
+                raise TreeStructureError(f"line {lineno}: node before root")
+            elif prev not in tree:
+                raise TreeStructureError(f"line {lineno}: orphaned node (unknown parent)")
+            elif h in tree:
+                raise TreeStructureError(f"line {lineno}: node listed twice")
+            try:
+                if prev is None:
+                    tree = cls((h, bits))
+                else:
+                    tree.add_raw(h, prev, bits)
+            except CompactBitsError as exc:
+                raise TreeStructureError(f"line {lineno}: bad bits {bits_hex}: {exc}") from None
+            if tree.height(h) != height:
+                raise TreeStructureError(f"line {lineno}: stated height disagrees with parent")
             count += 1
         if tree is None:
             raise TreeStructureError("empty tree dump")

@@ -8,11 +8,13 @@ described in README's Data formats section.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterable, Optional
 
 from btcstate.chain import (
     Block,
     BlockHeader,
+    CompactBitsError,
     Hash256,
     MAX_MONEY,
     NetworkKind,
@@ -123,14 +125,19 @@ def from_snapshot(cls, lines: Iterable[str]) -> "Canister":
         raise SnapshotError("snapshot cut off before end")
     if not headers:
         raise SnapshotError("snapshot has no headers")
+    # The bounds the state machine's constructor sets, checked here so
+    # that a rejection names the field's line.
     network = _snapshot_field(fields, "network", NetworkKind.from_str)
-    delta = _snapshot_field(fields, "delta", int)
-    tau = _snapshot_field(fields, "tau", int)
-    page_size = _snapshot_field(fields, "page-size", int)
+    delta = _snapshot_field(fields, "delta", partial(_bounded, "delta", low=1))
+    tau = _snapshot_field(fields, "tau", partial(_bounded, "tau"))
+    page_size = _snapshot_field(fields, "page-size", partial(_bounded, "page size", low=1))
+    root_line, root = headers[0]
     try:
-        state = cls(headers[0][1], network, delta=delta, tau=tau, page_size=page_size)
-    except ValueError as exc:
-        raise SnapshotError(str(exc)) from None
+        state = cls(root, network, delta=delta, tau=tau, page_size=page_size)
+    except CompactBitsError as exc:
+        raise SnapshotError(
+            f"line {root_line}: bad root header {root.hash().rev_hex()}: {exc}"
+        ) from None
     # Every header below the root passes the check ingest applies. A
     # snapshot carries no clock, so the clock is its latest header time:
     # the future-time bound never rejects, every other header rule can.
@@ -206,12 +213,12 @@ def from_snapshot(cls, lines: Iterable[str]) -> "Canister":
     return state
 
 
-def _bounded(name: str, text: str, high: Optional[int] = None) -> int:
-    """A snapshot number that must lie in [0, high]; ValueError names it
+def _bounded(name: str, text: str, high: Optional[int] = None, low: int = 0) -> int:
+    """A snapshot number that must lie in [low, high]; ValueError names it
     when it does not."""
     value = int(text)
-    if value < 0 or (high is not None and value > high):
-        limit = "at least 0" if high is None else f"in [0, {high}]"
+    if value < low or (high is not None and value > high):
+        limit = f"at least {low}" if high is None else f"in [{low}, {high}]"
         raise ValueError(f"{name} {value} is not {limit}")
     return value
 

@@ -113,6 +113,32 @@ def test_processed_set_skips_known_blocks(builder):
     assert got == [blocks[2].header.hash(), blocks[3].header.hash()]
 
 
+class _Unlistable(frozenset):
+    """A processed set that answers membership but cannot be iterated."""
+
+    def __iter__(self):
+        raise AssertionError("the processed set was iterated")
+
+
+def test_request_never_iterates_the_processed_set(builder):
+    adapter = make_adapter(builder, preset_peers=(3,))
+    adapter.connect_peers()
+    blocks = builder.build(5)
+    rival = builder.extend(parent=blocks[1].header.hash())
+    feed_chain(adapter, blocks + [rival])
+    headers_only = builder.build(2, parent=blocks[-1].header.hash())
+    feed_chain(adapter, headers_only, with_bodies=False)
+    processed = {b.header.hash() for b in blocks[:3]} | {Hash256(sha256d(b"outside"))}
+    for anchor in (builder.genesis.header, blocks[0].header):
+        req = GetSuccessorsRequest(anchor, _Unlistable(processed), ())
+        resp = adapter.handle_request(req, NOW)
+        want = whole_walk_response(adapter, GetSuccessorsRequest(anchor, frozenset(processed), ()))
+        assert (resp.blocks, resp.next_headers) == want
+        assert [b.header.hash() for b, _ in resp.blocks] == [
+            b.header.hash() for b in (rival, blocks[3], blocks[4])
+        ]
+
+
 def test_unknown_anchor_errors(builder):
     adapter = make_adapter(builder)
     foreign = builder.extend()  # never fed to the adapter

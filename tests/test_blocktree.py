@@ -14,6 +14,7 @@ from btcstate.blocktree import (
     WorkRatio,
 )
 from btcstate.chain import Hash256, sha256d, work_from_bits
+from btcstate.netsim import regtest_genesis_block
 
 from conftest import (
     EASY_BITS,
@@ -393,6 +394,55 @@ def test_kept_bodied_set_follows_bodies_and_removals(genesis_block):
         assert tree.bodied() == {n for n in tree.hashes() if tree.has_block(n)}
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_kept_index_follows_walks_inserts_bodies_and_removals(data):
+    # Walks from random starts move the index's mark up and down between
+    # inserts, removals and body changes; every skip walk must stay the
+    # whole walk filtered, and the kept bodied set a scan of has_block.
+    body = regtest_genesis_block()  # any body will do
+    tree = BlockTree((name_hash("r0"), EASY_BITS))
+    for step in range(data.draw(st.integers(1, 40))):
+        nodes = sorted(tree.hashes())
+        h = data.draw(st.sampled_from(nodes))
+        op = data.draw(st.sampled_from(["add", "add", "add", "remove", "body", "drop", "walk"]))
+        if op == "add":
+            tree.add_raw(name_hash(f"n{step}"), h, EASY_BITS)
+        elif op == "remove" and h != tree.root:
+            tree.remove_subtree(h)
+        elif op == "body":
+            tree.set_block(h, body)
+        elif op == "drop":
+            tree.drop_block(h)
+        elif op == "walk":
+            skip = frozenset(data.draw(st.sets(st.sampled_from(nodes))) | {name_hash("outside")})
+            assert list(tree.bfs(h, skip)) == [n for n in tree.bfs(h) if n not in skip]
+        assert tree.bodied() == {n for n in tree.hashes() if tree.has_block(n)}
+    start = data.draw(st.sampled_from(sorted(tree.hashes())))
+    skip = frozenset(data.draw(st.sets(st.sampled_from(sorted(tree.hashes())))))
+    assert list(tree.bfs(start, skip)) == [n for n in tree.bfs(start) if n not in skip]
+
+
+def test_trees_that_never_skip_keep_no_index():
+    tree = random_tree(random.Random(3), max_nodes=40)
+    list(tree.bfs())
+    list(tree.bfs(tree.root, frozenset()))
+    assert tree._above is None
+    list(tree.bfs(tree.root, frozenset({tree.root})))
+    assert tree._above == set(tree.hashes()) - {tree.root}
+
+
+def test_bodied_set_is_kept_until_the_bodies_change(genesis_block):
+    tree, ids = two_fork_tree()
+    tree.set_block(ids["a1"], genesis_block)
+    kept = tree.bodied()
+    tree.add_raw(name_hash("late"), ids["a3"], EASY_BITS)
+    tree.drop_block(ids["b1"])  # held no body
+    assert tree.bodied() is kept
+    tree.set_block(ids["a2"], genesis_block)
+    assert tree.bodied() == {ids["a1"], ids["a2"]} and tree.bodied() is not kept
+
+
 def test_bfs_unknown_start_rejected():
     tree, _ = two_fork_tree()
     with pytest.raises(UnknownBlockError):
@@ -453,6 +503,89 @@ def test_dump_rejects_height_mismatch():
     ]
     with pytest.raises(TreeStructureError):
         BlockTree.from_dump(lines)
+
+
+@pytest.mark.parametrize(
+    "bits, error",
+    [("00000000", "zero target"), ("01800000", "negative compact target"), ("-1", "bits out of range")],
+)
+@pytest.mark.parametrize("where", ["root", "child"])
+def test_dump_bits_without_a_target_name_the_line(where, bits, error):
+    root_bits = bits if where == "root" else f"{EASY_BITS:08x}"
+    child_bits = bits if where == "child" else f"{EASY_BITS:08x}"
+    lines = [
+        "blocktree 1",
+        f"node {name_hash('g').rev_hex()} - 0 {root_bits} 0",
+        f"node {name_hash('c').rev_hex()} {name_hash('g').rev_hex()} 1 {child_bits} 0",
+    ]
+    lineno = 2 if where == "root" else 3
+    with pytest.raises(TreeStructureError, match=f"^line {lineno}: bad bits {bits}: {error}"):
+        BlockTree.from_dump(lines)
+
+
+def test_dump_rejects_a_bad_parent_hash_a_repeated_node_and_a_bad_flag():
+    root = f"node {name_hash('g').rev_hex()} - 0 {EASY_BITS:08x} 0"
+    child = f"node {name_hash('c').rev_hex()} {name_hash('g').rev_hex()} 1 {EASY_BITS:08x} 0"
+    with pytest.raises(TreeStructureError, match="^line 3: "):
+        BlockTree.from_dump(["blocktree 1", root, child.replace(" 1 ", "0 1 ", 1)])
+    with pytest.raises(TreeStructureError, match="^line 4: node listed twice"):
+        BlockTree.from_dump(["blocktree 1", root, child, child])
+    with pytest.raises(TreeStructureError, match="^line 3: has_block must be 0 or 1"):
+        BlockTree.from_dump(["blocktree 1", root, child[:-1] + "2"])
+
+
+DUMP_ODD_FIELDS = ["-", "0", "1", "-1", "x", "00000000", "01800000", "ffffffff", "1d00ffff", ""]
+
+
+@st.composite
+def mutated_dump(draw, lines: list[str]) -> list[str]:
+    """The dump after one to three random edits."""
+    lines = list(lines)
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["drop", "duplicate", "swap", "flip", "field", "truncate"]))
+        if edit == "drop":
+            del lines[i]
+        elif edit == "duplicate":
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+        elif edit == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif edit == "flip":
+            digits = [k for k, c in enumerate(lines[i]) if c in "0123456789abcdef"]
+            if digits:
+                k = draw(st.sampled_from(digits))
+                new = draw(st.sampled_from([c for c in "0123456789abcdef" if c != lines[i][k]]))
+                lines[i] = lines[i][:k] + new + lines[i][k + 1 :]
+        elif edit == "field":
+            parts = lines[i].split(" ")
+            k = draw(st.integers(0, len(parts) - 1))
+            parts[k] = draw(st.sampled_from(DUMP_ODD_FIELDS) | st.integers(-(2**40), 2**40).map(str))
+            lines[i] = " ".join(parts)
+        else:
+            lines[i] = lines[i][: draw(st.integers(0, len(lines[i])))]
+    return lines
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mutated_dump_fails_closed_or_loads(data):
+    tree, _ = make_tree(
+        [("a1", "g"), ("a2", "a1"), ("b1", "g"), ("b2", "b1"), ("c2", "b1")],
+        bits={"a2": HARDER_BITS},
+    )
+    lines = data.draw(mutated_dump(tree.dump_lines()))
+    try:
+        loaded = BlockTree.from_dump(lines)
+    except TreeStructureError:
+        return
+    for h in loaded.hashes():
+        parent = loaded.parent(h)
+        assert parent is None or loaded.height(h) == loaded.height(parent) + 1
+        loaded.stability(h, CONF)
+    assert loaded.current_chain()[0] == loaded.root
 
 
 def test_duplicate_insert_is_noop():

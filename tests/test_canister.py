@@ -1281,6 +1281,35 @@ def test_snapshot_utxo_line_out_of_bounds_rejected(builder, field, value, error)
         Canister.from_snapshot(lines)
 
 
+@pytest.mark.parametrize(
+    "line, error",
+    [
+        ("delta 0", "bad delta '0': delta 0 is not at least 1"),
+        ("tau -1", "bad tau '-1': tau -1 is not at least 0"),
+        ("page-size 0", "bad page-size '0': page size 0 is not at least 1"),
+    ],
+    ids=["delta", "tau", "page-size"],
+)
+def test_snapshot_field_the_state_machine_refuses_names_its_line(builder, line, error):
+    lines = snapshot_with(builder, line)
+    i = lines.index(line)
+    with pytest.raises(SnapshotError, match=f"^line {i + 1}: {error}$"):
+        Canister.from_snapshot(lines)
+
+
+def test_snapshot_root_header_without_a_target_names_its_line(builder):
+    lines = snapshot_with(builder)
+    i = next(i for i, line in enumerate(lines) if line.startswith("header "))
+    raw = bytearray.fromhex(lines[i].split()[1])
+    raw[72:76] = (0x01800000).to_bytes(4, "little")  # the bits: a negative target
+    lines[i] = f"header {raw.hex()}"
+    root = BlockHeader.from_bytes(bytes(raw)).hash().rev_hex()
+    with pytest.raises(
+        SnapshotError, match=f"^line {i + 1}: bad root header {root}: negative compact target$"
+    ):
+        Canister.from_snapshot(lines)
+
+
 def test_snapshot_block_that_fails_its_shape_check_rejected(builder):
     lines = snapshot_with(builder)
     i = next(i for i, line in enumerate(lines) if line.startswith("block "))

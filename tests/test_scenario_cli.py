@@ -400,6 +400,18 @@ def test_cli_inspect_errors(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_cli_inspect_bits_without_a_target_is_usage_error(tmp_path, capsys):
+    dump = tmp_path / "zero_bits.txt"
+    dump.write_text(
+        "blocktree 1\n"
+        "node f68ccb004cc0d921f49688292f77ec3a617f89b81daf9bb0d2f60a82559cbb9a - 0 00000000 0\n"
+    )
+    assert main(["inspect", str(dump)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["bad tree dump: line 2: bad bits 00000000: zero target"]
+
+
 SNAPSHOT_SCENARIO = """
 name snapmaker
 seed 6
