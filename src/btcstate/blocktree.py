@@ -460,6 +460,26 @@ class BlockTree:
         assert isinstance(score, int)
         return score
 
+    def chain_confirmations(self, height: int) -> list[int]:
+        """The confirmation counts of the selected chain's blocks from
+        `height` up to the tip, in chain order: `confirmations` of each, in
+        one pass down from the tip. A block's deepest leaf is the deeper of
+        its chain child's and its side children's, and its rivals' depths
+        come from the cache; no chain block is cached, so the next insert's
+        invalidation stops at once."""
+        nodes, by_height = self._nodes, self._by_height
+        conf = DepthKind.CONFIRMATION
+        counts: list[int] = []
+        child, child_depth = None, 0  # the chain child and its depth
+        for h in reversed(self._chain[max(height, 0) :]):
+            node = nodes[h]
+            side = max((self.depth(c, conf) for c in node.children if c != child), default=0)
+            rival = max((self.depth(r, conf) for r in by_height[node.height] if r != h), default=0)
+            child, child_depth = h, max(child_depth, side) + 1
+            counts.append(child_depth - rival)
+        counts.reverse()
+        return counts
+
     def _beats(self, a: _Node, b: _Node) -> bool:
         """Whether `a` ends a better chain than `b`: more chain work, or as
         much and the smaller child hash where the two paths split (the

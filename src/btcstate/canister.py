@@ -11,15 +11,16 @@ snapshot (`snapshot`).
 
 A confirmation filter or a page token's tip is a height cut on the
 overlay's rows and spends, so no query walks the unstable blocks; the
-applied blocks' confirmation counts are taken once per response, on the
-first filtered query. Every overlay output lies above the anchor and every
-materialized output at or below it, so a listing is the overlay's unspent
-outputs followed by the kept listing minus the outpoints the overlay
-spends, with no merge. A page token names the key of the last entry
-served, and its continuation bisects to that key, so a full walk is linear
-in its entries. An unfiltered balance is the kept total, less the
-materialized outputs the overlay spends, plus the index's kept value; a
-filtered balance scans the address's overlay rows up to its cut.
+applied blocks' confirmation counts are taken once per response, in one
+pass down the selected chain, on the first filtered query. Every overlay
+output lies above the anchor and every materialized output at or below it,
+so a listing is the overlay's unspent outputs followed by the kept listing
+minus the outpoints the overlay spends, with no merge. A page token names
+the key of the last entry served, and its continuation bisects to that
+key, so a full walk is linear in its entries. An unfiltered balance is the
+kept total, less the materialized outputs the overlay spends, plus the
+index's kept value; a filtered balance also subtracts the kept nets of the
+applied blocks above its cut, one lookup per block.
 
 Responses from the sync endpoint are applied one at a time in simulator
 order; the whole state is deterministic given the message sequence.
@@ -298,19 +299,21 @@ class Canister:
             while keep and tree.selected_at(index.first + keep - 1) != blocks[keep - 1][0]:
                 keep -= 1
             folded = top + 1 - index.first  # indexed blocks now at or below the anchor
-            if keep > folded:
+            # A fold can change the nets of blocks that repeat an outpoint or
+            # create one after its spend (see `overlay`), so it rebuilds then.
+            if keep > folded and not (folded and index.repeats):
                 while len(blocks) > keep:
                     index.drop_top(touched)
                 for _ in range(folded):
                     index.drop_bottom(touched)
             else:
-                index = None  # no indexed block stays: build afresh
+                index = None  # no indexed block stays, or a fold meets a repeat: build afresh
         if index is None:
             index = OverlayIndex(top + 1)
         height = index.top() + 1
         while (h := tree.selected_at(height)) is not None and tree.has_block(h):
             delta = OverlayDelta.of_block(tree.block(h), height, self.utxos.address_of)
-            index.push(h, delta, touched)
+            index.push(h, delta, touched, self.utxos.by_outpoint)
             height += 1
         index.settle(touched, self.utxos.by_outpoint)
         self._index = index
@@ -328,9 +331,8 @@ class Canister:
         if min_conf is None:
             return index.top()
         if self._floors is None:
-            self._floors = list(
-                accumulate((-self.tree.confirmations(h) for h, _ in index.blocks), max)
-            )
+            counts = self.tree.chain_confirmations(index.first)[: len(index.blocks)]
+            self._floors = list(accumulate((-count for count in counts), max))
         return index.first - 1 + bisect_right(self._floors, -min_conf)
 
     def _token_cut(self, tip: Hash256) -> int:
@@ -495,22 +497,20 @@ class Canister:
         min_confirmations: Optional[int] = None,
     ) -> int:
         """Total satoshi over the same selection as get_utxos, unpaginated:
-        the kept total, less what the overlay spends of it, plus what the
-        overlay creates and leaves unspent. Without a filter the overlay's
-        part is the index's kept value; a filter scans the address's rows."""
+        the kept total plus what the overlay up to the cut changes."""
         cut = self._fresh_cut(network, min_confirmations)
-        if min_confirmations is None:
-            index = self._overlay_index()
-            spent = index.held_spent.get(address, ())
-            created = index.unspent_value.get(address, 0)
-        else:
-            rows, spent = self._overlay(address, cut)
-            created = sum(row.value for row in rows)
+        return self.utxos.listing(address).total + self._overlay_value(address, cut)
+
+    def _overlay_value(self, address: str, cut: int) -> int:
+        """What the applied chain up to height `cut` adds to the address's
+        materialized total: the index's kept value, less the materialized
+        outputs the overlay spends, less the nets of the blocks above `cut`."""
+        index = self._overlay_index()
         by_outpoint = self.utxos.by_outpoint
         return (
-            self.utxos.listing(address).total
-            - sum(by_outpoint[op][0].value for op in spent)
-            + created
+            index.unspent_value.get(address, 0)
+            - sum(by_outpoint[op][0].value for op in index.held_spent.get(address, ()))
+            - index.net_above(address, cut)
         )
 
     def send_transaction(self, tx_bytes: bytes, network: NetworkKind) -> Hash256:
@@ -604,7 +604,8 @@ class Canister:
         touched: set[OutPoint] = set()
         derive = partial(_address, network=self.network)  # not through the kept names
         for h in applied:
-            fresh.push(h, OverlayDelta.of_block(tree.block(h), tree.height(h), derive), touched)
+            delta = OverlayDelta.of_block(tree.block(h), tree.height(h), derive)
+            fresh.push(h, delta, touched, by_outpoint)
         fresh.settle(touched, by_outpoint)
         require(
             self._index == fresh, "the overlay index equals a fresh build from the applied chain"
@@ -619,6 +620,18 @@ class Canister:
             ),
             "each address's kept unspent value is the sum of its unfiltered overlay rows",
         )
+        index = self._index
+        addresses = set(index.rows).union(index.held_spent, *index.nets)
+        for cut in range(top, index_top + 1):
+            for address in addresses:
+                created, spent = self._overlay(address, cut)
+                scanned = sum(row.value for row in created) - sum(
+                    by_outpoint[op][0].value for op in spent
+                )
+                require(
+                    self._overlay_value(address, cut) == scanned,
+                    "each cut's balance from the kept nets equals a scan of the overlay rows",
+                )
         if self._floors is not None:
             lows = list(accumulate((tree.confirmations(h) for h in applied), min))
             require(

@@ -14,6 +14,15 @@ spends. It is built on the first query after a load and brought up to date
 on the first query after each response: folded blocks leave from the
 bottom, the blocks of a branch that lost leave from the top and new blocks
 join at the top, each at the cost of its own outputs and inputs.
+
+Each applied block also keeps its net: the change it made to each
+address's unfiltered balance when it joined at the top. A balance cut
+below the top is the unfiltered one less the nets of the blocks above the
+cut, so a confirmation filter costs one lookup per block it leaves out. A
+net depends only on the blocks below its own and on the materialized set,
+which a fold changes without changing any balance, except where one
+outpoint is created twice, or created after a block spends it: a fold
+while the index holds such an outpoint rebuilds the index.
 """
 
 from __future__ import annotations
@@ -63,13 +72,19 @@ class OverlayIndex:
     total over its overlay outpoints that no applied block spends, which is
     what an unfiltered query adds to the materialized outputs; `held_spent`
     each address's materialized outpoints that an applied block spends, and
-    `held_address` the address of each of those. Blocks join and leave
-    only at the two ends, so each costs its own rows and spends.
+    `held_address` the address of each of those. `nets` holds each applied
+    block's net, by address and without zeros, in the order of `blocks`;
+    `repeats` is set when a block joins with an outpoint that the index or
+    the materialized set already has or that the index spends. Blocks join
+    and leave only at the two ends, so each costs its own rows and spends.
     """
 
-    __slots__ = (
+    # The state two indexes over one applied chain agree on; `repeats` may
+    # stay set after its cause leaves.
+    _STATE = (
         "first",
         "blocks",
+        "nets",
         "rows",
         "outputs",
         "spenders",
@@ -77,20 +92,23 @@ class OverlayIndex:
         "held_spent",
         "held_address",
     )
+    __slots__ = _STATE + ("repeats",)
 
     def __init__(self, first: int):
         self.first = first
         self.blocks: list[tuple[Hash256, OverlayDelta]] = []
+        self.nets: list[dict[str, int]] = []
         self.rows: dict[str, list[Utxo]] = {}
         self.outputs: dict[OutPoint, tuple[str, int, int]] = {}
         self.spenders: dict[OutPoint, list[int]] = {}
         self.unspent_value: dict[str, int] = {}
         self.held_spent: dict[str, set[OutPoint]] = {}
         self.held_address: dict[OutPoint, str] = {}
+        self.repeats = False
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, OverlayIndex) and all(
-            getattr(self, name) == getattr(other, name) for name in self.__slots__
+            getattr(self, name) == getattr(other, name) for name in self._STATE
         )
 
     def top(self) -> int:
@@ -104,12 +122,24 @@ class OverlayIndex:
             return self.blocks[pos][1]
         return None
 
-    def push(self, h: Hash256, delta: OverlayDelta, touched: set[OutPoint]) -> None:
-        """Join a block at the top; the outpoints whose spends changed go
-        into `touched`."""
+    def net_above(self, address: str, cut: int) -> int:
+        """What the applied blocks above height `cut` changed in the
+        address's balance: the sum of their nets."""
+        total = 0
+        for net in self.nets[cut + 1 - self.first :]:
+            total += net.get(address, 0)
+        return total
+
+    def push(
+        self, h: Hash256, delta: OverlayDelta, touched: set[OutPoint], by_outpoint: dict
+    ) -> None:
+        """Join a block at the top, over the materialized outputs
+        `by_outpoint`; the outpoints whose spends changed go into
+        `touched`."""
         height = self.first + len(self.blocks)
         self.blocks.append((h, delta))
         outputs, spenders = self.outputs, self.spenders
+        net: dict[str, int] = {}
         fresh: dict[str, list[Utxo]] = {}
         for address, row in zip(delta.addresses, delta.rows):
             fresh.setdefault(address, []).append(row)
@@ -117,10 +147,15 @@ class OverlayIndex:
             entry = outputs.get(op)
             if entry is None:
                 outputs[op] = (address, row.value, 1)
-                if op not in spenders:
-                    self._add_unspent(address, row.value)
+                if op in spenders:
+                    self.repeats = True
+                else:
+                    self._add_unspent(address, row.value, net)
             else:
                 outputs[op] = (address, row.value, entry[2] + 1)
+                self.repeats = True
+            if op in by_outpoint:
+                self.repeats = True
         for address, rows in fresh.items():
             rows.sort(key=_page_key)
             # The block lies above every indexed row, so its rows lead.
@@ -129,14 +164,19 @@ class OverlayIndex:
             heights = spenders.get(op)
             if heights is None:
                 spenders[op] = [height]
-                self._spend_changed(op, -1)
+                self._spend_changed(op, -1, net)
+                held = by_outpoint.get(op)
+                if held is not None:  # settle adds it to `held_spent`
+                    net[held[2]] = net.get(held[2], 0) - held[0].value
             else:
                 heights.append(height)
+        self.nets.append({address: value for address, value in net.items() if value})
         touched |= delta.spent
 
     def drop_top(self, touched: set[OutPoint]) -> None:
         """Take the top block off: a reorganization left it behind."""
         _, delta = self.blocks.pop()
+        self.nets.pop()
         self._forget(delta, bottom=False)
         touched |= delta.spent
 
@@ -144,6 +184,7 @@ class OverlayIndex:
         """Take the lowest block off: it was folded into the materialized
         set, which now holds its outputs and lacks what it spent."""
         _, delta = self.blocks.pop(0)
+        del self.nets[0]
         self.first += 1
         self._forget(delta, bottom=True)
         touched |= delta.spent
@@ -178,14 +219,18 @@ class OverlayIndex:
                 del spenders[op]
                 self._spend_changed(op, 1)
 
-    def _spend_changed(self, op: OutPoint, sign: int) -> None:
+    def _spend_changed(self, op: OutPoint, sign: int, net: Optional[dict] = None) -> None:
         """An outpoint gained its first spender (sign -1) or lost its last
         (sign 1): an overlay outpoint leaves or rejoins the unspent value."""
         entry = self.outputs.get(op)
         if entry is not None:
-            self._add_unspent(entry[0], sign * entry[1])
+            self._add_unspent(entry[0], sign * entry[1], net)
 
-    def _add_unspent(self, address: str, value: int) -> None:
+    def _add_unspent(self, address: str, value: int, net: Optional[dict] = None) -> None:
+        """Add `value` to the address's unspent value, and to its entry in
+        the joining block's `net` when given."""
+        if net is not None:
+            net[address] = net.get(address, 0) + value
         total = self.unspent_value.get(address, 0) + value
         if total:
             self.unspent_value[address] = total

@@ -167,6 +167,49 @@ def test_confirmations_losing_fork_negative():
     assert tree.confirmations(ids["b1"]) == brute_stability(tree, ids["b1"], CONF) == -2
 
 
+HEAVY_BITS = 0x2000FFFF  # about 128 times the work of EASY_BITS
+
+
+def test_chain_confirmations_count_a_longer_lighter_side_branch():
+    # g -> a1 -> a2 (heavy, the selected chain) and g -> b1 -> ... -> b4:
+    # more blocks but less work, so the chain's counts are not tip-relative.
+    tree, ids = make_tree(
+        [("a1", "g"), ("a2", "a1"), ("b1", "g"), ("b2", "b1"), ("b3", "b2"), ("b4", "b3")],
+        bits={"a1": HEAVY_BITS, "a2": HEAVY_BITS},
+    )
+    assert tree.tip == ids["a2"]
+    counts = [brute_stability(tree, ids[name], CONF) for name in ("g", "a1", "a2")]
+    assert counts == [5, -2, -2]
+    assert tree.chain_confirmations(0) == counts
+    assert tree.chain_confirmations(2) == counts[2:]
+    assert tree.chain_confirmations(3) == []
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_chain_confirmations_match_brute_force_through_inserts_and_removals(data):
+    # Mixed bits, so side branches can be longer than the selected chain;
+    # depth and stability queries interleave, so the pass meets warm caches.
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    mixed = (EASY_BITS, HARDER_BITS, HEAVY_BITS)
+    tree = random_tree(rng, max_nodes=40, bits_choices=mixed)
+    for step in range(data.draw(st.integers(0, 12))):
+        nodes = sorted(tree.hashes())
+        h = data.draw(st.sampled_from(nodes))
+        op = data.draw(st.sampled_from(["add", "add", "remove", "query"]))
+        if op == "add":
+            tree.add_raw(name_hash(f"c{step}"), h, data.draw(st.sampled_from(mixed)))
+        elif op == "remove" and h != tree.root:
+            tree.remove_subtree(h)
+        elif op == "query":
+            tree.confirmations(h)
+        chain = tree.current_chain()
+        start = data.draw(st.integers(0, len(chain)))
+        want = [brute_stability(tree, c, CONF) for c in chain[start:]]
+        assert tree.chain_confirmations(start) == want
+        assert want == [tree.confirmations(c) for c in chain[start:]]
+
+
 # -- current chain ----------------------------------------------------------------
 
 

@@ -696,15 +696,15 @@ def test_filtered_queries_take_confirmation_counts_once_per_response(builder, mo
     sources = builder.build(2)
     respond(canister, sources + [builder.extend(extra_txs=(pay_probe(builder, sources[0], 3),))])
     calls: Counter = Counter()
-    count_calls(monkeypatch, BlockTree, ("stability",), calls)
+    count_calls(monkeypatch, BlockTree, ("stability", "chain_confirmations"), calls)
     for _ in range(2):
         respond(canister, builder.build(2))
-        applied = canister.current_tip_height() - canister.anchor_height()
         expected = {k: overlay_oracle(canister, PROBE, k) for k in (1, 2, 3, 4, 10)}
         calls.clear()
         balance = canister.get_balance(PROBE, NET, min_confirmations=3)
         assert balance == sum(value for _, value, _ in expected[3])
-        assert calls["stability"] == applied  # one count per applied block
+        # one pass down the chain, and no stability call per applied block
+        assert calls == Counter({"chain_confirmations": 1})
         calls.clear()
         for min_conf, rows in expected.items():
             assert canister.list_utxos(PROBE, NET, min_conf) == tuple(
@@ -712,7 +712,9 @@ def test_filtered_queries_take_confirmation_counts_once_per_response(builder, mo
             )
             first = canister.get_utxos(PROBE, NET, min_confirmations=min_conf)
             assert listed(walk(canister, PROBE, first)) == rows
-        assert calls["stability"] == 0
+            total = sum(value for _, value, _ in rows)
+            assert canister.get_balance(PROBE, NET, min_conf) == total
+        assert not calls
 
 
 def overlay_work_of_one_response(unstable: int, work: Counter) -> Counter:
@@ -795,9 +797,9 @@ def test_repeated_walks_build_no_utxo_and_only_filtered_balances_scan_the_overla
     balance, first = counted(lambda: cold.get_balance(PROBE, NET))
     assert balance == total and first["Listing"] == 1 and first["_overlay"] == 0
     assert counted(lambda: cold.get_balance(PROBE, NET)) == (total, none)
-    # a filtered balance still scans the overlay, and builds nothing
+    # a filtered balance reads the kept nets: it scans no row and builds nothing
     filtered = sum(value for _, value, _ in overlay_oracle(canister, PROBE, 2))
-    assert counted(lambda: cold.get_balance(PROBE, NET, 2)) == (filtered, {**none, "_overlay": 1})
+    assert counted(lambda: cold.get_balance(PROBE, NET, 2)) == (filtered, none)
     # a first walk builds the listing once; a repeated walk hands out the
     # stored rows and builds no Utxo
     pages, first = counted(lambda: walk(canister, PROBE, canister.get_utxos(PROBE, NET)))
@@ -809,8 +811,9 @@ def test_repeated_walks_build_no_utxo_and_only_filtered_balances_scan_the_overla
 
 
 def test_unfiltered_balance_follows_repeats_same_block_spends_reorgs_and_folds(builder):
-    # The kept unspent value changes only through the index's pushes and
-    # drops; after each kind of change it must equal a fresh scan.
+    # The kept unspent value and nets change only through the index's
+    # pushes and drops (or a rebuild); after each kind of change every cut's
+    # balance must equal a fresh scan.
     canister = make_canister(builder, delta=4)
     sources = builder.build(4)
     respond(canister, sources)
@@ -818,6 +821,9 @@ def test_unfiltered_balance_follows_repeats_same_block_spends_reorgs_and_folds(b
     def check():
         expected = overlay_oracle(canister, PROBE)
         assert canister.get_balance(PROBE, NET) == sum(value for _, value, _ in expected)
+        for k in range(1, canister.delta + 1):
+            filtered = overlay_oracle(canister, PROBE, k)
+            assert canister.get_balance(PROBE, NET, k) == sum(value for _, value, _ in filtered)
         canister.check_invariants()
         return expected
 
@@ -842,12 +848,18 @@ def test_unfiltered_balance_follows_repeats_same_block_spends_reorgs_and_folds(b
     respond(canister, [rival, builder.extend(parent=rival.header.hash(), extra_txs=(respend,))])
     assert canister.reorgs == reorgs + 1
     check()
-    # folds take the copies into the materialized set one at a time
+    # a block spends an output that the block above it creates
+    later = pay_probe(builder, sources[2], 2)
+    early = Transaction(1, (TxIn(OutPoint(later.txid(), 0), b"sig"),), (TxOut(5, b"\x51"),))
+    respond(canister, [builder.extend(extra_txs=(early,)), builder.extend(extra_txs=(later,))])
+    check()
+    # folds take the copies into the materialized set one at a time, and
+    # the early spend before the output it spends
     anchor = canister.anchor_height()
-    for _ in range(5):
+    for _ in range(7):
         respond(canister, builder.build(1))
         check()
-    assert canister.anchor_height() > anchor + 2
+    assert canister.anchor_height() > anchor + 4
 
 
 def test_block_life_derives_each_address_and_hash_once(builder, monkeypatch):

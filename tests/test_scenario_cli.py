@@ -4,10 +4,13 @@ import hashlib
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from btcstate.chain import BlockHeader
-from btcstate.cli import bundled_scenario_names, main
+from btcstate.cli import bundled_scenario_names, load_scenario_text, main
 from btcstate.scenario import (
+    Scenario,
     ScenarioParseError,
     eval_assertion,
     parse_scenario,
@@ -98,6 +101,51 @@ def test_parse_separation_key_is_unknown():
     # the rival lead of the stability rule is always required
     with pytest.raises(ScenarioParseError, match="line 3: unknown canister key 'separation'"):
         parse_scenario("[canister]\ndelta 3\nseparation off\n")
+
+
+SCENARIO_ODD_TOKENS = [
+    "-1", "0", "0.5", "nan", "inf", "-inf", "1e400", "99999999999999999999", "x", "on", "",
+    "[script]", "[params]", "[nowhere]", "[", "#", "mine", "assert", "==", "<",
+]
+
+
+@st.composite
+def mutated_scenario(draw) -> str:
+    """A bundled scenario after one to three random edits."""
+    lines = load_scenario_text(draw(st.sampled_from(bundled_scenario_names()))).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["drop", "duplicate", "swap", "token", "insert", "truncate"]))
+        if edit == "drop":
+            del lines[i]
+        elif edit == "duplicate":
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+        elif edit == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif edit == "token":
+            parts = lines[i].split(" ")
+            k = draw(st.integers(0, len(parts) - 1))
+            parts[k] = draw(st.sampled_from(SCENARIO_ODD_TOKENS) | st.integers().map(str))
+            lines[i] = " ".join(parts)
+        elif edit == "insert":
+            lines.insert(i, " ".join(draw(st.lists(st.sampled_from(SCENARIO_ODD_TOKENS), max_size=4))))
+        else:
+            lines[i] = lines[i][: draw(st.integers(0, len(lines[i])))]
+    return "\n".join(lines)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(text=mutated_scenario())
+def test_mutated_scenario_fails_closed_or_parses(text):
+    try:
+        scenario = parse_scenario(text)
+    except ScenarioParseError:
+        return
+    assert isinstance(scenario, Scenario)
+    scenario.params.validate()
 
 
 def test_assertion_arithmetic():
@@ -204,8 +252,6 @@ BUNDLED_OUTPUT_SHA256 = {
 @pytest.mark.parametrize("name", list(BUNDLED_OUTPUT_SHA256))
 def test_every_bundled_scenario_green_within_budget(name, tmp_path):
     import time
-
-    from btcstate.cli import load_scenario_text
 
     started = time.monotonic()
     result = run_scenario_text(load_scenario_text(name), out_dir=tmp_path)
