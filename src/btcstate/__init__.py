@@ -11,8 +11,9 @@ The package is organized around the data flow of the system it models:
 - :mod:`btcstate.utxoset`: the materialized UTXO set and its kept listings.
 - :mod:`btcstate.overlay`: the overlay index over the unstable blocks.
 - :mod:`btcstate.snapshot`: the state machine's text snapshot format.
-- :mod:`btcstate.netsim`: seeded discrete-event simulation and Monte Carlo
-  experiments for the security properties.
+- :mod:`btcstate.netsim`: seeded discrete-event simulation of the network.
+- :mod:`btcstate.montecarlo`: Monte Carlo experiments for the security
+  properties.
 - :mod:`btcstate.scenario` / :mod:`btcstate.cli`: scenario harness and CLI.
 """
 

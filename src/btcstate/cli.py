@@ -21,7 +21,7 @@ from typing import Optional
 from btcstate.blocktree import BlockTree, DepthKind, TreeStructureError, WorkRatio
 from btcstate.canister import ApiError, Canister
 from btcstate.chain import NetworkKind
-from btcstate.netsim import (
+from btcstate.montecarlo import (
     downtime_analytic,
     downtime_bound,
     eclipse_analytic,

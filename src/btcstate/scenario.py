@@ -31,17 +31,19 @@ from btcstate.chain import (
     script_address,
     sha256d,
 )
+from btcstate.montecarlo import (
+    downtime_analytic,
+    downtime_bound,
+    eclipse_analytic,
+    run_downtime_trials,
+    run_eclipse_trials,
+)
 from btcstate.netsim import (
     AdversaryConfig,
     AdversaryStrategy,
     SimParams,
     SimWorld,
-    downtime_analytic,
-    downtime_bound,
-    eclipse_analytic,
     replay_utxo_set,
-    run_downtime_trials,
-    run_eclipse_trials,
 )
 
 API_OK = 0

@@ -21,15 +21,13 @@ from btcstate.canister import (
     FilterRejectedError,
 )
 from btcstate.chain import NetworkKind, TxOut, p2pkh_script, sha256d, script_address
+from btcstate.montecarlo import run_downtime_trials, run_eclipse_trials, run_fork_attack
 from btcstate.netsim import (
     AdversaryConfig,
     AdversaryStrategy,
     SimParams,
     SimWorld,
     replay_utxo_set,
-    run_downtime_trials,
-    run_eclipse_trials,
-    run_fork_attack,
 )
 from btcstate.scenario import parse_scenario, ScenarioRunner
 from btcstate.validation import ChainPolicy

@@ -4,18 +4,20 @@ experiments, and end-to-end sync liveness."""
 import pytest
 
 from btcstate.blocktree import BlockTree, DepthKind
+from btcstate.montecarlo import (
+    downtime_analytic,
+    downtime_bound,
+    eclipse_analytic,
+    run_downtime_trials,
+    run_eclipse_trials,
+    run_fork_attack,
+)
 from btcstate.netsim import (
     AdversaryConfig,
     AdversaryStrategy,
     SimParams,
     SimWorld,
-    downtime_analytic,
-    downtime_bound,
-    eclipse_analytic,
     regtest_genesis_block,
-    run_downtime_trials,
-    run_eclipse_trials,
-    run_fork_attack,
 )
 
 from conftest import brute_best_path
