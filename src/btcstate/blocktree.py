@@ -15,7 +15,10 @@ and the tip holds the most chain work in the tree, so its work depth is
 the tip's chain work minus its own, plus its own work: one subtraction.
 Every other depth is memoized per node and invalidated along the ancestor
 path on insertion, so repeated queries after incremental growth stay cheap
-and exactly match a from-scratch traversal.
+and exactly match a from-scratch traversal. The confirmation counts of the
+selected chain's blocks come in one pass down from the tip, each block's
+depth from its chain child's and its side children's; the pass memoizes
+nothing on the chain, so the next insert at the tip invalidates nothing.
 
 A tree that serves update requests walks the anchor's subtree minus the
 blocks the requester holds (`bfs` with a skip set). For that it keeps, from
@@ -473,10 +476,14 @@ class BlockTree:
         child, child_depth = None, 0  # the chain child and its depth
         for h in reversed(self._chain[max(height, 0) :]):
             node = nodes[h]
-            side = max((self.depth(c, conf) for c in node.children if c != child), default=0)
-            rival = max((self.depth(r, conf) for r in by_height[node.height] if r != h), default=0)
-            child, child_depth = h, max(child_depth, side) + 1
-            counts.append(child_depth - rival)
+            depth = child_depth + 1
+            # Most chain blocks have one child and no rival: skip the scans.
+            if len(node.children) > 1:
+                depth = max(depth, *(self.depth(c, conf) + 1 for c in node.children if c != child))
+            rivals = by_height[node.height]
+            rival = max(self.depth(r, conf) for r in rivals if r != h) if len(rivals) > 1 else 0
+            child, child_depth = h, depth
+            counts.append(depth - rival)
         counts.reverse()
         return counts
 

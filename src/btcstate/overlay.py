@@ -139,7 +139,7 @@ class OverlayIndex:
         height = self.first + len(self.blocks)
         self.blocks.append((h, delta))
         outputs, spenders = self.outputs, self.spenders
-        net: dict[str, int] = {}
+        gained: dict[str, int] = {}  # the block's change to each address's unspent value
         fresh: dict[str, list[Utxo]] = {}
         for address, row in zip(delta.addresses, delta.rows):
             fresh.setdefault(address, []).append(row)
@@ -150,7 +150,7 @@ class OverlayIndex:
                 if op in spenders:
                     self.repeats = True
                 else:
-                    self._add_unspent(address, row.value, net)
+                    gained[address] = gained.get(address, 0) + row.value
             else:
                 outputs[op] = (address, row.value, entry[2] + 1)
                 self.repeats = True
@@ -160,16 +160,24 @@ class OverlayIndex:
             rows.sort(key=_page_key)
             # The block lies above every indexed row, so its rows lead.
             self.rows.setdefault(address, [])[:0] = rows
+        first_spent_held = []  # `settle` adds these to `held_spent`
         for op in delta.spent:
             heights = spenders.get(op)
             if heights is None:
                 spenders[op] = [height]
-                self._spend_changed(op, -1, net)
+                entry = outputs.get(op)
+                if entry is not None:
+                    gained[entry[0]] = gained.get(entry[0], 0) - entry[1]
                 held = by_outpoint.get(op)
-                if held is not None:  # settle adds it to `held_spent`
-                    net[held[2]] = net.get(held[2], 0) - held[0].value
+                if held is not None:
+                    first_spent_held.append(held)
             else:
                 heights.append(height)
+        for address, value in gained.items():
+            self._add_unspent(address, value)
+        net = gained
+        for txout, _, address in first_spent_held:
+            net[address] = net.get(address, 0) - txout.value
         self.nets.append({address: value for address, value in net.items() if value})
         touched |= delta.spent
 
@@ -219,18 +227,14 @@ class OverlayIndex:
                 del spenders[op]
                 self._spend_changed(op, 1)
 
-    def _spend_changed(self, op: OutPoint, sign: int, net: Optional[dict] = None) -> None:
+    def _spend_changed(self, op: OutPoint, sign: int) -> None:
         """An outpoint gained its first spender (sign -1) or lost its last
         (sign 1): an overlay outpoint leaves or rejoins the unspent value."""
         entry = self.outputs.get(op)
         if entry is not None:
-            self._add_unspent(entry[0], sign * entry[1], net)
+            self._add_unspent(entry[0], sign * entry[1])
 
-    def _add_unspent(self, address: str, value: int, net: Optional[dict] = None) -> None:
-        """Add `value` to the address's unspent value, and to its entry in
-        the joining block's `net` when given."""
-        if net is not None:
-            net[address] = net.get(address, 0) + value
+    def _add_unspent(self, address: str, value: int) -> None:
         total = self.unspent_value.get(address, 0) + value
         if total:
             self.unspent_value[address] = total
