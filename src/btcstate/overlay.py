@@ -74,14 +74,13 @@ class OverlayIndex:
     each address's materialized outpoints that an applied block spends, and
     `held_address` the address of each of those. `nets` holds each applied
     block's net, by address and without zeros, in the order of `blocks`;
-    `repeats` is set when a block joins with an outpoint that the index or
-    the materialized set already has or that the index spends. Blocks join
-    and leave only at the two ends, so each costs its own rows and spends.
+    `repeats` the heights, ascending, of the applied blocks that joined
+    with an outpoint that the index or the materialized set already had or
+    that the index spent. Blocks join and leave only at the two ends, so
+    each costs its own rows and spends.
     """
 
-    # The state two indexes over one applied chain agree on; `repeats` may
-    # stay set after its cause leaves.
-    _STATE = (
+    __slots__ = (
         "first",
         "blocks",
         "nets",
@@ -91,8 +90,8 @@ class OverlayIndex:
         "unspent_value",
         "held_spent",
         "held_address",
+        "repeats",
     )
-    __slots__ = _STATE + ("repeats",)
 
     def __init__(self, first: int):
         self.first = first
@@ -104,11 +103,11 @@ class OverlayIndex:
         self.unspent_value: dict[str, int] = {}
         self.held_spent: dict[str, set[OutPoint]] = {}
         self.held_address: dict[OutPoint, str] = {}
-        self.repeats = False
+        self.repeats: list[int] = []
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, OverlayIndex) and all(
-            getattr(self, name) == getattr(other, name) for name in self._STATE
+            getattr(self, name) == getattr(other, name) for name in self.__slots__
         )
 
     def top(self) -> int:
@@ -140,6 +139,7 @@ class OverlayIndex:
         self.blocks.append((h, delta))
         outputs, spenders = self.outputs, self.spenders
         gained: dict[str, int] = {}  # the block's change to each address's unspent value
+        repeat = False
         fresh: dict[str, list[Utxo]] = {}
         for address, row in zip(delta.addresses, delta.rows):
             fresh.setdefault(address, []).append(row)
@@ -148,14 +148,14 @@ class OverlayIndex:
             if entry is None:
                 outputs[op] = (address, row.value, 1)
                 if op in spenders:
-                    self.repeats = True
+                    repeat = True
                 else:
                     gained[address] = gained.get(address, 0) + row.value
             else:
                 outputs[op] = (address, row.value, entry[2] + 1)
-                self.repeats = True
+                repeat = True
             if op in by_outpoint:
-                self.repeats = True
+                repeat = True
         for address, rows in fresh.items():
             rows.sort(key=_page_key)
             # The block lies above every indexed row, so its rows lead.
@@ -175,16 +175,20 @@ class OverlayIndex:
                 heights.append(height)
         for address, value in gained.items():
             self._add_unspent(address, value)
-        net = gained
+        # The block's net also loses the materialized outputs it spends first.
         for txout, _, address in first_spent_held:
-            net[address] = net.get(address, 0) - txout.value
-        self.nets.append({address: value for address, value in net.items() if value})
+            gained[address] = gained.get(address, 0) - txout.value
+        self.nets.append({address: value for address, value in gained.items() if value})
+        if repeat:
+            self.repeats.append(height)
         touched |= delta.spent
 
     def drop_top(self, touched: set[OutPoint]) -> None:
         """Take the top block off: a reorganization left it behind."""
         _, delta = self.blocks.pop()
         self.nets.pop()
+        if self.repeats and self.repeats[-1] == self.first + len(self.blocks):
+            self.repeats.pop()
         self._forget(delta, bottom=False)
         touched |= delta.spent
 
@@ -225,14 +229,9 @@ class OverlayIndex:
             del heights[0 if bottom else -1]
             if not heights:
                 del spenders[op]
-                self._spend_changed(op, 1)
-
-    def _spend_changed(self, op: OutPoint, sign: int) -> None:
-        """An outpoint gained its first spender (sign -1) or lost its last
-        (sign 1): an overlay outpoint leaves or rejoins the unspent value."""
-        entry = self.outputs.get(op)
-        if entry is not None:
-            self._add_unspent(entry[0], sign * entry[1])
+                entry = outputs.get(op)
+                if entry is not None:  # an overlay outpoint rejoins the unspent value
+                    self._add_unspent(entry[0], entry[1])
 
     def _add_unspent(self, address: str, value: int) -> None:
         total = self.unspent_value.get(address, 0) + value

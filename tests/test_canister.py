@@ -862,6 +862,31 @@ def test_unfiltered_balance_follows_repeats_same_block_spends_reorgs_and_folds(b
     assert canister.anchor_height() > anchor + 4
 
 
+def test_fold_rebuilds_the_index_only_while_it_holds_a_repeat(builder, monkeypatch):
+    # A fold while the index holds a repeated outpoint rebuilds it; once a
+    # reorganization drops the repeating block, folds are incremental again.
+    canister = make_canister(builder, delta=20)
+    sources = builder.build(3)
+    pay = pay_probe(builder, sources[0], 1)
+    first = builder.extend(extra_txs=(pay,))
+    respond(canister, sources + [first, builder.extend(extra_txs=(pay,))])
+    canister.get_balance(PROBE, NET)
+    assert canister._index.repeats == [canister.current_tip_height()]
+    rival = builder.build(19, parent=first.header.hash())
+    respond(canister, rival[:2])  # drops the copy, folds nothing
+    canister.get_balance(PROBE, NET)
+    assert canister._index.repeats == [] and canister.anchor_height() == 0
+    calls: Counter = Counter()
+    count_calls(monkeypatch, OverlayIndex, ("push", "drop_bottom"), calls)
+    for block in rival[2:]:
+        calls.clear()
+        respond(canister, [block])
+        assert canister.get_balance(PROBE, NET) == 100
+        assert calls["push"] == 1  # the new block only, never a rebuild
+        canister.check_invariants()
+    assert canister.anchor_height() > 0 and calls["drop_bottom"] == 1
+
+
 def test_block_life_derives_each_address_and_hash_once(builder, monkeypatch):
     # From a block's first query through its fold to the spend of its
     # output: an output's address is derived once, when its block joins the
