@@ -258,9 +258,10 @@ class Canister:
         most 0 against it and can never fold.
 
         Each advancement folds the block into the UTXO set, prunes rival
-        branches at that height, and drops the block body. The outputs'
-        addresses come from the overlay index when it holds the block, and
-        are derived otherwise.
+        branches at that height, and drops the block body. A block the
+        overlay index holds is folded from its kept delta, per address
+        (`UtxoSet.apply_delta`); any other is applied transaction by
+        transaction.
         """
         index = self._index
         while True:
@@ -275,8 +276,10 @@ class Canister:
             ):
                 break
             delta = index.delta(best, next_height) if index is not None else None
-            addresses = delta.addresses if delta is not None else None
-            self.anomaly_count += self.utxos.apply_block(block, next_height, addresses)
+            if delta is None:
+                self.anomaly_count += self.utxos.apply_block(block, next_height)
+            else:
+                self.anomaly_count += self.utxos.apply_delta(block, next_height, delta)
             for rival in self.tree.at_height(next_height):
                 if rival != best:
                     self.tree.remove_subtree(rival)

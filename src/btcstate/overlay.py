@@ -1,10 +1,13 @@
 """The overlay index: what the applied chain (the selected chain's bodied
 blocks above the anchor) changes for queries, indexed by address.
 
-A block's outputs, with their addresses, and the outpoints it spends are
-derived when it joins the overlay index and kept there while it stays
-applied; folding a block the index holds into the materialized set takes
-its outputs' addresses from there.
+A block's outputs, with their addresses and grouped by address, and its
+inputs are derived when it joins the overlay index and kept there while it
+stays applied. Folding a block the index holds into the materialized set
+moves that kept delta in per address (`UtxoSet.apply_delta`), building no
+row and deriving no address, unless the order of the block's writes could
+show in the result; then the fold walks the block's transactions
+(`UtxoSet.apply_block`).
 
 The overlay is one index over the applied chain: each address's overlay
 rows in page order, the heights of the blocks that spend each outpoint,
@@ -27,37 +30,63 @@ while the index holds such an outpoint rebuilds the index.
 
 from __future__ import annotations
 
-from collections import Counter
+from operator import itemgetter
 from typing import Callable, NamedTuple, Optional
 
 from btcstate.chain import Block, Hash256, OutPoint
-from btcstate.utxoset import Utxo, _page_key, output_addresses
+from btcstate.utxoset import Utxo, _outpoint, _page_key
+
+_txid = itemgetter(0)  # an outpoint's txid
 
 
 class OverlayDelta(NamedTuple):
     """What one unstable block changes for queries: every output as a row,
-    in block order, with the output's address at the same position, and
-    the outpoints it spends. Every address of the block is found once,
-    here, by `address_of`, and the anchor fold reuses them."""
+    in block order, with the output's address at the same position; the
+    same rows grouped by address, each group in page order; the block's
+    inputs in block order, and the outpoints they spend. Every address of
+    the block is found once, here, by `address_of`, and the anchor fold
+    reuses them, with the rows and groups.
+
+    `plain` says that no two transactions of the block share a txid and no
+    input names one of the block's own transactions, so that the block's
+    inputs and outputs touch distinct outpoints whatever their order."""
 
     rows: list[Utxo]
     addresses: list[str]
+    groups: dict[str, list[Utxo]]
+    inputs: list[OutPoint]
     spent: frozenset[OutPoint]
+    plain: bool
 
     @classmethod
     def of_block(
         cls, block: Block, height: int, address_of: Callable[[bytes], str]
     ) -> "OverlayDelta":
         rows: list[Utxo] = []
-        spent: list[OutPoint] = []
+        addresses: list[str] = []
+        groups: dict[str, list[Utxo]] = {}
+        inputs: list[OutPoint] = []
+        txids = set()
         for tx in block.transactions:
             if not tx.is_coinbase():
-                spent.extend(txin.outpoint for txin in tx.inputs)
+                inputs.extend(txin.outpoint for txin in tx.inputs)
             txid = tx.txid()
-            rows.extend(
-                Utxo(OutPoint(txid, vout), txout.value, height) for vout, txout in enumerate(tx.outputs)
-            )
-        return cls(rows, output_addresses(block, address_of), frozenset(spent))
+            txids.add(txid)
+            for vout, txout in enumerate(tx.outputs):
+                address = address_of(txout.script_pubkey)
+                row = Utxo(OutPoint(txid, vout), txout.value, height)
+                rows.append(row)
+                addresses.append(address)
+                group = groups.get(address)
+                if group is None:
+                    groups[address] = [row]
+                else:
+                    group.append(row)
+        for group in groups.values():
+            if len(group) > 1:
+                group.sort(key=_page_key)
+        plain = len(txids) == len(block.transactions) and txids.isdisjoint(map(_txid, inputs))
+        return cls(rows, addresses, groups, inputs, frozenset(inputs), plain)
 
 
 class OverlayIndex:
@@ -137,29 +166,29 @@ class OverlayIndex:
         `touched`."""
         height = self.first + len(self.blocks)
         self.blocks.append((h, delta))
-        outputs, spenders = self.outputs, self.spenders
+        outputs, spenders, index_rows = self.outputs, self.spenders, self.rows
         gained: dict[str, int] = {}  # the block's change to each address's unspent value
         repeat = False
-        fresh: dict[str, list[Utxo]] = {}
-        for address, row in zip(delta.addresses, delta.rows):
-            fresh.setdefault(address, []).append(row)
-            op = row.outpoint
-            entry = outputs.get(op)
-            if entry is None:
-                outputs[op] = (address, row.value, 1)
-                if op in spenders:
-                    repeat = True
+        for address, rows in delta.groups.items():
+            value = 0
+            for row in rows:
+                op = row.outpoint
+                entry = outputs.get(op)
+                if entry is None:
+                    outputs[op] = (address, row.value, 1)
+                    if op in spenders:
+                        repeat = True
+                    else:
+                        value += row.value
                 else:
-                    gained[address] = gained.get(address, 0) + row.value
-            else:
-                outputs[op] = (address, row.value, entry[2] + 1)
-                repeat = True
-            if op in by_outpoint:
-                repeat = True
-        for address, rows in fresh.items():
-            rows.sort(key=_page_key)
+                    outputs[op] = (address, row.value, entry[2] + 1)
+                    repeat = True
+                if op in by_outpoint:
+                    repeat = True
+            if value:
+                gained[address] = value
             # The block lies above every indexed row, so its rows lead.
-            self.rows.setdefault(address, [])[:0] = rows
+            index_rows.setdefault(address, [])[:0] = rows
         first_spent_held = []  # `settle` adds these to `held_spent`
         for op in delta.spent:
             heights = spenders.get(op)
@@ -200,30 +229,33 @@ class OverlayIndex:
         self.first += 1
         self._forget(delta, bottom=True)
         touched |= delta.spent
-        touched.update(row.outpoint for row in delta.rows)
+        # Its outputs were in no materialized entry before the fold (a
+        # repeat rebuilds the index instead), so `settle` can change only
+        # those that an applied block spends.
+        touched |= self.spenders.keys() & map(_outpoint, delta.rows)
 
     def _forget(self, delta: OverlayDelta, bottom: bool) -> None:
         """Delete an end block's rows and spends. The lowest block's rows
         close each address's rows and its height opens each outpoint's
         spending heights; the top block's are the other way round."""
-        outputs, spenders = self.outputs, self.spenders
-        for address, count in Counter(delta.addresses).items():
-            rows = self.rows[address]
+        outputs, spenders, index_rows = self.outputs, self.spenders, self.rows
+        for address, rows in delta.groups.items():
+            kept = index_rows[address]
             if bottom:
-                del rows[-count:]
+                del kept[-len(rows) :]
             else:
-                del rows[:count]
-            if not rows:
-                del self.rows[address]
-        for address, row in zip(delta.addresses, delta.rows):
-            op = row.outpoint
-            copies = outputs[op][2]
-            if copies > 1:
-                outputs[op] = (address, row.value, copies - 1)
-            else:
-                del outputs[op]
-                if op not in spenders:
-                    self._add_unspent(address, -row.value)
+                del kept[: len(rows)]
+            if not kept:
+                del index_rows[address]
+            for row in rows:
+                op = row.outpoint
+                copies = outputs[op][2]
+                if copies > 1:
+                    outputs[op] = (address, row.value, copies - 1)
+                else:
+                    del outputs[op]
+                    if op not in spenders:
+                        self._add_unspent(address, -row.value)
         for op in delta.spent:
             heights = spenders[op]
             del heights[0 if bottom else -1]

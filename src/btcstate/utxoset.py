@@ -13,15 +13,30 @@ An address's materialized outputs are listed once, on the first query that
 needs them, sorted by the page key (height descending, then txid and
 output index) together with their total value; every later write keeps that
 listing current with a bisected insert or delete.
+
+A block is folded in one of two ways. `apply_block` walks its transactions
+and is the rule. `apply_delta` moves the block's kept overlay delta in per
+address, reusing its rows: the outpoints go in in bulk, and each address's
+rows lead its kept listing, since a folded block lies above every held
+row. It gives `apply_block`'s result and falls back to it whenever the
+order of the block's writes could show: a transaction held twice, an input
+naming one of the block's own transactions, an output whose outpoint is
+held, or a paid address with a kept listing whose every held output the
+block spends.
 """
 
 from __future__ import annotations
 
 import sys
 from bisect import bisect_left, insort
-from typing import Callable, NamedTuple, Optional
+from itertools import chain, repeat
+from operator import itemgetter
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from btcstate.chain import Block, NetworkKind, OutPoint, TxOut, script_address
+
+if TYPE_CHECKING:
+    from btcstate.overlay import OverlayDelta
 
 
 class Utxo(NamedTuple):
@@ -31,6 +46,9 @@ class Utxo(NamedTuple):
     outpoint: OutPoint
     value: int
     height: int
+
+
+_outpoint = itemgetter(0)  # a row's outpoint
 
 
 def _page_key(row: Utxo) -> tuple[int, bytes, int]:
@@ -166,4 +184,44 @@ class UtxoSet:
             for vout, txout in enumerate(tx.outputs):
                 self.add(OutPoint(txid, vout), txout, height, addresses[pos])
                 pos += 1
+        return anomalies
+
+    def apply_delta(self, block: Block, height: int, delta: OverlayDelta) -> int:
+        """Fold the block from its overlay delta, as `apply_block` would:
+        spend its inputs in block order, then move its outputs in per
+        address, reusing the delta's rows. A folded block lies above every
+        held output, so an address's rows lead its kept listing.
+
+        The block goes through `apply_block` instead when the order of its
+        writes could show in the result: when it is not `plain`, when an
+        output repeats a held outpoint, or when it spends every held output
+        of an address that has a kept listing and that it also pays (one
+        order of its transactions drops the listing, another keeps it).
+        """
+        by_outpoint, by_address, listings = self.by_outpoint, self.by_address, self.listings
+        groups = delta.groups
+        if (
+            not delta.plain
+            or not by_outpoint.keys().isdisjoint(map(_outpoint, delta.rows))
+            or any(by_address[a] <= delta.spent for a in listings.keys() & groups.keys())
+        ):
+            return self.apply_block(block, height, delta.addresses)
+        anomalies = 0
+        for outpoint in delta.inputs:
+            if not self.remove(outpoint):
+                anomalies += 1
+        txouts = chain.from_iterable(tx.outputs for tx in block.transactions)
+        by_outpoint.update(
+            zip(map(_outpoint, delta.rows), zip(txouts, repeat(height), delta.addresses))
+        )
+        for address, rows in groups.items():
+            bucket = by_address.get(address)
+            if bucket is None:
+                bucket = by_address[address] = set()
+                self.names[by_outpoint[rows[0].outpoint][0].script_pubkey] = address
+            bucket.update(map(_outpoint, rows))
+            listing = listings.get(address)
+            if listing is not None:
+                listing.rows[:0] = rows
+                listing.total += sum(row.value for row in rows)
         return anomalies

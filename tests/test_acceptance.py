@@ -22,17 +22,11 @@ from btcstate.canister import (
 )
 from btcstate.chain import NetworkKind, TxOut, p2pkh_script, sha256d, script_address
 from btcstate.montecarlo import run_downtime_trials, run_eclipse_trials, run_fork_attack
-from btcstate.netsim import (
-    AdversaryConfig,
-    AdversaryStrategy,
-    SimParams,
-    SimWorld,
-    replay_utxo_set,
-)
+from btcstate.netsim import SimParams, SimWorld, replay_utxo_set
 from btcstate.scenario import parse_scenario, ScenarioRunner
 from btcstate.validation import ChainPolicy
 
-from conftest import EASY_BITS, HARDER_BITS, NOW, ChainBuilder, name_hash, random_tree
+from conftest import EASY_BITS, HARDER_BITS, NOW, ChainBuilder, random_tree
 
 CONF = DepthKind.CONFIRMATION
 WORK = DepthKind.WORK

@@ -18,7 +18,6 @@ from btcstate.adapter import (
     UnknownAnchorError,
 )
 from btcstate.chain import Hash256, NetworkKind, TxOut, sha256d
-from btcstate.netsim import make_coinbase
 from btcstate.validation import ChainPolicy, ViolationCode
 
 from conftest import NOW, ChainBuilder, random_tree

@@ -13,7 +13,7 @@ from btcstate.blocktree import (
     UnknownBlockError,
     WorkRatio,
 )
-from btcstate.chain import Hash256, sha256d, work_from_bits
+from btcstate.chain import Hash256, work_from_bits
 from btcstate.netsim import regtest_genesis_block
 
 from conftest import (

@@ -6,6 +6,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from btcstate import chain as chain_module
 from btcstate import overlay, utxoset
@@ -31,8 +33,8 @@ from btcstate.chain import (
     script_address,
     sha256d,
 )
-from btcstate.netsim import make_coinbase, replay_utxo_set
-from btcstate.overlay import OverlayIndex
+from btcstate.netsim import make_coinbase, regtest_genesis_block, replay_utxo_set
+from btcstate.overlay import OverlayDelta, OverlayIndex
 from btcstate.snapshot import SnapshotError
 from btcstate.utxoset import Utxo, UtxoSet
 
@@ -309,6 +311,77 @@ def test_intra_block_spend_chain(builder):
     assert utxos.apply_block(block, 2) == 0
     assert OutPoint(first.txid(), 0) not in utxos.by_outpoint
     assert utxos.by_outpoint[OutPoint(second.txid(), 0)][0].value == 4000
+
+
+# -- UtxoSet.apply_delta --------------------------------------------------------------
+
+EQ_SCRIPTS = [p2pkh_script(sha256d(b"eq%d" % i)[:20]) for i in range(3)]
+EQ_HEIGHT = 20
+UNKNOWN = OutPoint(Hash256(sha256d(b"unknown")), 0)
+payees = st.lists(st.tuples(st.integers(0, 2), st.integers(1, 1000)), min_size=1, max_size=3)
+
+
+def eq_tx(tag: bytes, inputs, pays) -> Transaction:
+    return Transaction(
+        1,
+        tuple(TxIn(op, tag) for op in inputs),
+        tuple(TxOut(value, EQ_SCRIPTS[script]) for script, value in pays),
+    )
+
+
+@st.composite
+def held_set_and_block(draw):
+    """The transactions that made a held set, their heights and the scripts
+    whose listings are kept, and a block above them. The block's inputs
+    spend held outpoints, the unknown outpoint and outputs of its own
+    transactions, the spender before or after its source once the order is
+    shuffled; an input list may name one outpoint twice; and a held
+    transaction or one of the block's may be repeated in it."""
+    held_txs = [
+        eq_tx(b"held", [OutPoint(Hash256(sha256d(b"h%d" % i)), 0)], draw(payees))
+        for i in range(draw(st.integers(1, 3)))
+    ]
+    heights = [draw(st.integers(1, EQ_HEIGHT - 1)) for _ in held_txs]
+    listed = draw(st.sets(st.integers(0, 2)))
+    held = [OutPoint(tx.txid(), vout) for tx in held_txs for vout in range(len(tx.outputs))]
+    txs: list[Transaction] = []
+    made: list[OutPoint] = []
+    for i in range(draw(st.integers(0, 4))):
+        inputs = draw(st.lists(st.sampled_from(held + [UNKNOWN] + made), min_size=1, max_size=3))
+        tx = eq_tx(b"%d" % i, inputs, draw(payees))
+        txs.append(tx)
+        made.extend(OutPoint(tx.txid(), vout) for vout in range(len(tx.outputs)))
+    txs = [txs[i] for i in draw(st.permutations(range(len(txs))))]
+    for _ in range(draw(st.integers(0, 2))):
+        txs.insert(draw(st.integers(0, len(txs))), draw(st.sampled_from(held_txs + txs)))
+    coinbase = make_coinbase(EQ_HEIGHT, b"eq", EQ_SCRIPTS[draw(st.integers(0, 2))])
+    return held_txs, heights, listed, Block(regtest_genesis_block().header, (coinbase, *txs))
+
+
+def held_set(held_txs, heights, listed) -> UtxoSet:
+    utxos = UtxoSet(NET)
+    for tx, height in zip(held_txs, heights):
+        for vout, txout in enumerate(tx.outputs):
+            utxos.add(OutPoint(tx.txid(), vout), txout, height, addr_of(txout.script_pubkey))
+    for script in listed:
+        utxos.listing(addr_of(EQ_SCRIPTS[script]))
+    return utxos
+
+
+def utxo_state(utxos: UtxoSet) -> tuple:
+    listings = {a: (listing.rows, listing.total) for a, listing in utxos.listings.items()}
+    return utxos.by_outpoint, utxos.by_address, utxos.names, listings
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=held_set_and_block())
+def test_delta_fold_equals_apply_block(case):
+    held_txs, heights, listed, block = case
+    folded, applied = held_set(held_txs, heights, listed), held_set(held_txs, heights, listed)
+    delta = OverlayDelta.of_block(block, EQ_HEIGHT, folded.address_of)
+    anomalies = folded.apply_delta(block, EQ_HEIGHT, delta)
+    assert anomalies == applied.apply_block(block, EQ_HEIGHT)
+    assert utxo_state(folded) == utxo_state(applied)
 
 
 # -- get_utxos / get_balance ----------------------------------------------------------
@@ -676,6 +749,72 @@ def test_fold_derives_no_address_for_a_block_the_index_holds(builder, monkeypatc
         canister.check_invariants()
     assert queried.utxos.by_outpoint == unqueried.utxos.by_outpoint
     assert queried.get_balance(PROBE, NET) == 100 + 101 + 102
+
+
+def test_fold_of_a_block_the_index_holds_builds_and_derives_nothing(builder, monkeypatch):
+    # Twin states take the same blocks; the queried one folds the paying
+    # block from the index's delta, moving the index's own rows into the
+    # kept listing, while the unqueried one applies it transaction by
+    # transaction.
+    sources = builder.build(3)
+    earlier = builder.extend(extra_txs=(pay_probe(builder, sources[0], 2),))
+    paying = builder.extend(extra_txs=(pay_probe(builder, sources[1], 3),))
+    later = builder.build(2)
+    queried, unqueried = make_canister(builder, delta=3), make_canister(builder, delta=3)
+    for canister in (queried, unqueried):
+        respond(canister, sources + [earlier, paying] + later[:1])
+        assert canister.anchor == earlier.header.hash()
+    assert queried.get_balance(PROBE, NET) == 100 + 101 + 100 + 101 + 102
+    unqueried.utxos.listing(PROBE)  # the same kept listing, but no overlay index
+    delta = queried._index.delta(paying.header.hash(), queried.anchor_height() + 1)
+    calls: Counter = Counter()
+    count_calls(monkeypatch, utxoset, ("Utxo", "OutPoint", "script_address"), calls)
+    count_calls(monkeypatch, overlay, ("Utxo", "OutPoint"), calls)
+    paying_txs = {id(tx) for tx in paying.transactions}
+    real_txid = Transaction.txid
+
+    def counting_txid(tx):
+        calls["txid"] += id(tx) in paying_txs
+        return real_txid(tx)
+
+    monkeypatch.setattr(Transaction, "txid", counting_txid)
+    work = []
+    for canister in (queried, unqueried):
+        calls.clear()
+        respond(canister, later[1:])
+        assert canister.anchor == paying.header.hash()
+        work.append(+calls)
+    monkeypatch.undo()
+    outputs = sum(len(tx.outputs) for tx in paying.transactions)
+    assert work[0] == Counter()
+    # every script but the coinbase's is held, so it alone is derived
+    assert work[1] == Counter(
+        {"OutPoint": outputs, "Utxo": 3, "script_address": 1, "txid": len(paying_txs)}
+    )
+    kept = queried.utxos.listings[PROBE].rows
+    assert len(kept) == 5 and all(row is mine for row, mine in zip(kept, delta.groups[PROBE]))
+    assert utxo_state(queried.utxos) == utxo_state(unqueried.utxos)
+    for canister in (queried, unqueried):
+        assert canister.get_balance(PROBE, NET) == 100 + 101 + 100 + 101 + 102
+        canister.check_invariants()
+
+
+def test_folded_output_that_an_applied_block_spends_is_held_spent(builder):
+    # The paying block folds while the block above it, which spends one of
+    # its outputs, stays applied: that output is now a materialized one the
+    # overlay spends.
+    canister = make_canister(builder, delta=3)
+    sources = builder.build(3)
+    paying = builder.extend(extra_txs=(pay_probe(builder, sources[0], 2),))
+    paid = OutPoint(paying.transactions[1].txid(), 1)
+    spend = Transaction(1, (TxIn(paid, b"sig"),), (TxOut(5, b"\x51"),))
+    respond(canister, sources + [paying, builder.extend(extra_txs=(spend,))])
+    assert canister.get_balance(PROBE, NET) == 100
+    respond(canister, builder.build(1))
+    assert canister.anchor == paying.header.hash()
+    assert canister.get_balance(PROBE, NET) == 100
+    assert canister._index.held_spent == {PROBE: {paid}}
+    canister.check_invariants()
 
 
 def count_calls(monkeypatch, owner, names, counts: Counter, key=None) -> None:

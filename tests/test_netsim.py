@@ -3,7 +3,7 @@ experiments, and end-to-end sync liveness."""
 
 import pytest
 
-from btcstate.blocktree import BlockTree, DepthKind
+from btcstate.blocktree import BlockTree
 from btcstate.montecarlo import (
     downtime_analytic,
     downtime_bound,
