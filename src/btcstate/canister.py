@@ -6,8 +6,9 @@ stability rule (threshold delta, 144 in production). Full blocks above the
 anchor are kept separately so any reorganization above the anchor resolves
 automatically; queries overlay the applied chain (the selected chain's
 bodied blocks above the anchor) on the materialized set, through the
-overlay index (`overlay`). The state saves to and loads from a text
-snapshot (`snapshot`).
+overlay index (`overlay`), which a query builds and every response after
+it keeps current. The state saves to and loads from a text snapshot
+(`snapshot`).
 
 A confirmation filter or a page token's tip is a height cut on the
 overlay's rows and spends, so no query walks the unstable blocks; the
@@ -31,7 +32,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import deque
 from functools import partial
-from itertools import accumulate
 from typing import Iterable, Optional
 
 from btcstate import snapshot
@@ -47,7 +47,7 @@ from btcstate.chain import (
     Transaction,
     script_address,
 )
-from btcstate.overlay import OverlayDelta, OverlayIndex
+from btcstate.overlay import OverlayIndex
 from btcstate.utxoset import Utxo, UtxoSet, _address, _page_key
 from btcstate.validation import (
     ChainPolicy,
@@ -154,13 +154,9 @@ class Canister:
         self.tree = BlockTree(genesis)
         self.anchor: Hash256 = genesis.hash()
         self.utxos = UtxoSet(network)
-        # The applied chain's overlay, built on the first query and brought
-        # up to date on the first query after each response.
+        # The applied chain's overlay, built on the first query and kept
+        # current at the end of every response after it.
         self._index: Optional[OverlayIndex] = None
-        self._index_current = False
-        # The applied blocks' running minimum confirmation count, negated so
-        # that it ascends; taken on the first filtered query after a response.
-        self._floors: Optional[list[int]] = None
         self.outbound_txs: deque[bytes] = deque()
         self.synced = True
         self.anomaly_count = 0
@@ -208,8 +204,6 @@ class Canister:
         the lowest unstable block is work-stable, append reported headers,
         and recompute the synced flag. Invalid items are skipped one by
         one; a bad pair never poisons the rest of the response."""
-        self._index_current = False
-        self._floors = None
         old_tip = self.tree.tip
         for block, header in resp.blocks:
             if self._ingest_block(block, header, now):
@@ -219,6 +213,8 @@ class Canister:
         self.synced = self._bodies_within_tau()
         if old_tip not in self.tree or self.tree.path_to(self.tree.tip, old_tip) is None:
             self.reorgs += 1
+        if self._index is not None:
+            self._index.follow(self.tree, self.anchor_height(), self.utxos)
 
     def _ingest_header(self, header: BlockHeader, now: float) -> bool:
         h = header.hash()
@@ -289,54 +285,12 @@ class Canister:
     # -- query helpers ---------------------------------------------------------
 
     def _overlay_index(self) -> OverlayIndex:
-        """The overlay index, brought up to date with the applied chain."""
-        index = self._index
-        if self._index_current:
-            return index
-        tree = self.tree
-        top = self.anchor_height()
-        touched: set[OutPoint] = set()
-        if index is not None:
-            blocks = index.blocks
-            keep = len(blocks)  # the indexed blocks still on the selected chain
-            while keep and tree.selected_at(index.first + keep - 1) != blocks[keep - 1][0]:
-                keep -= 1
-            folded = top + 1 - index.first  # indexed blocks now at or below the anchor
-            # A fold can change the nets of blocks that repeat an outpoint or
-            # create one after its spend (see `overlay`), so it rebuilds then.
-            if keep > folded and not (folded and index.repeats):
-                while len(blocks) > keep:
-                    index.drop_top(touched)
-                for _ in range(folded):
-                    index.drop_bottom(touched)
-            else:
-                index = None  # no indexed block stays, or a fold meets a repeat: build afresh
-        if index is None:
-            index = OverlayIndex(top + 1)
-        height = index.top() + 1
-        while (h := tree.selected_at(height)) is not None and tree.has_block(h):
-            delta = OverlayDelta.of_block(tree.block(h), height, self.utxos.address_of)
-            index.push(h, delta, touched, self.utxos.by_outpoint)
-            height += 1
-        index.settle(touched, self.utxos.by_outpoint)
-        self._index = index
-        self._index_current = True
-        return index
-
-    def _filter_cut(self, min_conf: Optional[int]) -> int:
-        """The height up to which a fresh query overlays the applied chain.
-
-        With a confirmation filter, the chain is cut before the first block
-        whose confirmation count falls short; the materialized prefix up to
-        the anchor is always included since it cannot be unwound.
-        """
-        index = self._overlay_index()
-        if min_conf is None:
-            return index.top()
-        if self._floors is None:
-            counts = self.tree.chain_confirmations(index.first)[: len(index.blocks)]
-            self._floors = list(accumulate((-count for count in counts), max))
-        return index.first - 1 + bisect_right(self._floors, -min_conf)
+        """The overlay index, built on the first query."""
+        if self._index is None:
+            top = self.anchor_height()
+            self._index = OverlayIndex(top + 1)
+            self._index.follow(self.tree, top, self.utxos)
+        return self._index
 
     def _token_cut(self, tip: Hash256) -> int:
         """The height up to which a continuation overlays: its token's tip,
@@ -348,39 +302,11 @@ class Canister:
             height = self.tree.height(tip)
             if index.delta(tip, height) is not None:
                 return height
-            if height >= index.first and self.tree.selected_at(height) == tip:
+            if self.tree.selected_at(height) == tip:
+                if height < index.first:
+                    raise FilterRejectedError("page token's tip folded below the anchor")
                 raise FilterRejectedError("page token's tip is above the held blocks")
         raise FilterRejectedError("page token's tip left the selected chain")
-
-    def _overlay(
-        self, address: str, cut: int, after_key: Optional[tuple[int, bytes, int]] = None
-    ) -> tuple[list[Utxo], list[OutPoint]]:
-        """The address's overlay rows at or below height `cut` that no block
-        up to `cut` spends, in page order and after `after_key` (a repeated
-        outpoint lists its highest copy only), and its materialized
-        outpoints that a block up to `cut` spends."""
-        index = self._overlay_index()
-        spenders = index.spenders
-        created: list[Utxo] = []
-        rows = index.rows.get(address)
-        if rows:
-            start = bisect_left(rows, (-cut,), key=_page_key)
-            seen: set[OutPoint] = set()
-            if after_key is not None:
-                served = bisect_right(rows, after_key, key=_page_key)
-                if served > start:
-                    seen = {row[0] for row in rows[start:served]}
-                    start = served
-            for row in rows[start:]:
-                op = row[0]
-                if op in seen:
-                    continue  # an older copy of a repeated outpoint
-                seen.add(op)
-                heights = spenders.get(op)
-                if heights is None or heights[0] > cut:
-                    created.append(row)
-        spent = [op for op in index.held_spent.get(address, ()) if spenders[op][0] <= cut]
-        return created, spent
 
     def _rows(
         self,
@@ -393,7 +319,7 @@ class Canister:
         most `limit` of them: the overlay's rows, then the kept listing
         minus the outpoints the overlay spends. Only the rows returned are
         copied, and each spent outpoint costs one bisect."""
-        created, spent = self._overlay(address, cut, after_key)
+        created, spent = self._overlay_index().changes(address, cut, after_key)
         held = self.utxos.listing(address).rows
         start = 0 if after_key is None else bisect_right(held, after_key, key=_page_key)
         if limit is None:
@@ -435,11 +361,15 @@ class Canister:
 
     def _fresh_cut(self, network: NetworkKind, min_confirmations: Optional[int]) -> int:
         """The checks every fresh query makes, then the height up to which
-        it overlays the applied chain."""
+        it overlays the applied chain. With a confirmation filter, the chain
+        is cut before the first block whose confirmation count falls short;
+        the materialized prefix up to the anchor is always included since it
+        cannot be unwound."""
         self._check_available(network)
-        if min_confirmations is not None:
-            self._check_min_conf(min_confirmations)
-        return self._filter_cut(min_confirmations)
+        if min_confirmations is None:
+            return self._overlay_index().top()
+        self._check_min_conf(min_confirmations)
+        return self._overlay_index().confirmed_top(self.tree, min_confirmations)
 
     # -- public API -----------------------------------------------------------
 
@@ -502,19 +432,8 @@ class Canister:
         """Total satoshi over the same selection as get_utxos, unpaginated:
         the kept total plus what the overlay up to the cut changes."""
         cut = self._fresh_cut(network, min_confirmations)
-        return self.utxos.listing(address).total + self._overlay_value(address, cut)
-
-    def _overlay_value(self, address: str, cut: int) -> int:
-        """What the applied chain up to height `cut` adds to the address's
-        materialized total: the index's kept value, less the materialized
-        outputs the overlay spends, less the nets of the blocks above `cut`."""
-        index = self._overlay_index()
-        by_outpoint = self.utxos.by_outpoint
-        return (
-            index.unspent_value.get(address, 0)
-            - sum(by_outpoint[op][0].value for op in index.held_spent.get(address, ()))
-            - index.net_above(address, cut)
-        )
+        value = self._overlay_index().value(address, cut, self.utxos.by_outpoint)
+        return self.utxos.listing(address).total + value
 
     def send_transaction(self, tx_bytes: bytes, network: NetworkKind) -> Hash256:
         """Queue a syntactically valid transaction for relay on the next
@@ -596,51 +515,13 @@ class Canister:
                 "every body's parent is bodied or is the anchor",
             )
         require(self.synced == self._bodies_within_tau(), "synced matches tau")
-        if not self._index_current:
-            return  # brought up to date by the next query
-        applied = []
-        for h in chain[1:]:
-            if not tree.has_block(h):
-                break
-            applied.append(h)
-        fresh = OverlayIndex(top + 1)
-        touched: set[OutPoint] = set()
-        derive = partial(_address, network=self.network)  # not through the kept names
-        for h in applied:
-            delta = OverlayDelta.of_block(tree.block(h), tree.height(h), derive)
-            fresh.push(h, delta, touched, by_outpoint)
-        fresh.settle(touched, by_outpoint)
-        require(
-            self._index == fresh, "the overlay index equals a fresh build from the applied chain"
-        )
-        index_top = fresh.top()
-        require(
-            set(fresh.unspent_value) <= set(fresh.rows)
-            and all(
-                fresh.unspent_value.get(address, 0)
-                == sum(row.value for row in self._overlay(address, index_top)[0])
-                for address in fresh.rows
-            ),
-            "each address's kept unspent value is the sum of its unfiltered overlay rows",
-        )
         index = self._index
-        addresses = set(index.rows).union(index.held_spent, *index.nets)
-        for cut in range(top, index_top + 1):
-            for address in addresses:
-                created, spent = self._overlay(address, cut)
-                scanned = sum(row.value for row in created) - sum(
-                    by_outpoint[op][0].value for op in spent
-                )
-                require(
-                    self._overlay_value(address, cut) == scanned,
-                    "each cut's balance from the kept nets equals a scan of the overlay rows",
-                )
-        if self._floors is not None:
-            lows = list(accumulate((tree.confirmations(h) for h in applied), min))
-            require(
-                self._floors == [-low for low in lows],
-                "the kept confirmation floors are the applied blocks' running minimum",
-            )
+        if index is not None:
+            fresh = OverlayIndex(top + 1)
+            # derives every address on its own, not through the kept names
+            fresh.follow(tree, top, utxos, partial(_address, network=self.network))
+            require(index == fresh, "the overlay index equals a fresh build from the applied chain")
+            index.check(tree, by_outpoint, require)
 
     # -- snapshot ---------------------------------------------------------------
 

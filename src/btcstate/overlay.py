@@ -13,10 +13,11 @@ The overlay is one index over the applied chain: each address's overlay
 rows in page order, the heights of the blocks that spend each outpoint,
 each address's materialized outpoints that the applied chain spends, and
 each address's value over its overlay outputs that no applied block
-spends. It is built on the first query after a load and brought up to date
-on the first query after each response: folded blocks leave from the
-bottom, the blocks of a branch that lost leave from the top and new blocks
-join at the top, each at the cost of its own outputs and inputs.
+spends. It is built on the first query after a load and follows the chain
+at the end of every response after that (`OverlayIndex.follow`): folded
+blocks leave from the bottom, the blocks of a branch that lost leave from
+the top and new blocks join at the top, each at the cost of its own
+outputs and inputs.
 
 Each applied block also keeps its net: the change it made to each
 address's unfiltered balance when it joined at the top. A balance cut
@@ -30,11 +31,14 @@ while the index holds such an outpoint rebuilds the index.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
 from operator import itemgetter
 from typing import Callable, NamedTuple, Optional
 
+from btcstate.blocktree import BlockTree
 from btcstate.chain import Block, Hash256, OutPoint
-from btcstate.utxoset import Utxo, _outpoint, _page_key
+from btcstate.utxoset import Utxo, UtxoSet, _outpoint, _page_key
 
 _txid = itemgetter(0)  # an outpoint's txid
 
@@ -106,7 +110,9 @@ class OverlayIndex:
     `repeats` the heights, ascending, of the applied blocks that joined
     with an outpoint that the index or the materialized set already had or
     that the index spent. Blocks join and leave only at the two ends, so
-    each costs its own rows and spends.
+    each costs its own rows and spends. `floors` holds the applied blocks'
+    running minimum confirmation count, negated so that it ascends, from
+    the first filtered query after the index last followed the chain.
     """
 
     __slots__ = (
@@ -120,6 +126,7 @@ class OverlayIndex:
         "held_spent",
         "held_address",
         "repeats",
+        "floors",
     )
 
     def __init__(self, first: int):
@@ -133,10 +140,12 @@ class OverlayIndex:
         self.held_spent: dict[str, set[OutPoint]] = {}
         self.held_address: dict[OutPoint, str] = {}
         self.repeats: list[int] = []
+        self.floors: Optional[list[int]] = None
 
     def __eq__(self, other: object) -> bool:
+        # The floors are left out: they are taken from the tree on demand.
         return isinstance(other, OverlayIndex) and all(
-            getattr(self, name) == getattr(other, name) for name in self.__slots__
+            getattr(self, name) == getattr(other, name) for name in self.__slots__[:-1]
         )
 
     def top(self) -> int:
@@ -150,13 +159,124 @@ class OverlayIndex:
             return self.blocks[pos][1]
         return None
 
-    def net_above(self, address: str, cut: int) -> int:
-        """What the applied blocks above height `cut` changed in the
-        address's balance: the sum of their nets."""
-        total = 0
+    def follow(
+        self,
+        tree: BlockTree,
+        top: int,
+        utxos: UtxoSet,
+        address_of: Optional[Callable[[bytes], str]] = None,
+    ) -> None:
+        """Bring the index up to date with the applied chain: the selected
+        chain's bodied blocks above height `top` (the anchor's), over the
+        materialized set `utxos`. A joining block's addresses are found by
+        `address_of`, the set's kept names by default."""
+        touched: set[OutPoint] = set()
+        blocks = self.blocks
+        keep = len(blocks)  # the held blocks still on the selected chain
+        while keep and tree.selected_at(self.first + keep - 1) != blocks[keep - 1][0]:
+            keep -= 1
+        folded = top + 1 - self.first  # held blocks now at or below the anchor
+        # A fold can change the nets of blocks that repeat an outpoint or
+        # create one after its spend (see above), so it rebuilds then.
+        if keep > folded and not (folded and self.repeats):
+            while len(blocks) > keep:
+                self.drop_top(touched)
+            for _ in range(folded):
+                self.drop_bottom(touched)
+        else:
+            self.__init__(top + 1)  # no held block stays, or a fold meets a repeat
+        address_of = address_of or utxos.address_of
+        by_outpoint = utxos.by_outpoint
+        height = self.top() + 1
+        while (h := tree.selected_at(height)) is not None and tree.has_block(h):
+            delta = OverlayDelta.of_block(tree.block(h), height, address_of)
+            self.push(h, delta, touched, by_outpoint)
+            height += 1
+        self.settle(touched, by_outpoint)
+        self.floors = None
+
+    def confirmed_top(self, tree: BlockTree, min_conf: int) -> int:
+        """The height up to which every applied block has at least
+        `min_conf` confirmations; the anchor's when the lowest has fewer.
+        The counts are taken once, in one pass down the selected chain."""
+        if self.floors is None:
+            counts = tree.chain_confirmations(self.first)[: len(self.blocks)]
+            self.floors = list(accumulate((-count for count in counts), max))
+        return self.first - 1 + bisect_right(self.floors, -min_conf)
+
+    def changes(
+        self, address: str, cut: int, after_key: Optional[tuple[int, bytes, int]] = None
+    ) -> tuple[list[Utxo], list[OutPoint]]:
+        """The address's overlay rows at or below height `cut` that no block
+        up to `cut` spends, in page order and after `after_key` (a repeated
+        outpoint lists its highest copy only), and its materialized
+        outpoints that a block up to `cut` spends."""
+        spenders = self.spenders
+        created: list[Utxo] = []
+        rows = self.rows.get(address)
+        if rows:
+            start = bisect_left(rows, (-cut,), key=_page_key)
+            seen: set[OutPoint] = set()
+            if after_key is not None:
+                served = bisect_right(rows, after_key, key=_page_key)
+                if served > start:
+                    seen = {row[0] for row in rows[start:served]}
+                    start = served
+            for row in rows[start:]:
+                op = row[0]
+                if op in seen:
+                    continue  # an older copy of a repeated outpoint
+                seen.add(op)
+                heights = spenders.get(op)
+                if heights is None or heights[0] > cut:
+                    created.append(row)
+        spent = [op for op in self.held_spent.get(address, ()) if spenders[op][0] <= cut]
+        return created, spent
+
+    def value(self, address: str, cut: int, by_outpoint: dict) -> int:
+        """What the applied chain up to height `cut` adds to the address's
+        materialized total: the kept unspent value, less the materialized
+        outputs `by_outpoint` that the overlay spends, less the nets of the
+        blocks above `cut`."""
+        total = self.unspent_value.get(address, 0) - sum(
+            by_outpoint[op][0].value for op in self.held_spent.get(address, ())
+        )
         for net in self.nets[cut + 1 - self.first :]:
-            total += net.get(address, 0)
+            total -= net.get(address, 0)
         return total
+
+    def check(
+        self, tree: BlockTree, by_outpoint: dict, require: Callable[[bool, str], None]
+    ) -> None:
+        """Check the kept values, nets and confirmation floors against
+        scans of the rows and the tree, through `require(holds, invariant)`."""
+        top = self.top()
+        require(
+            set(self.unspent_value) <= set(self.rows)
+            and all(
+                self.unspent_value.get(address, 0)
+                == sum(row.value for row in self.changes(address, top)[0])
+                for address in self.rows
+            ),
+            "each address's kept unspent value is the sum of its unfiltered overlay rows",
+        )
+        addresses = set(self.rows).union(self.held_spent, *self.nets)
+        for cut in range(self.first - 1, top + 1):
+            for address in addresses:
+                created, spent = self.changes(address, cut)
+                scanned = sum(row.value for row in created) - sum(
+                    by_outpoint[op][0].value for op in spent
+                )
+                require(
+                    self.value(address, cut, by_outpoint) == scanned,
+                    "each cut's balance from the kept nets equals a scan of the overlay rows",
+                )
+        if self.floors is not None:
+            lows = accumulate((tree.confirmations(h) for h, _ in self.blocks), min)
+            require(
+                self.floors == [-low for low in lows],
+                "the kept confirmation floors are the applied blocks' running minimum",
+            )
 
     def push(
         self, h: Hash256, delta: OverlayDelta, touched: set[OutPoint], by_outpoint: dict

@@ -113,7 +113,7 @@ _PARAM_KEYS = {
     "ensure-honest-peer": ("ensure_honest_peer", _parse_bool),
 }
 
-# op -> (min args, max args, types for the leading numeric args)
+# op -> (min args, max args, types for the leading args, as far as they are given)
 _SCRIPT_OPS: dict[str, tuple[int, Optional[int], tuple[type, ...]]] = {
     "mine": (1, 1, (int,)),
     "advance": (1, 1, (float,)),
@@ -122,9 +122,9 @@ _SCRIPT_OPS: dict[str, tuple[int, Optional[int], tuple[type, ...]]] = {
     "inject-fork": (2, 2, (int, int)),
     "start-downtime": (0, 0, ()),
     "stop-downtime": (0, 0, ()),
-    "pay": (3, 3, ()),
-    "send-tx": (3, 3, ()),
-    "api": (2, 3, ()),
+    "pay": (3, 3, (str, int, int)),
+    "send-tx": (3, 3, (str, int, int)),
+    "api": (2, 3, (str, str, int)),
     "mc-eclipse": (1, 1, (int,)),
     "mc-downtime": (1, 1, (int,)),
     "check-replay": (0, 0, ()),
@@ -151,14 +151,8 @@ def _check_action(op: str, args: list[str], lineno: int) -> None:
             raise ScenarioParseError(
                 lineno, f"{op}: expected {cast.__name__}, got {value!r}"
             ) from None
-    if op in ("pay", "send-tx"):
-        for value in args[1:]:
-            try:
-                int(value)
-            except ValueError:
-                raise ScenarioParseError(
-                    lineno, f"{op}: value and count must be integers"
-                ) from None
+    if op == "api" and args[0] not in ("get_balance", "get_utxos"):
+        raise ScenarioParseError(lineno, f"unknown api call {args[0]!r}")
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -399,7 +393,7 @@ class ScenarioRunner:
         elif op == "send-tx":
             self._pay(args, lineno, via_api=True)
         elif op == "api":
-            self._api(args, lineno)
+            self._api(args)
         elif op == "mc-eclipse":
             self._mc_eclipse(int(args[0]))
         elif op == "mc-downtime":
@@ -431,8 +425,6 @@ class ScenarioRunner:
         )
 
     def _assert_close(self, args: list[str], lineno: int) -> None:
-        if len(args) != 3:
-            raise ScenarioParseError(lineno, "assert-close takes metric, reference, rel-tol")
         metrics = self._metrics()
         value = _atom(args[0], metrics, lineno)
         reference = _atom(args[1], metrics, lineno)
@@ -447,8 +439,6 @@ class ScenarioRunner:
             )
 
     def _pay(self, args: list[str], lineno: int, via_api: bool) -> None:
-        if len(args) != 3:
-            raise ScenarioParseError(lineno, "usage: pay|send-tx <name> <value-sat> <count>")
         name, value, count = args[0], int(args[1]), int(args[2])
         tx = self._build_payment(name, value, count, lineno)
         if via_api:
@@ -475,33 +465,22 @@ class ScenarioRunner:
             outputs.append(TxOut(change, p2pkh_script(sha256d(b"change")[:20])))
         return Transaction(1, (TxIn(outpoint, b"sim"),), tuple(outputs), 0)
 
-    def _api(self, args: list[str], lineno: int) -> None:
-        if not args:
-            raise ScenarioParseError(lineno, "api needs a call name")
-        call, rest = args[0], args[1:]
-        canister = self.world.canister
-        network = self.world.network
+    def _api(self, args: list[str]) -> None:
+        call, name = args[0], args[1]
+        min_conf = int(args[2]) if len(args) > 2 else None
         self.api_calls += 1
-        self.world.observe("api", call, " ".join(rest))
-        if call == "get_balance":
-            name = rest[0]
-            min_conf = int(rest[1]) if len(rest) > 1 else None
-            try:
-                balance = canister.get_balance(self.address_for(name), network, min_conf)
+        self.world.observe("api", call, " ".join(args[1:]))
+        try:
+            if call == "get_balance":
+                balance = self.world.canister.get_balance(
+                    self.address_for(name), self.world.network, min_conf
+                )
                 self.extra_metrics[f"balance_{name}"] = balance
-                self.extra_metrics["last_api_status"] = API_OK
-            except ApiError as exc:
-                self.extra_metrics["last_api_status"] = _api_status(exc)
-        elif call == "get_utxos":
-            name = rest[0]
-            min_conf = int(rest[1]) if len(rest) > 1 else None
-            try:
+            else:
                 self._paged_utxos(name, min_conf)
-                self.extra_metrics["last_api_status"] = API_OK
-            except ApiError as exc:
-                self.extra_metrics["last_api_status"] = _api_status(exc)
-        else:
-            raise ScenarioParseError(lineno, f"unknown api call {call!r}")
+            self.extra_metrics["last_api_status"] = API_OK
+        except ApiError as exc:
+            self.extra_metrics["last_api_status"] = _api_status(exc)
 
     def _paged_utxos(self, name: str, min_conf: Optional[int]) -> None:
         canister = self.world.canister

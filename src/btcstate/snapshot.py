@@ -23,6 +23,7 @@ from btcstate.chain import (
     TxOut,
 )
 from btcstate.validation import (
+    ChainPolicy,
     ValidationError,
     check_block_shape,
     check_header,
@@ -38,6 +39,14 @@ class SnapshotError(ValueError):
 
 
 def snapshot_lines(self) -> list[str]:
+    """The state as snapshot text. A snapshot carries no difficulty policy
+    and loads under its network's, so a state under any other policy is
+    refused with SnapshotError rather than written unloadable."""
+    if self.policy != ChainPolicy.for_network(self.network):
+        raise SnapshotError(
+            "cannot snapshot a state under a difficulty policy other than "
+            f"{self.network.value}'s default: a snapshot loads under the default"
+        )
     lines = [
         SNAPSHOT_MAGIC,
         f"network {self.network.value}",

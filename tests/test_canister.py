@@ -630,7 +630,9 @@ def test_page_token_rejected_once_anchor_passes_its_tip(builder):
     second = canister.get_utxos(PROBE, NET, page=first.next_page)
     respond(canister, builder.build(1))
     assert canister.anchor_height() > first.tip_height
-    with pytest.raises(FilterRejectedError, match="left the selected chain"):
+    # the tip is still on the selected chain, but folded below the anchor
+    assert canister.tree.selected_at(first.tip_height) == first.tip_hash
+    with pytest.raises(FilterRejectedError, match="tip folded below the anchor"):
         canister.get_utxos(PROBE, NET, page=second.next_page)
 
 
@@ -719,7 +721,8 @@ def test_repeated_confirmations_of_tx_rehash_nothing(builder, monkeypatch):
 def test_fold_derives_no_address_for_a_block_the_index_holds(builder, monkeypatch):
     # Twin states take the same blocks; one is queried before the response
     # that folds its lowest applied block, so the fold reads that block's
-    # addresses from the overlay index, while the other derives them.
+    # addresses from the overlay index, while the other derives them. Only
+    # the fold is counted, not the index's upkeep that ends the response.
     sources = builder.build(2)
     paying = builder.extend(extra_txs=(pay_probe(builder, sources[0], 3),))
     later = builder.build(2)
@@ -729,19 +732,14 @@ def test_fold_derives_no_address_for_a_block_the_index_holds(builder, monkeypatc
         assert canister.anchor_height() == 2
     queried.get_balance(PROBE, NET)
     assert queried._index.blocks[0][0] == paying.header.hash()
-    calls = {"script_address": 0}
-    real_address = utxoset.script_address
-
-    def counting_address(script, network):
-        calls["script_address"] += 1
-        return real_address(script, network)
-
-    monkeypatch.setattr(utxoset, "script_address", counting_address)
+    calls: Counter = Counter()
+    count_calls(monkeypatch, utxoset, ("script_address",), calls)
+    folds = count_in_folds(monkeypatch, calls)
     derived = []
     for canister in (queried, unqueried):
-        calls["script_address"] = 0
+        folds.clear()
         respond(canister, later[1:])
-        derived.append(calls["script_address"])
+        derived.append(folds["script_address"])
     monkeypatch.undo()
     assert derived == [0, sum(len(tx.outputs) for tx in paying.transactions)]
     for canister in (queried, unqueried):
@@ -755,7 +753,8 @@ def test_fold_of_a_block_the_index_holds_builds_and_derives_nothing(builder, mon
     # Twin states take the same blocks; the queried one folds the paying
     # block from the index's delta, moving the index's own rows into the
     # kept listing, while the unqueried one applies it transaction by
-    # transaction.
+    # transaction. Only the fold is counted, not the index's upkeep that
+    # ends the response.
     sources = builder.build(3)
     earlier = builder.extend(extra_txs=(pay_probe(builder, sources[0], 2),))
     paying = builder.extend(extra_txs=(pay_probe(builder, sources[1], 3),))
@@ -778,12 +777,13 @@ def test_fold_of_a_block_the_index_holds_builds_and_derives_nothing(builder, mon
         return real_txid(tx)
 
     monkeypatch.setattr(Transaction, "txid", counting_txid)
+    folds = count_in_folds(monkeypatch, calls)
     work = []
     for canister in (queried, unqueried):
-        calls.clear()
+        folds.clear()
         respond(canister, later[1:])
         assert canister.anchor == paying.header.hash()
-        work.append(+calls)
+        work.append(+folds)
     monkeypatch.undo()
     outputs = sum(len(tx.outputs) for tx in paying.transactions)
     assert work[0] == Counter()
@@ -830,6 +830,21 @@ def count_calls(monkeypatch, owner, names, counts: Counter, key=None) -> None:
         monkeypatch.setattr(owner, name, counting)
 
 
+def count_in_folds(monkeypatch, counts: Counter) -> Counter:
+    """A Counter that gains what `counts` gains while the anchor advances
+    (`Canister._advance_anchor`, which folds blocks), and nothing else."""
+    folds: Counter = Counter()
+    real = Canister._advance_anchor
+
+    def advancing(canister):
+        before = Counter(counts)
+        real(canister)
+        folds.update(counts - before)
+
+    monkeypatch.setattr(Canister, "_advance_anchor", advancing)
+    return folds
+
+
 def test_filtered_queries_take_confirmation_counts_once_per_response(builder, monkeypatch):
     canister = make_canister(builder, delta=10, page_size=2)
     sources = builder.build(2)
@@ -856,11 +871,11 @@ def test_filtered_queries_take_confirmation_counts_once_per_response(builder, mo
         assert not calls
 
 
-def overlay_work_of_one_response(unstable: int, work: Counter) -> Counter:
+def overlay_work_of_one_response(unstable: int, work: Counter) -> tuple[Counter, Counter]:
     """Build a state with `unstable` blocks above the anchor and warm its
     queries; deliver one block that extends the tip and folds one; return
-    the work counted in `work` by the first balance after it, after
-    checking that repeated queries count none."""
+    the work counted in `work` by that response and by the first balance
+    after it, after checking that repeated queries count none."""
     builder = ChainBuilder()
     canister = make_canister(builder, delta=unstable + 1, page_size=3)
     sources = builder.build(3)
@@ -875,7 +890,9 @@ def overlay_work_of_one_response(unstable: int, work: Counter) -> Counter:
     for query in queries:
         query()
     before = canister.anchor_height()
+    work.clear()
     respond(canister, [builder.extend(extra_txs=(pay_probe(builder, paying[0], 2),))])
+    response = Counter(work)
     assert canister.anchor_height() == before + 1
     work.clear()
     queries[0]()
@@ -888,18 +905,19 @@ def overlay_work_of_one_response(unstable: int, work: Counter) -> Counter:
     assert listed(walk(canister, PROBE, canister.get_utxos(PROBE, NET))) == overlay_oracle(
         canister, PROBE
     )
-    return first
+    return response, first
 
 
 def test_query_work_flat_in_the_unstable_region(monkeypatch):
-    # Tree lookups and blocks moved in or out of the overlay index, counted
-    # per query: a query after a one-block response costs that block.
+    # Tree lookups and blocks moved in or out of the overlay index: a
+    # one-block response moves that block in and the folded one out, and
+    # the first query after it does no upkeep.
     work: Counter = Counter()
     count_calls(monkeypatch, BlockTree, ("has_block", "confirmations"), work)
     count_calls(monkeypatch, OverlayIndex, ("push", "drop_top", "drop_bottom"), work, "index")
     at_20 = overlay_work_of_one_response(20, work)
     at_80 = overlay_work_of_one_response(80, work)
-    assert at_20 == at_80 == Counter({"has_block": 1, "index": 2})
+    assert at_20 == at_80 == (Counter({"has_block": 3, "index": 2}), Counter())
 
 
 def test_repeated_walks_build_no_utxo_and_only_filtered_balances_scan_the_overlay(
@@ -923,18 +941,18 @@ def test_repeated_walks_build_no_utxo_and_only_filtered_balances_scan_the_overla
     calls: Counter = Counter()
     count_calls(monkeypatch, utxoset, ("Utxo", "Listing"), calls)
     count_calls(monkeypatch, overlay, ("Utxo",), calls)
-    count_calls(monkeypatch, Canister, ("_overlay",), calls)
+    count_calls(monkeypatch, OverlayIndex, ("changes",), calls)
 
     def counted(query):
         calls.clear()
         result = query()
-        return result, {name: calls[name] for name in ("Utxo", "Listing", "_overlay")}
+        return result, {name: calls[name] for name in ("Utxo", "Listing", "changes")}
 
     total = sum(value for _, value, _ in expected)
-    none = {"Utxo": 0, "Listing": 0, "_overlay": 0}
+    none = {"Utxo": 0, "Listing": 0, "changes": 0}
     # an unfiltered balance builds the listing once and never scans the overlay
     balance, first = counted(lambda: cold.get_balance(PROBE, NET))
-    assert balance == total and first["Listing"] == 1 and first["_overlay"] == 0
+    assert balance == total and first["Listing"] == 1 and first["changes"] == 0
     assert counted(lambda: cold.get_balance(PROBE, NET)) == (total, none)
     # a filtered balance reads the kept nets: it scans no row and builds nothing
     filtered = sum(value for _, value, _ in overlay_oracle(canister, PROBE, 2))
@@ -945,7 +963,7 @@ def test_repeated_walks_build_no_utxo_and_only_filtered_balances_scan_the_overla
     assert listed(pages) == expected and len(pages) == math.ceil(len(expected) / 3)
     assert first["Listing"] == 1
     pages, again = counted(lambda: walk(canister, PROBE, canister.get_utxos(PROBE, NET)))
-    assert listed(pages) == expected and again == {**none, "_overlay": len(pages)}
+    assert listed(pages) == expected and again == {**none, "changes": len(pages)}
     assert counted(lambda: canister.get_balance(PROBE, NET)) == (total, none)
 
 
@@ -1146,11 +1164,13 @@ def test_repeated_transaction_keeps_the_latest_outputs(builder):
 
 def test_overlay_matches_oracle_over_random_histories():
     """Forks, reorgs (one at least three blocks deep in every history),
-    anchor advances, snapshot round trips and walks continued across a
-    one-block extension, with every balance and page walk checked against a
-    fresh scan and every invariant of the state checked after every step."""
+    anchor advances, snapshot round trips, two responses with no query
+    between them and walks continued across a one-block extension, with
+    every balance and page walk checked against a fresh scan and every
+    invariant of the state checked after every response and every step."""
     reorgs = advances = round_trips = deep_reorgs = extended_walks = 0
     kept_adds = kept_spends = 0  # writes that updated a kept listing in place
+    unqueried_pairs = 0  # second responses with no query since the first
     for seed in range(6):
         rng = random.Random(seed)
         builder = ChainBuilder()
@@ -1175,6 +1195,16 @@ def test_overlay_matches_oracle_over_random_histories():
                 outputs.extend(OutPoint(tx.txid(), i) for i in range(len(tx.outputs)))
             return block
 
+        def random_parent():
+            held = [canister.anchor] + [
+                h for h in canister.tree.hashes() if canister.tree.has_block(h)
+            ]
+            return rng.choice(held) if rng.random() < 0.3 else None
+
+        def deliver(blocks):
+            respond(canister, blocks)
+            canister.check_invariants()
+
         for step in range(40):
             roll = rng.random()
             if step == 20:
@@ -1182,13 +1212,13 @@ def test_overlay_matches_oracle_over_random_histories():
                 # heavier branch from three below its tip replace the top three
                 tree = canister.tree
                 while tree.height(tree.tip) - canister.anchor_height() < 4:
-                    respond(canister, [new_block(tree.tip)])
+                    deliver([new_block(tree.tip)])
                     canister.get_balance(addresses[0], NET)
                 top = tree.height(tree.tip)
                 replaced = [(h, tree.selected_at(h)) for h in range(top - 2, top + 1)]
                 branch = [new_block(tree.selected_at(top - 3))]
                 branch.extend(new_block(branch[-1].header.hash()) for _ in range(3))
-                respond(canister, branch)
+                deliver(branch)
                 assert all(canister.tree.selected_at(h) != old for h, old in replaced)
                 deep_reorgs += 1
             elif step and roll < 0.1:
@@ -1200,19 +1230,20 @@ def test_overlay_matches_oracle_over_random_histories():
                 address = max(addresses, key=lambda a: len(overlay_oracle(canister, a)))
                 expected = overlay_oracle(canister, address)
                 first = canister.get_utxos(address, NET)
-                respond(canister, [new_block(canister.tree.tip)])
+                deliver([new_block(canister.tree.tip)])
                 if first.next_page is not None and first.tip_height >= canister.anchor_height():
                     assert listed(walk(canister, address, first)) == expected
                     extended_walks += 1
+            elif roll < 0.45:
+                # the index, once built, follows each response on its own
+                deliver([new_block(random_parent())])
+                deliver([new_block(random_parent())])
+                unqueried_pairs += canister._index is not None
             else:
-                held = [canister.anchor] + [
-                    h for h in canister.tree.hashes() if canister.tree.has_block(h)
-                ]
-                parent = rng.choice(held) if rng.random() < 0.3 else None
-                block = new_block(parent)
+                block = new_block(random_parent())
                 before = canister.anchor
                 kept = {a: set(listing.rows) for a, listing in canister.utxos.listings.items()}
-                respond(canister, [block])
+                deliver([block])
                 advances += canister.anchor != before
                 for address, rows in kept.items():
                     listing = canister.utxos.listings.get(address)
@@ -1232,7 +1263,7 @@ def test_overlay_matches_oracle_over_random_histories():
         reorgs += canister.reorgs
     assert reorgs > 0 and advances > 0 and round_trips > 0
     assert deep_reorgs == 6 and extended_walks > 0
-    assert kept_adds > 0 and kept_spends > 0
+    assert kept_adds > 0 and kept_spends > 0 and unqueried_pairs > 0
 
 
 # -- send_transaction -----------------------------------------------------------------
@@ -1662,3 +1693,7 @@ def test_anchor_advancement_across_retarget_boundary():
         assert canister.tree.depth(h, DepthKind.WORK) == brute_depth(
             canister.tree, h, DepthKind.WORK
         )
+    # a snapshot loads under the network's default policy, which would
+    # refuse these headers (bad-difficulty), so it is not written
+    with pytest.raises(SnapshotError, match="policy other than regtest's default"):
+        canister.snapshot_lines()

@@ -89,7 +89,12 @@ def test_parse_action_arity_and_types():
         parse_scenario("[script]\ninject-fork 3\n")
     with pytest.raises(ScenarioParseError):
         parse_scenario("[script]\npay bob many 4\n")
-    parse_scenario("[script]\nadvance 3.5\ninject-fork -1 2\n")  # valid forms
+    with pytest.raises(ScenarioParseError, match="line 3: unknown api call 'get_balanse'"):
+        parse_scenario("[script]\nmine 1\napi get_balanse alice\n")
+    with pytest.raises(ScenarioParseError, match="line 2: api: expected int, got 'many'"):
+        parse_scenario("[script]\napi get_balance alice many\n")
+    # valid forms
+    parse_scenario("[script]\nadvance 3.5\ninject-fork -1 2\napi get_utxos bob 2\n")
 
 
 def test_parse_invalid_params_rejected():
@@ -306,6 +311,21 @@ def test_cli_run_exit_codes(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and len(captured.err.splitlines()) == 1
     assert captured.err.startswith(f"cannot write --out {taken}: ")
+
+    # a bad api action is refused when the scenario is parsed, naming its
+    # line, before any of the script runs
+    for action, message in (
+        ("api get_balanse alice", "unknown api call 'get_balanse'"),
+        ("api get_balance alice many", "api: expected int, got 'many'"),
+    ):
+        text = FAST_SCENARIO + action + "\n"
+        bad_api = tmp_path / "bad-api.scn"
+        bad_api.write_text(text)
+        assert main(["run", str(bad_api), "--out", str(tmp_path / "bad-api-out")]) == 2
+        assert not (tmp_path / "bad-api-out").exists()
+        captured = capsys.readouterr()
+        lineno = len(text.splitlines())
+        assert captured.err == f"scenario parse error: line {lineno}: {message}\n"
 
 
 def test_cli_run_bad_parameters_are_scenario_errors(tmp_path, capsys):
