@@ -130,7 +130,7 @@ _SCRIPT_OPS: dict[str, tuple[int, Optional[int], tuple[type, ...]]] = {
     "check-replay": (0, 0, ()),
     "snapshot": (1, 1, ()),
     "assert": (3, None, ()),
-    "assert-close": (3, 3, ()),
+    "assert-close": (3, 3, (str, str, float)),
 }
 
 

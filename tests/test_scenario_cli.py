@@ -93,6 +93,8 @@ def test_parse_action_arity_and_types():
         parse_scenario("[script]\nmine 1\napi get_balanse alice\n")
     with pytest.raises(ScenarioParseError, match="line 2: api: expected int, got 'many'"):
         parse_scenario("[script]\napi get_balance alice many\n")
+    with pytest.raises(ScenarioParseError, match="line 2: assert-close: expected float"):
+        parse_scenario("[script]\nassert-close a b loose\n")
     # valid forms
     parse_scenario("[script]\nadvance 3.5\ninject-fork -1 2\napi get_utxos bob 2\n")
 
