@@ -107,18 +107,19 @@ class Adapter:
         # Peers already asked for headers because of an unconnected header,
         # by that header's hash, until the header connects.
         self._orphan_asks: dict[Hash256, set[int]] = {}
-        self._outbox: list[tuple[int, wire.Message]] = []
+        # Messages for peers, oldest first, until `take_outbox` hands them over.
+        self.outbox: list[tuple[int, wire.Message]] = []
         self._rr = 0  # round-robin cursor for fetch fallback
 
     # -- outbox ---------------------------------------------------------------
 
     def take_outbox(self) -> list[tuple[int, wire.Message]]:
-        out = self._outbox
-        self._outbox = []
+        out = self.outbox
+        self.outbox = []
         return out
 
     def _send(self, peer: int, msg: wire.Message) -> None:
-        self._outbox.append((peer, msg))
+        self.outbox.append((peer, msg))
 
     # -- peers ------------------------------------------------------------------
 
@@ -268,11 +269,18 @@ class Adapter:
     # -- peer messages ------------------------------------------------------------
 
     def on_peer_message(self, peer: int, msg: wire.Message, now: float) -> None:
-        """Apply one message from a connected peer. Malformed traffic gets
-        the peer disconnected."""
+        """Apply one message from a connected peer. Malformed traffic, and
+        a headers message longer than `MAX_HEADERS_RESULTS`, gets the peer
+        disconnected."""
         if peer not in self.peers:
             return
         if isinstance(msg, wire.HeadersMsg):
+            if len(msg.headers) > MAX_HEADERS_RESULTS:
+                # No honest peer sends more than a full reply; drop the
+                # peer before checking any header (Bitcoin Core's
+                # ProcessHeadersMessage).
+                self.drop_peer(peer)
+                return
             fresh = 0
             unasked_orphan = False
             for header in msg.headers:

@@ -241,6 +241,14 @@ class Adversary:
         return h
 
     def check_budget_invariant(self) -> None:
+        """Raise BudgetViolation if the fork's tip is over the budget.
+
+        Only fork growth can break the budget, so the world checks it after
+        each `mine_adv` event alone. Every block in the world is mined at
+        REGTEST_BITS, so chain work grows with height, and the honest tip's
+        height and work never fall: the honest tree only grows, and its tip
+        is its most-work block. Honest progress therefore only loosens the
+        budget."""
         if not self.config.budget_enforced or not self.fork:
             return
         world = self.world
@@ -354,8 +362,7 @@ class SimWorld:
         if self.adversary.active() and params.adversary_hash > 0:
             self._schedule_adv_mine()
         self.schedule(params.round_interval, ("round",))
-        for adapter_id in range(params.n):
-            self.schedule(params.tick_interval, ("tick", adapter_id))
+        self.schedule(params.tick_interval, ("tick",))
 
     # -- event machinery -----------------------------------------------------
 
@@ -367,26 +374,28 @@ class SimWorld:
         self.observations.append((self.clock, event, subject, detail))
 
     def step(self) -> None:
+        """Run the next event, its kinds tested most frequent first. The
+        adversary's budget is checked after its mining only; see
+        `Adversary.check_budget_invariant`."""
         when, _, event = heapq.heappop(self._queue)
         assert when >= self.clock, "event time went backwards"
         self.clock = when
         kind = event[0]
-        if kind == "mine_honest":
+        if kind == "to_adapter":
+            self._on_to_adapter(event[1], event[2], event[3])
+        elif kind == "to_peer":
+            self._on_to_peer(event[1], event[2], event[3])
+        elif kind == "tick":
+            self._on_tick()
+        elif kind == "round":
+            self._on_round()
+        elif kind == "mine_honest":
             self._on_mine_honest()
         elif kind == "mine_adv":
             self._on_mine_adv()
-        elif kind == "round":
-            self._on_round()
-        elif kind == "tick":
-            self._on_tick(event[1])
-        elif kind == "to_peer":
-            self._on_to_peer(event[1], event[2], event[3])
-        elif kind == "to_adapter":
-            self._on_to_adapter(event[1], event[2], event[3])
+            self.adversary.check_budget_invariant()
         else:  # pragma: no cover - defensive
             raise RuntimeError(f"unknown event {kind}")
-        if self.adversary.active():
-            self.adversary.check_budget_invariant()
 
     def run_for(self, duration: float) -> None:
         deadline = self.clock + duration
@@ -621,7 +630,10 @@ class SimWorld:
     # -- message plumbing ---------------------------------------------------------
 
     def _drain_adapter(self, adapter_id: int) -> None:
-        for peer_id, msg in self.adapters[adapter_id].take_outbox():
+        adapter = self.adapters[adapter_id]
+        if not adapter.outbox:
+            return
+        for peer_id, msg in adapter.take_outbox():
             self.schedule(self._latency(), ("to_peer", peer_id, adapter_id, msg))
 
     def _on_to_peer(self, peer_id: int, adapter_id: int, msg: wire.Message) -> None:
@@ -636,10 +648,15 @@ class SimWorld:
         self.adapters[adapter_id].on_peer_message(peer_id, msg, self.clock)
         self._drain_adapter(adapter_id)
 
-    def _on_tick(self, adapter_id: int) -> None:
-        self.adapters[adapter_id].tick_tx_cache(self.clock)
-        self._drain_adapter(adapter_id)
-        self.schedule(self.params.tick_interval, ("tick", adapter_id))
+    def _on_tick(self) -> None:
+        """Tick every adapter's transaction cache, in id order. An empty
+        cache is skipped: its tick expires nothing and sends nothing, and
+        its outbox was drained by the event that last filled it."""
+        for adapter_id, adapter in enumerate(self.adapters):
+            if adapter.tx_cache:
+                adapter.tick_tx_cache(self.clock)
+                self._drain_adapter(adapter_id)
+        self.schedule(self.params.tick_interval, ("tick",))
 
     # -- sampling -------------------------------------------------------------------
 

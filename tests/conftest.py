@@ -120,8 +120,9 @@ def random_tree(
     size = rng.randrange(1, max_nodes + 1)
     tree = BlockTree((name_hash("r0"), rng.choice(bits_choices)))
     nodes = [tree.root]
+    # The nodes with fewer than max_fanout children, in insertion order.
+    eligible = [tree.root]
     for i in range(1, size):
-        eligible = [n for n in nodes if len(tree.children(n)) < max_fanout]
         # Bias toward recent nodes so trees look chain-like with occasional forks.
         if rng.random() < 0.65:
             parent = eligible[-1]
@@ -130,6 +131,9 @@ def random_tree(
         h = name_hash(f"r{i}")
         tree.add_raw(h, parent, rng.choice(bits_choices))
         nodes.append(h)
+        eligible.append(h)
+        if len(tree.children(parent)) == max_fanout:
+            eligible.remove(parent)
         if rng.random() < 0.3:
             # Interleave queries so the memo cache is warm before more inserts.
             probe = nodes[rng.randrange(len(nodes))]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from btcstate import wire
+from btcstate import validation, wire
 from btcstate.adapter import (
     MAX_HEADERS_PER_RESPONSE,
     MAX_RESPONSE_BYTES,
@@ -540,6 +540,29 @@ def test_malformed_message_disconnects_and_replaces(builder):
     assert adapter.take_outbox() == []
     adapter.on_peer_message(4, wire.HeadersMsg((builder.extend().header,)), NOW)
     assert adapter.take_outbox() == []  # a dropped peer is no longer heard
+    adapter.check_invariants()
+
+
+def test_oversized_headers_message_drops_the_peer_unchecked(builder, monkeypatch):
+    # 5,000 headers is 2.5 full replies: the peer is dropped before any
+    # header is checked, and nothing is inserted
+    checked = []
+    real_check = validation.check_header
+    monkeypatch.setattr(
+        validation, "check_header", lambda *args: checked.append(args) or real_check(*args)
+    )
+    adapter = make_adapter(builder, preset_peers=(4, 5))
+    adapter.connect_peers()
+    adapter.take_outbox()
+    header = builder.extend().header
+    adapter.on_peer_message(4, wire.HeadersMsg((header,) * 5000), NOW)
+    assert adapter.peers == {5}
+    assert checked == [] and header.hash() not in adapter.tree
+    assert adapter.take_outbox() == []
+    # a full reply is allowed: the peer stays and the header is checked
+    adapter.on_peer_message(5, wire.HeadersMsg((header,) * wire.MAX_HEADERS_RESULTS), NOW)
+    assert adapter.peers == {5}
+    assert len(checked) == 1 and header.hash() in adapter.tree
     adapter.check_invariants()
 
 

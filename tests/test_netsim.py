@@ -3,6 +3,7 @@ experiments, and end-to-end sync liveness."""
 
 import pytest
 
+from btcstate.adapter import Adapter
 from btcstate.blocktree import BlockTree
 from btcstate.montecarlo import (
     downtime_analytic,
@@ -13,8 +14,10 @@ from btcstate.montecarlo import (
     run_fork_attack,
 )
 from btcstate.netsim import (
+    REGTEST_GENESIS_TIME,
     AdversaryConfig,
     AdversaryStrategy,
+    BudgetViolation,
     SimParams,
     SimWorld,
     regtest_genesis_block,
@@ -147,6 +150,61 @@ def test_budget_invariant_checked_during_run():
     assert fork_h < honest_h + params.c_star or (
         world.tree.chain_work(adv.fork_tip()) < world.tree.chain_work(world.honest_tip)
     )
+
+
+def test_over_budget_fork_block_raises_from_the_step_that_mined_it(monkeypatch):
+    params = small_params(adversary_hash=0.45, c_star=2, phi=0.34, ensure_honest_peer=True)
+    world = SimWorld(
+        params,
+        seed=13,
+        delta=6,
+        adversary=AdversaryConfig(strategy=AdversaryStrategy.WITHHOLD_RELEASE),
+    )
+    adv = world.adversary
+    real = adv.within_budget
+    let_through = []  # the one over-budget block the patched check passed
+
+    def within_budget_but_once(new_height, new_work):
+        holds = real(new_height, new_work)
+        if not holds and not let_through:
+            let_through.append(new_height)
+            return True
+        return holds
+
+    monkeypatch.setattr(adv, "within_budget", within_budget_but_once)
+    deadline = world.clock + 1e6
+
+    def run_to_violation():
+        while world.clock < deadline:
+            assert not let_through, "an over-budget block was mined without a violation"
+            world.step()
+
+    with pytest.raises(BudgetViolation):
+        run_to_violation()
+    assert let_through == [world.tree.height(adv.fork_tip())]
+
+
+def test_one_tick_event_per_interval_for_every_subnet_size(monkeypatch):
+    """With no transaction in flight, one tick event runs per tick
+    interval, whatever n is, and it ticks no adapter's empty cache."""
+    cache_ticks = []
+    real_tick = Adapter.tick_tx_cache
+    monkeypatch.setattr(
+        Adapter, "tick_tx_cache", lambda self, now: cache_ticks.append(now) or real_tick(self, now)
+    )
+    for n in (4, 8):
+        world = SimWorld(small_params(n=n), seed=4, delta=3)
+        world.run_until(lambda: world.honest_height() >= 3, max_duration=1e7)
+        start = world.clock
+        ticks = []
+        real_on_tick = world._on_tick
+        monkeypatch.setattr(world, "_on_tick", lambda: ticks.append(world.clock) or real_on_tick())
+        world.run_until(lambda: world.honest_height() >= 8, max_duration=1e7)
+        interval = world.params.tick_interval
+        first = (int((start - REGTEST_GENESIS_TIME) // interval) + 1) * interval
+        due = [REGTEST_GENESIS_TIME + first + k * interval for k in range(len(ticks))]
+        assert len(ticks) >= 5 and ticks == due and due[-1] <= world.clock < due[-1] + interval
+        assert cache_ticks == []
 
 
 def test_honest_tip_is_heaviest_honest_block_after_every_block():
