@@ -12,6 +12,7 @@ import hashlib
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import NamedTuple, Optional
 
 HEADER_SIZE = 80  # bytes
@@ -61,6 +62,8 @@ class Hash256(bytes):
 
 
 ZERO_HASH = Hash256(b"\x00" * 32)
+# A Hash256 from bytes the caller knows are 32 long, without the length check.
+_new_hash = partial(bytes.__new__, Hash256)
 
 
 class NetworkKind(Enum):
@@ -78,14 +81,29 @@ class NetworkKind(Enum):
             raise ValueError(f"unknown network {text!r}") from None
 
 
-# --- CompactSize varints -------------------------------------------------
+# --- CompactSize varints and the decoder's fixed layouts -------------------
+
+_I32 = struct.Struct("<i")
+_U32 = struct.Struct("<I")
+_I64 = struct.Struct("<q")
+_HEADER = struct.Struct("<i32s32sIII")
+_OUTPOINT = struct.Struct("<32sI")
+# The first byte of a multi-byte CompactSize: its value's layout, the
+# smallest value that needs it, and its total length.
+_WIDE_VARINT = {
+    0xFD: (struct.Struct("<H").unpack_from, 0xFD, 3),
+    0xFE: (struct.Struct("<I").unpack_from, 0x10000, 5),
+    0xFF: (struct.Struct("<Q").unpack_from, 0x100000000, 9),
+}
+_ONE_BYTE = [bytes((n,)) for n in range(0xFD)]
+_MAX_COUNT = 1_000_000  # inputs, outputs or transactions; anything above is implausible
 
 
 def write_varint(n: int) -> bytes:
-    if n < 0:
-        raise SerializationError("varint must be non-negative")
     if n < 0xFD:
-        return bytes([n])
+        if n < 0:
+            raise SerializationError("varint must be non-negative")
+        return _ONE_BYTE[n]
     if n <= 0xFFFF:
         return b"\xfd" + struct.pack("<H", n)
     if n <= 0xFFFFFFFF:
@@ -93,47 +111,27 @@ def write_varint(n: int) -> bytes:
     return b"\xff" + struct.pack("<Q", n)
 
 
-class ByteReader:
-    """Cursor over immutable bytes with bounds-checked reads."""
+def _wide_varint(data: bytes, pos: int) -> tuple[int, int]:
+    """The multi-byte CompactSize at `pos` and the offset after it; a value
+    that a shorter form holds is refused. Callers read a one-byte value
+    (below 0xFD) themselves."""
+    unpack, floor, width = _WIDE_VARINT[data[pos]]
+    (value,) = unpack(data, pos + 1)
+    if value < floor:
+        raise SerializationError("non-canonical varint")
+    return value, pos + width
 
-    __slots__ = ("data", "pos")
 
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise SerializationError("unexpected end of data")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def i32(self) -> int:
-        return struct.unpack("<i", self.take(4))[0]
-
-    def varint(self) -> int:
-        first = self.take(1)[0]
-        if first < 0xFD:
-            return first
-        if first == 0xFD:
-            val = struct.unpack("<H", self.take(2))[0]
-            floor = 0xFD
-        elif first == 0xFE:
-            val = struct.unpack("<I", self.take(4))[0]
-            floor = 0x10000
-        else:
-            val = struct.unpack("<Q", self.take(8))[0]
-            floor = 0x100000000
-        if val < floor:
-            raise SerializationError("non-canonical varint")
-        return val
-
-    def done(self) -> bool:
-        return self.pos == len(self.data)
+def _decode(read, data: bytes, what: str):
+    """Run a decoder over all of `data`. A read past the end surfaces as
+    IndexError or struct.error and is reported as SerializationError."""
+    try:
+        obj, end = read(data, 0)
+    except (IndexError, struct.error):
+        raise SerializationError("unexpected end of data") from None
+    if end != len(data):
+        raise SerializationError(f"trailing bytes after {what}")
+    return obj
 
 
 # --- Block header --------------------------------------------------------
@@ -155,26 +153,15 @@ class BlockHeader:
     _hash: Optional[Hash256] = field(default=None, init=False, compare=False, repr=False)
 
     def to_bytes(self) -> bytes:
-        return (
-            struct.pack("<i", self.version)
-            + self.prev
-            + self.merkle_root
-            + struct.pack("<III", self.time & _UINT32_MAX, self.bits, self.nonce)
+        return _HEADER.pack(
+            self.version, self.prev, self.merkle_root, self.time & _UINT32_MAX, self.bits, self.nonce
         )
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "BlockHeader":
         if len(data) != HEADER_SIZE:
             raise SerializationError(f"header must be {HEADER_SIZE} bytes, got {len(data)}")
-        return cls.read(ByteReader(data))
-
-    @classmethod
-    def read(cls, r: ByteReader) -> "BlockHeader":
-        version = r.i32()
-        prev = Hash256(r.take(32))
-        merkle = Hash256(r.take(32))
-        time, bits, nonce = struct.unpack("<III", r.take(12))
-        return cls(version, prev, merkle, time, bits, nonce)
+        return _read_header(data, 0)
 
     def hash(self) -> Hash256:
         h = self._hash
@@ -229,58 +216,26 @@ class Transaction:
     _size: int = field(default=0, init=False, compare=False, repr=False)
 
     def to_bytes(self) -> bytes:
-        parts = [struct.pack("<i", self.version), write_varint(len(self.inputs))]
+        parts = [_I32.pack(self.version), write_varint(len(self.inputs))]
+        append = parts.append
         for txin in self.inputs:
-            parts.append(txin.outpoint.txid)
-            parts.append(struct.pack("<I", txin.outpoint.vout))
-            parts.append(write_varint(len(txin.script_sig)))
-            parts.append(txin.script_sig)
-            parts.append(struct.pack("<I", txin.sequence))
-        parts.append(write_varint(len(self.outputs)))
+            script = txin.script_sig
+            append(_OUTPOINT.pack(*txin.outpoint))
+            append(write_varint(len(script)))
+            append(script)
+            append(_U32.pack(txin.sequence))
+        append(write_varint(len(self.outputs)))
         for txout in self.outputs:
-            parts.append(struct.pack("<q", txout.value))
-            parts.append(write_varint(len(txout.script_pubkey)))
-            parts.append(txout.script_pubkey)
-        parts.append(struct.pack("<I", self.lock_time))
+            script = txout.script_pubkey
+            append(_I64.pack(txout.value))
+            append(write_varint(len(script)))
+            append(script)
+        append(_U32.pack(self.lock_time))
         return b"".join(parts)
 
     @classmethod
-    def read(cls, r: ByteReader) -> "Transaction":
-        start = r.pos
-        version = r.i32()
-        n_in = r.varint()
-        if n_in > 1_000_000:
-            raise SerializationError("implausible input count")
-        inputs = []
-        for _ in range(n_in):
-            txid = Hash256(r.take(32))
-            vout = r.u32()
-            script_sig = r.take(r.varint())
-            sequence = r.u32()
-            inputs.append(TxIn(OutPoint(txid, vout), script_sig, sequence))
-        n_out = r.varint()
-        if n_out > 1_000_000:
-            raise SerializationError("implausible output count")
-        outputs = []
-        for _ in range(n_out):
-            value = struct.unpack("<q", r.take(8))[0]
-            script = r.take(r.varint())
-            outputs.append(TxOut(value, script))
-        lock_time = r.u32()
-        tx = cls(version, tuple(inputs), tuple(outputs), lock_time)
-        # Varints are canonical, so the bytes read are the serialization.
-        raw = r.data[start : r.pos]
-        object.__setattr__(tx, "_txid", Hash256(sha256d(raw)))
-        object.__setattr__(tx, "_size", len(raw))
-        return tx
-
-    @classmethod
     def from_bytes(cls, data: bytes) -> "Transaction":
-        r = ByteReader(data)
-        tx = cls.read(r)
-        if not r.done():
-            raise SerializationError("trailing bytes after transaction")
-        return tx
+        return _decode(_read_transaction, data, "transaction")
 
     def txid(self) -> Hash256:
         h = self._txid
@@ -329,15 +284,7 @@ class Block:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Block":
-        r = ByteReader(data)
-        header = BlockHeader.read(r)
-        n_tx = r.varint()
-        if n_tx > 1_000_000:
-            raise SerializationError("implausible transaction count")
-        txs = tuple(Transaction.read(r) for _ in range(n_tx))
-        if not r.done():
-            raise SerializationError("trailing bytes after block")
-        return cls(header, txs)
+        return _decode(_read_block, data, "block")
 
     def txids(self) -> list[Hash256]:
         return [tx.txid() for tx in self.transactions]
@@ -352,6 +299,93 @@ class Block:
             + len(write_varint(len(self.transactions)))
             + sum(tx.size() for tx in self.transactions)
         )
+
+
+# --- The decoder ------------------------------------------------------------
+#
+# One pass over the bytes by offset. Each reader takes the data and the
+# offset to start at; the transaction and block readers also return the
+# offset after what they read. A one-byte CompactSize is read inline. A read
+# past the end raises IndexError or struct.error, which `_decode` reports,
+# and a script that runs past the end is refused where it is sliced.
+
+
+def _read_header(data: bytes, pos: int) -> BlockHeader:
+    version, prev, merkle, time, bits, nonce = _HEADER.unpack_from(data, pos)
+    return BlockHeader(version, _new_hash(prev), _new_hash(merkle), time, bits, nonce)
+
+
+def _read_transaction(data: bytes, pos: int) -> tuple[Transaction, int]:
+    start = pos
+    (version,) = _I32.unpack_from(data, pos)
+    pos += 4
+    n_in = data[pos]
+    if n_in < 0xFD:
+        pos += 1
+    else:
+        n_in, pos = _wide_varint(data, pos)
+        if n_in > _MAX_COUNT:
+            raise SerializationError("implausible input count")
+    size = len(data)
+    inputs = []
+    for _ in range(n_in):
+        txid, vout = _OUTPOINT.unpack_from(data, pos)
+        pos += 36
+        n = data[pos]
+        if n < 0xFD:
+            pos += 1
+        else:
+            n, pos = _wide_varint(data, pos)
+        end = pos + n
+        if end > size:
+            raise SerializationError("unexpected end of data")
+        (sequence,) = _U32.unpack_from(data, end)
+        inputs.append(TxIn(OutPoint(_new_hash(txid), vout), data[pos:end], sequence))
+        pos = end + 4
+    n_out = data[pos]
+    if n_out < 0xFD:
+        pos += 1
+    else:
+        n_out, pos = _wide_varint(data, pos)
+        if n_out > _MAX_COUNT:
+            raise SerializationError("implausible output count")
+    outputs = []
+    for _ in range(n_out):
+        (value,) = _I64.unpack_from(data, pos)
+        n = data[pos + 8]
+        if n < 0xFD:
+            pos += 9
+        else:
+            n, pos = _wide_varint(data, pos + 8)
+        end = pos + n
+        if end > size:
+            raise SerializationError("unexpected end of data")
+        outputs.append(TxOut(value, data[pos:end]))
+        pos = end
+    (lock_time,) = _U32.unpack_from(data, pos)
+    pos += 4
+    tx = Transaction(version, tuple(inputs), tuple(outputs), lock_time)
+    # Varints are canonical, so the bytes read are the serialization.
+    object.__setattr__(tx, "_txid", _new_hash(sha256d(data[start:pos])))
+    object.__setattr__(tx, "_size", pos - start)
+    return tx, pos
+
+
+def _read_block(data: bytes, pos: int) -> tuple[Block, int]:
+    header = _read_header(data, pos)
+    pos += HEADER_SIZE
+    n_tx = data[pos]
+    if n_tx < 0xFD:
+        pos += 1
+    else:
+        n_tx, pos = _wide_varint(data, pos)
+        if n_tx > _MAX_COUNT:
+            raise SerializationError("implausible transaction count")
+    txs = []
+    for _ in range(n_tx):
+        tx, pos = _read_transaction(data, pos)
+        txs.append(tx)
+    return Block(header, tuple(txs)), pos
 
 
 # --- Compact difficulty targets and work ----------------------------------

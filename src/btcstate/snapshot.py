@@ -9,7 +9,8 @@ described in README's Data formats section.
 from __future__ import annotations
 
 from functools import partial
-from typing import Iterable, Optional
+from operator import itemgetter
+from typing import Iterable, NoReturn, Optional
 
 from btcstate.chain import (
     Block,
@@ -31,6 +32,9 @@ from btcstate.validation import (
 )
 
 SNAPSHOT_MAGIC = "btcstate-snapshot 2"
+_SCALAR_FIELDS = frozenset(("network", "delta", "tau", "page-size", "anchor", "synced"))
+_LISTED_KINDS = frozenset(("header", "block", "utxo", "queued-tx"))  # one line per item
+_UINT32_MAX = 2**32 - 1
 
 
 class SnapshotError(ValueError):
@@ -65,14 +69,21 @@ def snapshot_lines(self) -> list[str]:
         block = self.tree.block(h)
         if block is not None:
             lines.append(f"block {block.to_bytes().hex()}")
-    for outpoint, (txout, height, _) in sorted(
-        self.utxos.by_outpoint.items(), key=lambda kv: (bytes(kv[0].txid), kv[0].vout)
-    ):
-        lines.append(
-            "utxo "
-            f"{outpoint.txid.rev_hex()} {outpoint.vout} {txout.value} "
-            f"{txout.script_pubkey.hex()} {height}"
-        )
+    # Outpoints sort by txid bytes, then output index. Each distinct txid
+    # and script is formatted once.
+    by_outpoint = self.utxos.by_outpoint
+    txid_texts: dict[bytes, str] = {}
+    script_texts: dict[bytes, str] = {}
+    for outpoint in sorted(by_outpoint):
+        txout, height, _ = by_outpoint[outpoint]
+        txid, script = outpoint.txid, txout.script_pubkey
+        txid_text = txid_texts.get(txid)
+        if txid_text is None:
+            txid_text = txid_texts[txid] = txid.rev_hex()
+        script_text = script_texts.get(script)
+        if script_text is None:
+            script_text = script_texts[script] = script.hex()
+        lines.append(f"utxo {txid_text} {outpoint.vout} {txout.value} {script_text} {height}")
     for raw in self.outbound_txs:
         lines.append(f"queued-tx {raw.hex()}")
     lines.append("end")
@@ -91,47 +102,75 @@ def from_snapshot(cls, lines: Iterable[str]) -> "Canister":
     fields: dict[str, tuple[int, str]] = {}
     headers: list[tuple[int, BlockHeader]] = []
     blocks: list[tuple[int, Block]] = []
-    utxo_lines: list[tuple[int, OutPoint, TxOut, int]] = []
+    utxos: list[tuple[OutPoint, TxOut, int]] = []
+    utxo_linenos: list[int] = []
+    # Each distinct txid and script text is decoded once and shared.
+    txids: dict[str, Hash256] = {}
+    scripts: dict[str, bytes] = {}
     queued: list[bytes] = []
     for lineno, raw in numbered:
+        parts = raw.split()
+        if len(parts) == 6 and parts[0] == "utxo":
+            _, txid_hex, vout, amount, script_hex, height = parts
+            try:
+                txid = txids.get(txid_hex)
+                if txid is None:
+                    txid = txids[txid_hex] = Hash256.from_rev_hex(txid_hex)
+                # Each check is _bounded's, inlined; on a failure _bounded raises
+                # the message.
+                n_vout = int(vout)
+                if not 0 <= n_vout <= _UINT32_MAX or str(n_vout) != vout:
+                    _bounded("vout", vout, _UINT32_MAX)
+                n_value = int(amount)
+                if not 0 <= n_value <= MAX_MONEY or str(n_value) != amount:
+                    _bounded("value", amount, MAX_MONEY)
+                script = scripts.get(script_hex)
+                if script is None:
+                    script = scripts[script_hex] = bytes.fromhex(script_hex)
+                n_height = int(height)
+                if n_height < 0 or str(n_height) != height:
+                    _bounded("height", height)
+            except ValueError as exc:
+                raise SnapshotError(f"line {lineno}: bad utxo line: {exc}") from None
+            utxos.append((OutPoint(txid, n_vout), TxOut(n_value, script), n_height))
+            utxo_linenos.append(lineno)
+            continue
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if line == "end":
             break
         key, _, value = line.partition(" ")
+        if key in _SCALAR_FIELDS:
+            if key in fields:
+                raise SnapshotError(
+                    f"line {lineno}: repeated {key} line (first on line {fields[key][0]})"
+                )
+            fields[key] = (lineno, value)
+            continue
+        if key not in _LISTED_KINDS:
+            raise SnapshotError(f"line {lineno}: unknown line kind {key!r}")
         try:
             if key == "header":
                 headers.append((lineno, BlockHeader.from_bytes(bytes.fromhex(value))))
             elif key == "block":
                 blocks.append((lineno, Block.from_bytes(bytes.fromhex(value))))
             elif key == "utxo":
-                parts = value.split()
-                if len(parts) != 5:
-                    raise ValueError(f"needs 5 fields, got {len(parts)}")
-                txid_hex, vout, amount, script_hex, height = parts
-                utxo_lines.append(
-                    (
-                        lineno,
-                        OutPoint(
-                            Hash256.from_rev_hex(txid_hex), _bounded("vout", vout, 2**32 - 1)
-                        ),
-                        TxOut(_bounded("value", amount, MAX_MONEY), bytes.fromhex(script_hex)),
-                        _bounded("height", height),
-                    )
-                )
-            elif key == "queued-tx":
+                raise ValueError(f"needs 5 fields, got {len(parts) - 1}")
+            else:
                 # Parsed and shape-checked as send_transaction does; the
                 # raw bytes are kept, so the round trip is byte-identical.
                 tx_bytes = bytes.fromhex(value)
                 check_transaction_shape(Transaction.from_bytes(tx_bytes))
                 queued.append(tx_bytes)
-            else:
-                fields[key] = (lineno, value)
         except (ValueError, ValidationError) as exc:
             raise SnapshotError(f"line {lineno}: bad {key} line: {exc}") from None
     else:
         raise SnapshotError("snapshot cut off before end")
+    for lineno, raw in numbered:
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            raise SnapshotError(f"line {lineno}: content after end")
     if not headers:
         raise SnapshotError("snapshot has no headers")
     # The bounds the state machine's constructor sets, checked here so
@@ -157,6 +196,7 @@ def from_snapshot(cls, lines: Iterable[str]) -> "Canister":
                 f"line {lineno}: header {header.hash().rev_hex()} has unknown parent "
                 f"{header.prev.rev_hex()}"
             )
+        held = len(state.tree)
         try:
             check_header(header, state.tree, state.policy, now)
             state.tree.add_header(header)
@@ -166,6 +206,8 @@ def from_snapshot(cls, lines: Iterable[str]) -> "Canister":
             ) from None
         except ValueError as exc:
             raise SnapshotError(f"line {lineno}: bad header line: {exc}") from None
+        if len(state.tree) == held:  # adding a header the tree holds does nothing
+            raise SnapshotError(f"line {lineno}: header {header.hash().rev_hex()} is listed twice")
     state.anchor = _snapshot_field(fields, "anchor", Hash256.from_rev_hex)
     if state.anchor not in state.tree:
         raise SnapshotError(f"anchor {state.anchor.rev_hex()} is not in the snapshot's tree")
@@ -188,6 +230,8 @@ def from_snapshot(cls, lines: Iterable[str]) -> "Canister":
                 f"line {lineno}: block {h.rev_hex()} at height {state.tree.height(h)} "
                 f"is at or below the anchor's height {top}"
             )
+        if state.tree.has_block(h):
+            raise SnapshotError(f"line {lineno}: block {h.rev_hex()} is listed twice")
         prev = block.header.prev
         if prev != state.anchor and not state.tree.has_block(prev):
             raise SnapshotError(
@@ -201,16 +245,11 @@ def from_snapshot(cls, lines: Iterable[str]) -> "Canister":
         state.tree.set_block(h, block)
     # Queries list materialized outputs after the overlay's, which
     # holds only if none of them lies above the anchor.
-    for lineno, outpoint, txout, height in utxo_lines:
-        if height > top:
-            raise SnapshotError(
-                f"line {lineno}: utxo height {height} is above the anchor's height {top}"
-            )
-        if outpoint in state.utxos.by_outpoint:
-            raise SnapshotError(
-                f"line {lineno}: utxo {outpoint.txid.rev_hex()}:{outpoint.vout} is listed twice"
-            )
-        state.utxos.add(outpoint, txout, height, state.utxos.address_of(txout.script_pubkey))
+    if utxos and max(map(itemgetter(2), utxos)) > top:
+        _refuse_utxos(utxos, utxo_linenos, top)
+    state.utxos.load(utxos)
+    if len(state.utxos) != len(utxos):
+        _refuse_utxos(utxos, utxo_linenos, top)
     state.synced = state._bodies_within_tau()
     if "synced" in fields:
         lineno, value = fields["synced"]
@@ -222,10 +261,32 @@ def from_snapshot(cls, lines: Iterable[str]) -> "Canister":
     return state
 
 
+def _refuse_utxos(
+    utxos: list[tuple[OutPoint, TxOut, int]], linenos: list[int], top: int
+) -> NoReturn:
+    """Name the first utxo line that lies above the anchor's height `top` or
+    repeats an earlier line's outpoint."""
+    seen: set[OutPoint] = set()
+    for lineno, (outpoint, _, height) in zip(linenos, utxos):
+        if height > top:
+            raise SnapshotError(
+                f"line {lineno}: utxo height {height} is above the anchor's height {top}"
+            )
+        if outpoint in seen:
+            raise SnapshotError(
+                f"line {lineno}: utxo {outpoint.txid.rev_hex()}:{outpoint.vout} is listed twice"
+            )
+        seen.add(outpoint)
+    raise AssertionError("no utxo line to refuse")
+
+
 def _bounded(name: str, text: str, high: Optional[int] = None, low: int = 0) -> int:
-    """A snapshot number that must lie in [low, high]; ValueError names it
-    when it does not."""
+    """A snapshot number that must lie in [low, high] and be written as the
+    writer writes it (no `+`, leading zero, `_` or non-ASCII digit, all of
+    which int() takes); ValueError names it when it is not."""
     value = int(text)
+    if str(value) != text:
+        raise ValueError(f"{name} {text!r} is not a plain decimal number")
     if value < low or (high is not None and value > high):
         limit = f"at least {low}" if high is None else f"in [{low}, {high}]"
         raise ValueError(f"{name} {value} is not {limit}")

@@ -123,6 +123,23 @@ class UtxoSet:
             insort(listing.rows, Utxo(outpoint, txout.value, height), key=_page_key)
             listing.total += txout.value
 
+    def load(self, rows: list[tuple[OutPoint, TxOut, int]]) -> None:
+        """Fill an empty set with `(outpoint, txout, height)` rows, deriving
+        each script's address once. The rows name distinct outpoints; if two
+        name one, the set comes out shorter than `rows` and unfit for use,
+        which is how a caller finds out."""
+        assert not self.by_outpoint, "load fills an empty set"
+        by_outpoint, by_address, names = self.by_outpoint, self.by_address, self.names
+        network = self.network
+        for outpoint, txout, height in rows:
+            script = txout.script_pubkey
+            address = names.get(script)
+            if address is None:
+                address = names[script] = _address(script, network)
+                by_address[address] = set()
+            by_outpoint[outpoint] = (txout, height, address)
+            by_address[address].add(outpoint)
+
     def remove(self, outpoint: OutPoint) -> bool:
         entry = self.by_outpoint.pop(outpoint, None)
         if entry is None:

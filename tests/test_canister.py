@@ -1385,6 +1385,65 @@ def test_snapshot_roundtrip(builder):
     assert restored.snapshot_lines() == lines
 
 
+# Scripts the production-shape state pays over and over: one of each
+# template the address extraction recognizes, and an opaque one.
+REUSED_SCRIPTS = (
+    p2pkh_script(sha256d(b"fan-p2pkh")[:20]),
+    b"\xa9\x14" + sha256d(b"fan-p2sh")[:20] + b"\x87",
+    b"\x00\x14" + sha256d(b"fan-p2wpkh")[:20],
+    b"\x51",
+)
+
+
+def page_walk(canister, address: str) -> list[Utxo]:
+    page = canister.get_utxos(address, NET)
+    rows = list(page.utxos)
+    while page.next_page is not None:
+        page = canister.get_utxos(address, NET, page=page.next_page)
+        rows.extend(page.utxos)
+    return rows
+
+
+def test_snapshot_roundtrip_at_production_shape(builder):
+    # delta = 144, with as many unstable blocks as the state holds above
+    # its anchor; the first twelve blocks and every eighth after them carry
+    # a fan-out of 300 outputs (a multi-byte count) paying four reused
+    # scripts, below the anchor and above it; a losing rival branch and a
+    # queued transaction
+    delta = 144
+    canister = make_canister(builder, delta=delta)
+    blocks = builder.build(2)
+    for i in range(delta + 10):
+        fan_out = ()
+        if i < 12 or i % 8 == 0:
+            outputs = [(1_000 + j, REUSED_SCRIPTS[j % 4]) for j in range(300)]
+            fan_out = (builder.spend(builder.coinbase_outpoint(blocks[-2]), outputs),)
+        blocks.append(builder.extend(extra_txs=fan_out))
+    rival = builder.build(2, parent=blocks[-4].header.hash())
+    respond(canister, blocks + rival)
+    tx = builder.spend(builder.coinbase_outpoint(blocks[-1]), [(1, PROBE_SCRIPT)])
+    canister.send_transaction(tx.to_bytes(), NET)
+    assert canister.tree.height(canister.tree.tip) - canister.anchor_height() == delta - 1
+    lines = canister.snapshot_lines()
+    utxo_lines = [line.split() for line in lines if line.startswith("utxo ")]
+    assert len(utxo_lines) > 2_000
+    assert len({parts[1] for parts in utxo_lines}) < len(utxo_lines) / 100  # shared txids
+    assert len({parts[4] for parts in utxo_lines}) < 10  # shared scripts
+    restored = Canister.from_snapshot(lines)
+    assert restored.snapshot_lines() == lines
+    assert restored.utxos.by_outpoint == canister.utxos.by_outpoint
+    assert restored.utxos.by_address == canister.utxos.by_address
+    assert restored.utxos.names == canister.utxos.names
+    for script in REUSED_SCRIPTS:
+        address = addr_of(script)
+        assert restored.get_balance(address, NET) == canister.get_balance(address, NET)
+        walk = page_walk(restored, address)
+        assert len(walk) > restored.page_size
+        assert walk == page_walk(canister, address)
+    restored.check_invariants()
+    assert restored.snapshot_lines() == lines
+
+
 def test_snapshot_rejects_garbage():
     with pytest.raises(ValueError):
         Canister.from_snapshot(["not a snapshot"])
@@ -1452,6 +1511,58 @@ def test_snapshot_errors_name_the_line(builder):
     body = next(i for i, line in enumerate(headless) if line.startswith(f"block {header_hex}"))
     with pytest.raises(SnapshotError, match=f"^line {body + 1}: block .* has no header line"):
         Canister.from_snapshot(headless)
+    # a line kind the writer never writes
+    unknown = lines[:2] + ["frobnicate 12"] + lines[2:]
+    with pytest.raises(SnapshotError, match="^line 3: unknown line kind 'frobnicate'$"):
+        Canister.from_snapshot(unknown)
+    # a scalar field given twice: the loader would have to pick one
+    d = next(i for i, line in enumerate(lines) if line.startswith("delta "))
+    twice = lines[: d + 1] + ["delta 5"] + lines[d + 1 :]
+    with pytest.raises(SnapshotError, match=f"^line {d + 2}: repeated delta line \\(first on line {d + 1}\\)$"):
+        Canister.from_snapshot(twice)
+    # the same header or block twice
+    for kind in ("header", "block"):
+        j = max(i for i, line in enumerate(lines) if line.startswith(f"{kind} "))
+        doubled = lines[: j + 1] + [lines[j]] + lines[j + 1 :]
+        with pytest.raises(SnapshotError, match=f"^line {j + 2}: {kind} [0-9a-f]{{64}} is listed twice$"):
+            Canister.from_snapshot(doubled)
+    # two snapshots joined end to end; blank lines and comments after end are fine
+    Canister.from_snapshot(lines + ["", "# trailing note", "   "])
+    with pytest.raises(SnapshotError, match=f"^line {len(lines) + 1}: content after end$"):
+        Canister.from_snapshot(lines + lines)
+
+
+@pytest.mark.parametrize("text", ["+5", "1_000", "\u0663", "05", "-0"], ids=repr)
+def test_snapshot_number_not_written_as_the_writer_writes_it_rejected(builder, text):
+    # int() accepts each of these; the writer writes none of them
+    lines = snapshot_with(builder)
+    d = next(i for i, line in enumerate(lines) if line.startswith("delta "))
+    with pytest.raises(SnapshotError, match=f"^line {d + 1}: bad delta .* is not a plain decimal number$"):
+        Canister.from_snapshot(lines[:d] + [f"delta {text}"] + lines[d + 1 :])
+    u = next(i for i, line in enumerate(lines) if line.startswith("utxo "))
+    for field, name in [(2, "vout"), (3, "value"), (5, "height")]:
+        parts = lines[u].split()
+        parts[field] = text
+        tampered = lines[:u] + [" ".join(parts)] + lines[u + 1 :]
+        with pytest.raises(
+            SnapshotError, match=f"^line {u + 1}: bad utxo line: {name} .* is not a plain decimal number$"
+        ):
+            Canister.from_snapshot(tampered)
+
+
+def test_snapshot_queued_tx_may_repeat(builder):
+    # the queue may hold one transaction twice, so its lines may repeat
+    canister = make_canister(builder, delta=2)
+    blocks = builder.build(3)
+    respond(canister, blocks)
+    tx = builder.spend(builder.coinbase_outpoint(blocks[0]), [(1, PROBE_SCRIPT)])
+    canister.send_transaction(tx.to_bytes(), NET)
+    canister.send_transaction(tx.to_bytes(), NET)
+    lines = canister.snapshot_lines()
+    assert lines.count(f"queued-tx {tx.to_bytes().hex()}") == 2
+    restored = Canister.from_snapshot(lines)
+    assert list(restored.outbound_txs) == [tx.to_bytes()] * 2
+    assert restored.snapshot_lines() == lines
 
 
 @pytest.mark.parametrize(

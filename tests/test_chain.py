@@ -141,6 +141,109 @@ def test_transaction_truncation_rejected():
         Transaction.from_bytes(raw[:-3])
 
 
+def wide_tx() -> Transaction:
+    """A transaction whose input count, output count and script lengths
+    all need a multi-byte CompactSize (253 or more; 0xFD and 0xFE forms)."""
+    inputs = tuple(
+        TxIn(OutPoint(Hash256(sha256d(i.to_bytes(2, "big"))), i), b"\x51" * (i % 3), i)
+        for i in range(253)
+    )
+    outputs = (
+        TxOut(1, b"\x6a" * 253),
+        TxOut(2, b"\x6a" * 0x10000),
+        *(TxOut(i, p2pkh_script(bytes([i % 256]) * 20)) for i in range(300)),
+    )
+    return Transaction(1, inputs, outputs, 7)
+
+
+def test_multi_byte_counts_and_lengths_roundtrip():
+    tx = wide_tx()
+    raw = tx.to_bytes()
+    assert raw[4:7] == b"\xfd" + (253).to_bytes(2, "little")
+    parsed = Transaction.from_bytes(raw)
+    assert parsed == tx
+    assert (parsed._txid, parsed._size) == (tx.txid(), len(raw))
+    # a block of 253 transactions needs a multi-byte transaction count too
+    block = Block(zero_header(), (sample_tx(),) * 252 + (tx,))
+    block_raw = block.to_bytes()
+    assert block_raw[80:83] == b"\xfd" + (253).to_bytes(2, "little")
+    assert Block.from_bytes(block_raw) == block
+    assert block.size() == len(block_raw)
+
+
+def test_every_strict_prefix_rejected():
+    tx = sample_tx()
+    block = Block(zero_header(), (tx, Transaction(1, tx.inputs, tx.outputs[:1], 0)))
+    for parse, raw in [
+        (Transaction.from_bytes, tx.to_bytes()),
+        (Block.from_bytes, block.to_bytes()),
+    ]:
+        assert parse(raw) is not None
+        for cut in range(len(raw)):
+            with pytest.raises(SerializationError):
+                parse(raw[:cut])
+
+
+def test_every_strict_prefix_of_a_multi_byte_transaction_rejected():
+    raw = wide_tx().to_bytes()
+    # every cut inside a CompactSize, and a spread of cuts elsewhere
+    cuts = set(range(0, len(raw), 997)) | set(range(4, 8)) | {len(raw) - 1}
+    cuts |= {i for i in range(len(raw)) if raw[i] in (0xFD, 0xFE)}
+    for cut in sorted(cuts):
+        for end in (cut, cut + 1, cut + 2):
+            if end < len(raw):
+                with pytest.raises(SerializationError):
+                    Transaction.from_bytes(raw[:end])
+
+
+def _tx_bytes_widening(tx: Transaction, widened: int, form: bytes) -> bytes:
+    """The transaction's serialization with the CompactSize at position
+    `widened` (0: input count, 1: script_sig length, 2: output count,
+    3: script_pubkey length) written in the longer `form`, which is
+    non-canonical for these small values."""
+    width = {b"\xfd": 2, b"\xfe": 4, b"\xff": 8}[form]
+
+    def count(position: int, n: int) -> bytes:
+        if position == widened:
+            return form + n.to_bytes(width, "little")
+        return bytes([n])
+
+    txin, txout = tx.inputs[0], tx.outputs[0]
+    return b"".join(
+        [
+            tx.version.to_bytes(4, "little", signed=True),
+            count(0, 1),
+            txin.outpoint.txid,
+            txin.outpoint.vout.to_bytes(4, "little"),
+            count(1, len(txin.script_sig)),
+            txin.script_sig,
+            txin.sequence.to_bytes(4, "little"),
+            count(2, 1),
+            txout.value.to_bytes(8, "little", signed=True),
+            count(3, len(txout.script_pubkey)),
+            txout.script_pubkey,
+            tx.lock_time.to_bytes(4, "little"),
+        ]
+    )
+
+
+@pytest.mark.parametrize("form", [b"\xfd", b"\xfe", b"\xff"], ids=["fd", "fe", "ff"])
+def test_non_canonical_compact_size_rejected_at_every_position(form):
+    tx = Transaction(2, sample_tx().inputs, sample_tx().outputs[:1], 101)
+    assert _tx_bytes_widening(tx, -1, form) == tx.to_bytes()
+    for position in range(4):
+        raw = _tx_bytes_widening(tx, position, form)
+        with pytest.raises(SerializationError, match="non-canonical varint"):
+            Transaction.from_bytes(raw)
+        block = zero_header().to_bytes() + b"\x01" + raw
+        with pytest.raises(SerializationError, match="non-canonical varint"):
+            Block.from_bytes(block)
+    width = {b"\xfd": 2, b"\xfe": 4, b"\xff": 8}[form]
+    wide_count = zero_header().to_bytes() + form + (1).to_bytes(width, "little") + tx.to_bytes()
+    with pytest.raises(SerializationError, match="non-canonical varint"):
+        Block.from_bytes(wide_count)
+
+
 def test_coinbase_detection():
     cb = Transaction(1, (TxIn(OutPoint.null(), b"h"),), (TxOut(1, b"\x51"),))
     assert cb.is_coinbase()
