@@ -18,10 +18,13 @@ output lies above the anchor and every materialized output at or below it,
 so a listing is the overlay's unspent outputs followed by the kept listing
 minus the outpoints the overlay spends, with no merge. A page token names
 the key of the last entry served, and its continuation bisects to that
-key, so a full walk is linear in its entries. An unfiltered balance is the
-kept total, less the materialized outputs the overlay spends, plus the
-index's kept value; a filtered balance also subtracts the kept nets of the
-applied blocks above its cut, one lookup per block.
+key, so a full walk is linear in its entries. An unfiltered listing reads
+the index's kept list of the address's unspent overlay rows, which the
+first such query fills and a block that touches the address deletes; a
+filtered one scans the address's overlay rows. An unfiltered balance is
+the kept total plus the index's kept sum of the applied blocks' nets for
+the address, two lookups; a filtered balance also subtracts the kept nets
+of the applied blocks above its cut, one lookup per block.
 
 Responses from the sync endpoint are applied one at a time in simulator
 order; the whole state is deterministic given the message sequence.
@@ -432,7 +435,7 @@ class Canister:
         """Total satoshi over the same selection as get_utxos, unpaginated:
         the kept total plus what the overlay up to the cut changes."""
         cut = self._fresh_cut(network, min_confirmations)
-        value = self._overlay_index().value(address, cut, self.utxos.by_outpoint)
+        value = self._overlay_index().value(address, cut)
         return self.utxos.listing(address).total + value
 
     def send_transaction(self, tx_bytes: bytes, network: NetworkKind) -> Hash256:

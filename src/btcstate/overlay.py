@@ -11,27 +11,35 @@ show in the result; then the fold walks the block's transactions
 
 The overlay is one index over the applied chain: each address's overlay
 rows in page order, the heights of the blocks that spend each outpoint,
-each address's materialized outpoints that the applied chain spends, and
-each address's value over its overlay outputs that no applied block
-spends. It is built on the first query after a load and follows the chain
-at the end of every response after that (`OverlayIndex.follow`): folded
-blocks leave from the bottom, the blocks of a branch that lost leave from
-the top and new blocks join at the top, each at the cost of its own
-outputs and inputs.
+and each address's materialized outpoints that the applied chain spends.
+It is built on the first query after a load and follows the chain at the
+end of every response after that (`OverlayIndex.follow`): folded blocks
+leave from the bottom, the blocks of a branch that lost leave from the top
+and new blocks join at the top, each at the cost of its own outputs and
+inputs.
 
 Each applied block also keeps its net: the change it made to each
-address's unfiltered balance when it joined at the top. A balance cut
-below the top is the unfiltered one less the nets of the blocks above the
-cut, so a confirmation filter costs one lookup per block it leaves out. A
-net depends only on the blocks below its own and on the materialized set,
-which a fold changes without changing any balance, except where one
-outpoint is created twice, or created after a block spends it: a fold
-while the index holds such an outpoint rebuilds the index.
+address's unfiltered balance when it joined at the top. The index keeps
+each address's sum of the applied blocks' nets, which is what an
+unfiltered balance adds to the materialized total, so that balance costs
+one lookup. A balance cut below the top is that sum less the nets of the
+blocks above the cut, one lookup per block it leaves out. A net depends
+only on the blocks below its own and on the materialized set, which a fold
+changes without changing any balance, except where one outpoint is
+created twice, or created after a block spends it: a fold while the index
+holds such an outpoint rebuilds the index.
+
+An unfiltered listing reads each address's overlay rows that no applied
+block spends from a kept list, filled by the address's first unfiltered
+query and deleted when a block joins or leaves that pays the address or
+spends one of its overlay outputs; a page continuation bisects into it.
+A filtered listing scans the address's rows against the spending heights.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from itertools import accumulate
 from operator import itemgetter
 from typing import Callable, NamedTuple, Optional
@@ -101,51 +109,61 @@ class OverlayIndex:
     page order, every copy of a repeated outpoint included; `outputs` the
     address, value and number of rows of each overlay outpoint; `spenders`
     the heights of the applied blocks that spend each outpoint, ascending,
-    whether or not the outpoint is known; `unspent_value` each address's
-    total over its overlay outpoints that no applied block spends, which is
-    what an unfiltered query adds to the materialized outputs; `held_spent`
-    each address's materialized outpoints that an applied block spends, and
+    whether or not the outpoint is known; `held_spent` each address's
+    materialized outpoints that an applied block spends, and
     `held_address` the address of each of those. `nets` holds each applied
-    block's net, by address and without zeros, in the order of `blocks`;
-    `repeats` the heights, ascending, of the applied blocks that joined
-    with an outpoint that the index or the materialized set already had or
-    that the index spent. Blocks join and leave only at the two ends, so
-    each costs its own rows and spends. `floors` holds the applied blocks'
-    running minimum confirmation count, negated so that it ascends, from
-    the first filtered query after the index last followed the chain.
+    block's net, by address and without zeros, in the order of `blocks`,
+    and `net_sums` each address's sum of them, without zeros, which is what
+    an unfiltered balance adds to the materialized total; `repeats` the
+    heights, ascending, of the applied blocks that joined with an outpoint
+    that the index or the materialized set already had or that the index
+    spent. Blocks join and leave only at the two ends, so each costs its
+    own rows and spends. `floors` holds the applied blocks' running minimum
+    confirmation count, negated so that it ascends, from the first filtered
+    query after the index last followed the chain. `unspent_rows` holds,
+    for addresses with overlay rows that an unfiltered query asked for,
+    the rows that no applied block spends, as `changes` lists them; a block
+    that joins or leaves deletes the entries of the addresses it pays and
+    of the overlay outputs whose spends it changes.
     """
 
     __slots__ = (
         "first",
         "blocks",
         "nets",
+        "net_sums",
         "rows",
         "outputs",
         "spenders",
-        "unspent_value",
         "held_spent",
         "held_address",
         "repeats",
         "floors",
+        "unspent_rows",
     )
+    # Kept only to answer reads sooner, and filled by reads, so a fresh
+    # build need not hold them.
+    UNCOMPARED = frozenset({"floors", "unspent_rows"})
 
     def __init__(self, first: int):
         self.first = first
         self.blocks: list[tuple[Hash256, OverlayDelta]] = []
         self.nets: list[dict[str, int]] = []
+        self.net_sums: dict[str, int] = {}
         self.rows: dict[str, list[Utxo]] = {}
         self.outputs: dict[OutPoint, tuple[str, int, int]] = {}
         self.spenders: dict[OutPoint, list[int]] = {}
-        self.unspent_value: dict[str, int] = {}
         self.held_spent: dict[str, set[OutPoint]] = {}
         self.held_address: dict[OutPoint, str] = {}
         self.repeats: list[int] = []
         self.floors: Optional[list[int]] = None
+        self.unspent_rows: dict[str, list[Utxo]] = {}
 
     def __eq__(self, other: object) -> bool:
-        # The floors are left out: they are taken from the tree on demand.
         return isinstance(other, OverlayIndex) and all(
-            getattr(self, name) == getattr(other, name) for name in self.__slots__[:-1]
+            getattr(self, name) == getattr(other, name)
+            for name in self.__slots__
+            if name not in self.UNCOMPARED
         )
 
     def top(self) -> int:
@@ -210,37 +228,58 @@ class OverlayIndex:
         """The address's overlay rows at or below height `cut` that no block
         up to `cut` spends, in page order and after `after_key` (a repeated
         outpoint lists its highest copy only), and its materialized
-        outpoints that a block up to `cut` spends."""
-        spenders = self.spenders
-        created: list[Utxo] = []
-        rows = self.rows.get(address)
-        if rows:
-            start = bisect_left(rows, (-cut,), key=_page_key)
-            seen: set[OutPoint] = set()
+        outpoints that a block up to `cut` spends. At the top, the rows come
+        from the kept list, filled here on the address's first such call;
+        the caller reads the returned rows and changes nothing in them."""
+        if cut == self.top() and address in self.rows:
+            created = self.unspent_rows.get(address)
+            if created is None:
+                created = self.unspent_rows[address] = self._scan(address, cut)
             if after_key is not None:
-                served = bisect_right(rows, after_key, key=_page_key)
-                if served > start:
-                    seen = {row[0] for row in rows[start:served]}
-                    start = served
-            for row in rows[start:]:
-                op = row[0]
-                if op in seen:
-                    continue  # an older copy of a repeated outpoint
-                seen.add(op)
-                heights = spenders.get(op)
-                if heights is None or heights[0] > cut:
-                    created.append(row)
+                created = created[bisect_right(created, after_key, key=_page_key) :]
+        else:
+            created = self._scan(address, cut, after_key)
+        spenders = self.spenders
         spent = [op for op in self.held_spent.get(address, ()) if spenders[op][0] <= cut]
         return created, spent
 
-    def value(self, address: str, cut: int, by_outpoint: dict) -> int:
+    def _scan(
+        self, address: str, cut: int, after_key: Optional[tuple[int, bytes, int]] = None
+    ) -> list[Utxo]:
+        """The overlay rows of `changes`, from a pass over the address's rows
+        at or below `cut` that tests each one's spending heights."""
+        rows = self.rows.get(address)
+        if not rows:
+            return []
+        spenders = self.spenders
+        lowest = start = bisect_left(rows, (-cut,), key=_page_key)
+        if after_key is not None:
+            start = max(start, bisect_right(rows, after_key, key=_page_key))
+        if not self.repeats:  # no outpoint has two rows
+            return [
+                row
+                for row in rows[start:]
+                if (heights := spenders.get(row[0])) is None or heights[0] > cut
+            ]
+        # An outpoint's older copies follow its highest one, which may have
+        # been served already.
+        seen = {row[0] for row in rows[lowest:start]}
+        created = []
+        for row in rows[start:]:
+            op = row[0]
+            if op in seen:
+                continue
+            seen.add(op)
+            heights = spenders.get(op)
+            if heights is None or heights[0] > cut:
+                created.append(row)
+        return created
+
+    def value(self, address: str, cut: int) -> int:
         """What the applied chain up to height `cut` adds to the address's
-        materialized total: the kept unspent value, less the materialized
-        outputs `by_outpoint` that the overlay spends, less the nets of the
-        blocks above `cut`."""
-        total = self.unspent_value.get(address, 0) - sum(
-            by_outpoint[op][0].value for op in self.held_spent.get(address, ())
-        )
+        materialized total: the kept sum of the applied blocks' nets, less
+        the nets of the blocks above `cut`."""
+        total = self.net_sums.get(address, 0)
         for net in self.nets[cut + 1 - self.first :]:
             total -= net.get(address, 0)
         return total
@@ -248,27 +287,34 @@ class OverlayIndex:
     def check(
         self, tree: BlockTree, by_outpoint: dict, require: Callable[[bool, str], None]
     ) -> None:
-        """Check the kept values, nets and confirmation floors against
-        scans of the rows and the tree, through `require(holds, invariant)`."""
+        """Check the kept sums, nets, unspent rows and confirmation floors
+        against scans of the rows and the tree, through `require(holds,
+        invariant)`."""
         top = self.top()
+        sums: Counter = Counter()
+        for net in self.nets:
+            sums.update(net)
         require(
-            set(self.unspent_value) <= set(self.rows)
+            self.net_sums == {address: total for address, total in sums.items() if total},
+            "each address's kept net sum is the sum of the applied blocks' nets",
+        )
+        require(
+            self.unspent_rows.keys() <= self.rows.keys()
             and all(
-                self.unspent_value.get(address, 0)
-                == sum(row.value for row in self.changes(address, top)[0])
-                for address in self.rows
+                kept == self._scan(address, top) for address, kept in self.unspent_rows.items()
             ),
-            "each address's kept unspent value is the sum of its unfiltered overlay rows",
+            "each kept list of unspent rows equals a scan of its address's rows",
         )
         addresses = set(self.rows).union(self.held_spent, *self.nets)
         for cut in range(self.first - 1, top + 1):
             for address in addresses:
-                created, spent = self.changes(address, cut)
-                scanned = sum(row.value for row in created) - sum(
-                    by_outpoint[op][0].value for op in spent
+                scanned = sum(row.value for row in self._scan(address, cut)) - sum(
+                    by_outpoint[op][0].value
+                    for op in self.held_spent.get(address, ())
+                    if self.spenders[op][0] <= cut
                 )
                 require(
-                    self.value(address, cut, by_outpoint) == scanned,
+                    self.value(address, cut) == scanned,
                     "each cut's balance from the kept nets equals a scan of the overlay rows",
                 )
         if self.floors is not None:
@@ -287,7 +333,8 @@ class OverlayIndex:
         height = self.first + len(self.blocks)
         self.blocks.append((h, delta))
         outputs, spenders, index_rows = self.outputs, self.spenders, self.rows
-        gained: dict[str, int] = {}  # the block's change to each address's unspent value
+        unspent_rows = self.unspent_rows
+        gained: dict[str, int] = {}  # the block's change to each address's balance
         repeat = False
         for address, rows in delta.groups.items():
             value = 0
@@ -309,25 +356,23 @@ class OverlayIndex:
                 gained[address] = value
             # The block lies above every indexed row, so its rows lead.
             index_rows.setdefault(address, [])[:0] = rows
-        first_spent_held = []  # `settle` adds these to `held_spent`
+            unspent_rows.pop(address, None)
         for op in delta.spent:
             heights = spenders.get(op)
-            if heights is None:
+            if heights is None:  # the block is first to spend it
                 spenders[op] = [height]
                 entry = outputs.get(op)
                 if entry is not None:
                     gained[entry[0]] = gained.get(entry[0], 0) - entry[1]
+                    unspent_rows.pop(entry[0], None)
                 held = by_outpoint.get(op)
-                if held is not None:
-                    first_spent_held.append(held)
+                if held is not None:  # `settle` adds it to `held_spent`
+                    gained[held[2]] = gained.get(held[2], 0) - held[0].value
             else:
                 heights.append(height)
-        for address, value in gained.items():
-            self._add_unspent(address, value)
-        # The block's net also loses the materialized outputs it spends first.
-        for txout, _, address in first_spent_held:
-            gained[address] = gained.get(address, 0) - txout.value
-        self.nets.append({address: value for address, value in gained.items() if value})
+        net = {address: value for address, value in gained.items() if value}
+        self.nets.append(net)
+        self._add_net(net, 1)
         if repeat:
             self.repeats.append(height)
         touched |= delta.spent
@@ -335,7 +380,7 @@ class OverlayIndex:
     def drop_top(self, touched: set[OutPoint]) -> None:
         """Take the top block off: a reorganization left it behind."""
         _, delta = self.blocks.pop()
-        self.nets.pop()
+        self._add_net(self.nets.pop(), -1)
         if self.repeats and self.repeats[-1] == self.first + len(self.blocks):
             self.repeats.pop()
         self._forget(delta, bottom=False)
@@ -345,7 +390,7 @@ class OverlayIndex:
         """Take the lowest block off: it was folded into the materialized
         set, which now holds its outputs and lacks what it spent."""
         _, delta = self.blocks.pop(0)
-        del self.nets[0]
+        self._add_net(self.nets.pop(0), -1)
         self.first += 1
         self._forget(delta, bottom=True)
         touched |= delta.spent
@@ -359,7 +404,9 @@ class OverlayIndex:
         close each address's rows and its height opens each outpoint's
         spending heights; the top block's are the other way round."""
         outputs, spenders, index_rows = self.outputs, self.spenders, self.rows
+        unspent_rows = self.unspent_rows
         for address, rows in delta.groups.items():
+            unspent_rows.pop(address, None)
             kept = index_rows[address]
             if bottom:
                 del kept[-len(rows) :]
@@ -374,23 +421,24 @@ class OverlayIndex:
                     outputs[op] = (address, row.value, copies - 1)
                 else:
                     del outputs[op]
-                    if op not in spenders:
-                        self._add_unspent(address, -row.value)
         for op in delta.spent:
             heights = spenders[op]
             del heights[0 if bottom else -1]
             if not heights:
                 del spenders[op]
                 entry = outputs.get(op)
-                if entry is not None:  # an overlay outpoint rejoins the unspent value
-                    self._add_unspent(entry[0], entry[1])
+                if entry is not None:  # an overlay outpoint is unspent again
+                    unspent_rows.pop(entry[0], None)
 
-    def _add_unspent(self, address: str, value: int) -> None:
-        total = self.unspent_value.get(address, 0) + value
-        if total:
-            self.unspent_value[address] = total
-        else:
-            self.unspent_value.pop(address, None)
+    def _add_net(self, net: dict[str, int], sign: int) -> None:
+        """Add a block's net to the kept sums, or take it out (`sign` -1)."""
+        sums = self.net_sums
+        for address, value in net.items():
+            total = sums.get(address, 0) + sign * value
+            if total:
+                sums[address] = total
+            else:
+                del sums[address]
 
     def settle(self, touched: set[OutPoint], by_outpoint: dict) -> None:
         """Bring `held_spent` up to date for the outpoints whose spends or

@@ -817,6 +817,16 @@ def test_folded_output_that_an_applied_block_spends_is_held_spent(builder):
     canister.check_invariants()
 
 
+def test_overlay_index_equality_compares_every_slot_it_does_not_name():
+    # `check_invariants` compares the kept index with a fresh build, so a
+    # slot added later takes part unless it is named as left out.
+    assert OverlayIndex.UNCOMPARED == {"floors", "unspent_rows"}
+    for name in OverlayIndex.__slots__:
+        changed = OverlayIndex(1)
+        setattr(changed, name, object())
+        assert (changed == OverlayIndex(1)) == (name in OverlayIndex.UNCOMPARED), name
+
+
 def count_calls(monkeypatch, owner, names, counts: Counter, key=None) -> None:
     """Count every call of the named methods of `owner` in `counts`, under
     `key` when given, else under each method's name."""
@@ -920,11 +930,89 @@ def test_query_work_flat_in_the_unstable_region(monkeypatch):
     assert at_20 == at_80 == (Counter({"has_block": 3, "index": 2}), Counter())
 
 
+class ReadCounting(dict):
+    """A dict that counts, under `name` in `reads`, the lookups and passes
+    made through its methods."""
+
+    def __init__(self, mapping: dict, reads: Counter, name: str):
+        super().__init__(mapping)
+        self.reads, self.name = reads, name
+
+    def _read(self, method, *args):
+        self.reads[self.name] += 1
+        return getattr(super(), method)(*args)
+
+    def get(self, *args):
+        return self._read("get", *args)
+
+    def __getitem__(self, key):
+        return self._read("__getitem__", key)
+
+    def __contains__(self, key):
+        return self._read("__contains__", key)
+
+    def __iter__(self):
+        return self._read("__iter__")
+
+    def items(self):
+        return self._read("items")
+
+
+OTHER_SCRIPT = p2pkh_script(sha256d(b"other")[:20])
+OTHER = addr_of(OTHER_SCRIPT)
+
+
+def test_unfiltered_queries_after_a_response_read_kept_answers(builder, monkeypatch):
+    # After a one-block response that pays the probe address, an unfiltered
+    # balance reads the kept net sum (no held spend, no net), a walk of an
+    # address the block did not touch reads its kept unspent rows, and the
+    # probe's rows are scanned once, by its first walk.
+    canister = make_canister(builder, delta=4, page_size=2)
+    sources = builder.build(4)
+    pays = [
+        builder.spend(builder.coinbase_outpoint(block), [(100 + i, script) for i in range(3)])
+        for block, script in zip(sources, (PROBE_SCRIPT, OTHER_SCRIPT))
+    ]
+    respond(canister, sources + [builder.extend(extra_txs=tuple(pays))] + builder.build(4))
+    assert canister.utxos.by_address.keys() >= {PROBE, OTHER}
+    # the overlay spends one materialized output of each and pays each again
+    respend = Transaction(
+        1,
+        tuple(TxIn(OutPoint(pay.txid(), 0), b"sig") for pay in pays),
+        (TxOut(50, PROBE_SCRIPT), TxOut(60, OTHER_SCRIPT), TxOut(70, OTHER_SCRIPT)),
+    )
+    respond(canister, [builder.extend(extra_txs=(respend,)), *builder.build(1)])
+    addresses = (PROBE, OTHER)
+    for address in addresses:
+        canister.get_balance(address, NET)
+        walk(canister, address, canister.get_utxos(address, NET))
+    index = canister._index
+    assert index.held_spent.keys() == {PROBE, OTHER} and index.unspent_rows.keys() == {PROBE, OTHER}
+    respond(canister, [builder.extend(extra_txs=(pay_probe(builder, sources[2], 2),))])
+    assert canister._index is index and OTHER in index.unspent_rows
+    assert any(OTHER in net for net in index.nets)
+    reads: Counter = Counter()
+    index.held_spent = ReadCounting(index.held_spent, reads, "held_spent")
+    index.nets = [ReadCounting(net, reads, "net") for net in index.nets]
+    for address in addresses:
+        expected = sum(value for _, value, _ in overlay_oracle(canister, address))
+        assert canister.get_balance(address, NET) == expected
+    assert not reads
+    scans: Counter = Counter()
+    count_calls(monkeypatch, OverlayIndex, ("_scan",), scans)
+    for address, rescans in ((OTHER, 0), (PROBE, 1), (PROBE, 0)):
+        scans.clear()
+        pages = walk(canister, address, canister.get_utxos(address, NET))
+        assert len(pages) > 1 and listed(pages) == overlay_oracle(canister, address)
+        assert scans["_scan"] == rescans, address
+    canister.check_invariants()
+
+
 def test_repeated_walks_build_no_utxo_and_only_filtered_balances_scan_the_overlay(
     builder, monkeypatch
 ):
     # Rows are stored as Utxos, so a walk hands out stored objects and an
-    # unfiltered balance reads the overlay index's kept value.
+    # unfiltered balance reads the overlay index's kept net sum.
     canister = make_canister(builder, delta=2, page_size=3)
     sources = builder.build(4)
     paying = [builder.extend(extra_txs=(pay_probe(builder, block, 4),)) for block in sources[:3]]
@@ -968,7 +1056,7 @@ def test_repeated_walks_build_no_utxo_and_only_filtered_balances_scan_the_overla
 
 
 def test_unfiltered_balance_follows_repeats_same_block_spends_reorgs_and_folds(builder):
-    # The kept unspent value and nets change only through the index's
+    # The kept net sums and nets change only through the index's
     # pushes and drops (or a rebuild); after each kind of change every cut's
     # balance must equal a fresh scan.
     canister = make_canister(builder, delta=4)
@@ -1165,12 +1253,16 @@ def test_repeated_transaction_keeps_the_latest_outputs(builder):
 def test_overlay_matches_oracle_over_random_histories():
     """Forks, reorgs (one at least three blocks deep in every history),
     anchor advances, snapshot round trips, two responses with no query
-    between them and walks continued across a one-block extension, with
+    between them, walks continued across a one-block extension and kept
+    unspent rows both kept and deleted across responses, with
     every balance and page walk checked against a fresh scan and every
     invariant of the state checked after every response and every step."""
     reorgs = advances = round_trips = deep_reorgs = extended_walks = 0
     kept_adds = kept_spends = 0  # writes that updated a kept listing in place
     unqueried_pairs = 0  # second responses with no query since the first
+    # kept unspent-row lists that a response left for the next walk, and
+    # those that a push, a drop or a rebuild deleted
+    rows_kept = rows_dropped = 0
     for seed in range(6):
         rng = random.Random(seed)
         builder = ChainBuilder()
@@ -1202,7 +1294,13 @@ def test_overlay_matches_oracle_over_random_histories():
             return rng.choice(held) if rng.random() < 0.3 else None
 
         def deliver(blocks):
+            nonlocal rows_kept, rows_dropped
+            index = canister._index
+            before = dict(index.unspent_rows) if index is not None else {}
             respond(canister, blocks)
+            after = index.unspent_rows if index is not None else {}
+            rows_kept += sum(after.get(address) is rows for address, rows in before.items())
+            rows_dropped += sum(address not in after for address in before)
             canister.check_invariants()
 
         for step in range(40):
@@ -1264,6 +1362,7 @@ def test_overlay_matches_oracle_over_random_histories():
     assert reorgs > 0 and advances > 0 and round_trips > 0
     assert deep_reorgs == 6 and extended_walks > 0
     assert kept_adds > 0 and kept_spends > 0 and unqueried_pairs > 0
+    assert rows_kept > 0 and rows_dropped > 0
 
 
 # -- send_transaction -----------------------------------------------------------------
