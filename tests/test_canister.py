@@ -931,8 +931,8 @@ def test_query_work_flat_in_the_unstable_region(monkeypatch):
 
 
 class ReadCounting(dict):
-    """A dict that counts, under `name` in `reads`, the lookups and passes
-    made through its methods."""
+    """A dict that counts, under `name` in `reads`, the lookups made
+    through its methods."""
 
     def __init__(self, mapping: dict, reads: Counter, name: str):
         super().__init__(mapping)
@@ -950,12 +950,6 @@ class ReadCounting(dict):
 
     def __contains__(self, key):
         return self._read("__contains__", key)
-
-    def __iter__(self):
-        return self._read("__iter__")
-
-    def items(self):
-        return self._read("items")
 
 
 OTHER_SCRIPT = p2pkh_script(sha256d(b"other")[:20])
