@@ -269,9 +269,9 @@ class Adapter:
     # -- peer messages ------------------------------------------------------------
 
     def on_peer_message(self, peer: int, msg: wire.Message, now: float) -> None:
-        """Apply one message from a connected peer. Malformed traffic, and
-        a headers message longer than `MAX_HEADERS_RESULTS`, gets the peer
-        disconnected."""
+        """Apply one message from a connected peer. Malformed traffic, a
+        headers message longer than `MAX_HEADERS_RESULTS` and a header that
+        fails a consensus check get the peer disconnected."""
         if peer not in self.peers:
             return
         if isinstance(msg, wire.HeadersMsg):
@@ -291,11 +291,19 @@ class Adapter:
                     asked = self._orphan_asks.setdefault(h, set())
                     unasked_orphan |= peer not in asked
                     asked.add(peer)
-                elif violation is None and not known:
-                    fresh += 1
-                    self._orphan_asks.pop(h, None)
-                    self._announced_by[h] = peer
-                    self._schedule_fetch(h)  # a header just inserted has no body
+                elif violation is None:
+                    if not known:
+                        fresh += 1
+                        self._orphan_asks.pop(h, None)
+                        self._announced_by[h] = peer
+                        self._schedule_fetch(h)  # a header just inserted has no body
+                elif violation is not ViolationCode.TIME_TOO_NEW:
+                    # A header that fails a consensus check drops the peer
+                    # before the rest is read (Bitcoin Core's
+                    # ProcessHeadersMessage); one too far ahead of our clock
+                    # may become valid later, so it is only skipped.
+                    self.drop_peer(peer)
+                    return
             # A header whose parent we lack arrived ahead of it: ask the
             # peer for every header we are missing, which it sends in
             # height order (Bitcoin Core's unconnecting-headers handling).

@@ -7,8 +7,10 @@ anchor are kept separately so any reorganization above the anchor resolves
 automatically; queries overlay the applied chain (the selected chain's
 bodied blocks above the anchor) on the materialized set, through the
 overlay index (`overlay`), which a query builds and every response after
-it keeps current. The state saves to and loads from a text snapshot
-(`snapshot`).
+it keeps current. The index folds its own lowest block when the anchor
+takes it (`OverlayIndex.fold`); any other block, such as one folded before
+the first query, is applied transaction by transaction. The state saves to
+and loads from a text snapshot (`snapshot`).
 
 A confirmation filter or a page token's tip is a height cut on the
 overlay's rows and spends, so no query walks the unstable blocks; the
@@ -257,10 +259,9 @@ class Canister:
         most 0 against it and can never fold.
 
         Each advancement folds the block into the UTXO set, prunes rival
-        branches at that height, and drops the block body. A block the
-        overlay index holds is folded from its kept delta, per address
-        (`UtxoSet.apply_delta`); any other is applied transaction by
-        transaction.
+        branches at that height, and drops the block body. The overlay
+        index folds its own lowest block (`OverlayIndex.fold`); any other
+        block is applied transaction by transaction.
         """
         index = self._index
         while True:
@@ -274,11 +275,10 @@ class Canister:
                 )
             ):
                 break
-            delta = index.delta(best, next_height) if index is not None else None
-            if delta is None:
-                self.anomaly_count += self.utxos.apply_block(block, next_height)
-            else:
-                self.anomaly_count += self.utxos.apply_delta(block, next_height, delta)
+            anomalies = index.fold(best, block, self.utxos) if index is not None else None
+            if anomalies is None:
+                anomalies = self.utxos.apply_block(block, next_height)
+            self.anomaly_count += anomalies
             for rival in self.tree.at_height(next_height):
                 if rival != best:
                     self.tree.remove_subtree(rival)
@@ -505,7 +505,7 @@ class Canister:
                 key=_page_key,
             )
             require(
-                bool(rows) and listing.rows == rows and listing.total == sum(r[1] for r in rows),
+                listing.rows == rows and listing.total == sum(r[1] for r in rows),
                 "each kept listing is its address's outputs in page order, with their total",
             )
         require(tree.bodied_matches_scan(), "the tree's kept bodied set equals a scan of has_block")

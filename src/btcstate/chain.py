@@ -274,8 +274,12 @@ def merkle_root(txids: list[Hash256]) -> Hash256:
 
 @dataclass(frozen=True, slots=True)
 class Block:
+    """A header and its transactions; the merkle root of the transactions
+    is computed on first use and kept."""
+
     header: BlockHeader
     transactions: tuple[Transaction, ...]
+    _root: Optional[Hash256] = field(default=None, init=False, compare=False, repr=False)
 
     def to_bytes(self) -> bytes:
         parts = [self.header.to_bytes(), write_varint(len(self.transactions))]
@@ -290,7 +294,11 @@ class Block:
         return [tx.txid() for tx in self.transactions]
 
     def computed_merkle_root(self) -> Hash256:
-        return merkle_root(self.txids())
+        root = self._root
+        if root is None:
+            root = merkle_root(self.txids())
+            object.__setattr__(self, "_root", root)
+        return root
 
     def size(self) -> int:
         """Length of the serialization, from each transaction's kept length."""

@@ -3,20 +3,23 @@ blocks above the anchor) changes for queries, indexed by address.
 
 A block's outputs, with their addresses and grouped by address, and its
 inputs are derived when it joins the overlay index and kept there while it
-stays applied. Folding a block the index holds into the materialized set
-moves that kept delta in per address (`UtxoSet.apply_delta`), building no
-row and deriving no address, unless the order of the block's writes could
-show in the result; then the fold walks the block's transactions
-(`UtxoSet.apply_block`).
+stays applied. The anchor fold of the index's lowest block goes through
+the index (`OverlayIndex.fold`): the block leaves the bottom while the
+materialized set still holds what it spends, then its kept delta moves
+into the set per address (`UtxoSet.apply_delta`), building no row and
+deriving no address, and its outputs that a higher applied block spends
+join `held_spent`. So the index is current after every fold, with no
+repair at the end of the response.
 
 The overlay is one index over the applied chain: each address's overlay
 rows in page order, the heights of the blocks that spend each outpoint,
 and each address's materialized outpoints that the applied chain spends.
-It is built on the first query after a load and follows the chain at the
-end of every response after that (`OverlayIndex.follow`): folded blocks
-leave from the bottom, the blocks of a branch that lost leave from the top
-and new blocks join at the top, each at the cost of its own outputs and
-inputs.
+It is built on the first query after a load, folds its lowest block as
+the anchor takes it, and at the end of every response follows the chain
+(`OverlayIndex.follow`): the blocks of a branch that lost leave from the
+top and new blocks join at the top, each at the cost of its own outputs and
+inputs. A fold the index cannot take (its lowest block lost to a rival) or
+one while it holds a repeat (below) leaves it to be rebuilt there.
 
 Each applied block also keeps its net: the change it made to each
 address's unfiltered balance when it joined at the top. The index keeps
@@ -27,7 +30,7 @@ blocks above the cut, one lookup per block it leaves out. A net depends
 only on the blocks below its own and on the materialized set, which a fold
 changes without changing any balance, except where one outpoint is
 created twice, or created after a block spends it: a fold while the index
-holds such an outpoint rebuilds the index.
+holds such an outpoint empties the index, and `follow` rebuilds it.
 
 An unfiltered listing reads each address's overlay rows that no applied
 block spends from a kept list, filled by the address's first unfiltered
@@ -110,21 +113,21 @@ class OverlayIndex:
     address, value and number of rows of each overlay outpoint; `spenders`
     the heights of the applied blocks that spend each outpoint, ascending,
     whether or not the outpoint is known; `held_spent` each address's
-    materialized outpoints that an applied block spends, and
-    `held_address` the address of each of those. `nets` holds each applied
-    block's net, by address and without zeros, in the order of `blocks`,
-    and `net_sums` each address's sum of them, without zeros, which is what
-    an unfiltered balance adds to the materialized total; `repeats` the
-    heights, ascending, of the applied blocks that joined with an outpoint
-    that the index or the materialized set already had or that the index
-    spent. Blocks join and leave only at the two ends, so each costs its
-    own rows and spends. `floors` holds the applied blocks' running minimum
-    confirmation count, negated so that it ascends, from the first filtered
-    query after the index last followed the chain. `unspent_rows` holds,
-    for addresses with overlay rows that an unfiltered query asked for,
-    the rows that no applied block spends, as `changes` lists them; a block
-    that joins or leaves deletes the entries of the addresses it pays and
-    of the overlay outputs whose spends it changes.
+    materialized outpoints that an applied block spends. `nets` holds each
+    applied block's net, by address and without zeros, in the order of
+    `blocks`, and `net_sums` each address's sum of them, without zeros,
+    which is what an unfiltered balance adds to the materialized total;
+    `repeats` the heights, ascending, of the applied blocks that joined
+    with an outpoint that the index or the materialized set already had or
+    that the index spent. Blocks join and leave only at the two ends, so
+    each costs its own rows and spends. `floors` holds the applied blocks'
+    running minimum confirmation count, negated so that it ascends, from
+    the first filtered query after the index last followed the chain.
+    `unspent_rows` holds, for addresses with overlay rows that an
+    unfiltered query asked for, the rows that no applied block spends, as
+    `changes` lists them; a block that joins or leaves deletes the entries
+    of the addresses it pays and of the overlay outputs whose spends it
+    changes.
     """
 
     __slots__ = (
@@ -136,7 +139,6 @@ class OverlayIndex:
         "outputs",
         "spenders",
         "held_spent",
-        "held_address",
         "repeats",
         "floors",
         "unspent_rows",
@@ -154,7 +156,6 @@ class OverlayIndex:
         self.outputs: dict[OutPoint, tuple[str, int, int]] = {}
         self.spenders: dict[OutPoint, list[int]] = {}
         self.held_spent: dict[str, set[OutPoint]] = {}
-        self.held_address: dict[OutPoint, str] = {}
         self.repeats: list[int] = []
         self.floors: Optional[list[int]] = None
         self.unspent_rows: dict[str, list[Utxo]] = {}
@@ -188,30 +189,52 @@ class OverlayIndex:
         chain's bodied blocks above height `top` (the anchor's), over the
         materialized set `utxos`. A joining block's addresses are found by
         `address_of`, the set's kept names by default."""
-        touched: set[OutPoint] = set()
         blocks = self.blocks
+        by_outpoint = utxos.by_outpoint
         keep = len(blocks)  # the held blocks still on the selected chain
         while keep and tree.selected_at(self.first + keep - 1) != blocks[keep - 1][0]:
             keep -= 1
-        folded = top + 1 - self.first  # held blocks now at or below the anchor
-        # A fold can change the nets of blocks that repeat an outpoint or
-        # create one after its spend (see above), so it rebuilds then.
-        if keep > folded and not (folded and self.repeats):
+        # A held lowest block is still applied, so every fold went through
+        # `fold` and the index starts right above the anchor.
+        if keep:
             while len(blocks) > keep:
-                self.drop_top(touched)
-            for _ in range(folded):
-                self.drop_bottom(touched)
+                self.drop_top(by_outpoint)
         else:
-            self.__init__(top + 1)  # no held block stays, or a fold meets a repeat
+            self.__init__(top + 1)
         address_of = address_of or utxos.address_of
-        by_outpoint = utxos.by_outpoint
         height = self.top() + 1
         while (h := tree.selected_at(height)) is not None and tree.has_block(h):
             delta = OverlayDelta.of_block(tree.block(h), height, address_of)
-            self.push(h, delta, touched, by_outpoint)
+            self.push(h, delta, by_outpoint)
             height += 1
-        self.settle(touched, by_outpoint)
         self.floors = None
+
+    def fold(self, h: Hash256, block: Block, utxos: UtxoSet) -> Optional[int]:
+        """Fold block `h`, the index's lowest, into the materialized set
+        `utxos` and return the anomaly count, as `UtxoSet.apply_block`
+        would; None, changing nothing, when `h` is not the lowest block.
+
+        The block leaves the bottom before the set changes, so each
+        outpoint it spends still names its address there as it leaves
+        `held_spent`; then its kept delta moves into the set, and its
+        outputs that a higher applied block spends join `held_spent`. A
+        fold can change the nets of blocks that repeat an outpoint or
+        create one after its spend (see above), so while the index holds
+        one the fold empties it instead, for `follow` to rebuild."""
+        if not self.blocks or self.blocks[0][0] != h:
+            return None
+        height, delta = self.first, self.blocks[0][1]
+        by_outpoint = utxos.by_outpoint
+        if self.repeats:
+            self.__init__(height + 1)
+        else:
+            self.drop_bottom(by_outpoint)
+        anomalies = utxos.apply_delta(block, height, delta)
+        for op in self.spenders.keys() & map(_outpoint, delta.rows):
+            held = by_outpoint.get(op)
+            if held is not None:
+                self.held_spent.setdefault(held[2], set()).add(op)
+        return anomalies
 
     def confirmed_top(self, tree: BlockTree, min_conf: int) -> int:
         """The height up to which every applied block has at least
@@ -324,12 +347,9 @@ class OverlayIndex:
                 "the kept confirmation floors are the applied blocks' running minimum",
             )
 
-    def push(
-        self, h: Hash256, delta: OverlayDelta, touched: set[OutPoint], by_outpoint: dict
-    ) -> None:
+    def push(self, h: Hash256, delta: OverlayDelta, by_outpoint: dict) -> None:
         """Join a block at the top, over the materialized outputs
-        `by_outpoint`; the outpoints whose spends changed go into
-        `touched`."""
+        `by_outpoint`."""
         height = self.first + len(self.blocks)
         self.blocks.append((h, delta))
         outputs, spenders, index_rows = self.outputs, self.spenders, self.rows
@@ -366,8 +386,9 @@ class OverlayIndex:
                     gained[entry[0]] = gained.get(entry[0], 0) - entry[1]
                     unspent_rows.pop(entry[0], None)
                 held = by_outpoint.get(op)
-                if held is not None:  # `settle` adds it to `held_spent`
+                if held is not None:
                     gained[held[2]] = gained.get(held[2], 0) - held[0].value
+                    self.held_spent.setdefault(held[2], set()).add(op)
             else:
                 heights.append(height)
         net = {address: value for address, value in gained.items() if value}
@@ -375,36 +396,32 @@ class OverlayIndex:
         self._add_net(net, 1)
         if repeat:
             self.repeats.append(height)
-        touched |= delta.spent
 
-    def drop_top(self, touched: set[OutPoint]) -> None:
-        """Take the top block off: a reorganization left it behind."""
+    def drop_top(self, by_outpoint: dict) -> None:
+        """Take the top block off, over the materialized outputs
+        `by_outpoint`: a reorganization left it behind."""
         _, delta = self.blocks.pop()
         self._add_net(self.nets.pop(), -1)
         if self.repeats and self.repeats[-1] == self.first + len(self.blocks):
             self.repeats.pop()
-        self._forget(delta, bottom=False)
-        touched |= delta.spent
+        self._forget(delta, False, by_outpoint)
 
-    def drop_bottom(self, touched: set[OutPoint]) -> None:
-        """Take the lowest block off: it was folded into the materialized
-        set, which now holds its outputs and lacks what it spent."""
+    def drop_bottom(self, by_outpoint: dict) -> None:
+        """Take the lowest block off as `fold` folds it, over the
+        materialized outputs `by_outpoint` from before the fold."""
         _, delta = self.blocks.pop(0)
         self._add_net(self.nets.pop(0), -1)
         self.first += 1
-        self._forget(delta, bottom=True)
-        touched |= delta.spent
-        # Its outputs were in no materialized entry before the fold (a
-        # repeat rebuilds the index instead), so `settle` can change only
-        # those that an applied block spends.
-        touched |= self.spenders.keys() & map(_outpoint, delta.rows)
+        self._forget(delta, True, by_outpoint)
 
-    def _forget(self, delta: OverlayDelta, bottom: bool) -> None:
+    def _forget(self, delta: OverlayDelta, bottom: bool, by_outpoint: dict) -> None:
         """Delete an end block's rows and spends. The lowest block's rows
         close each address's rows and its height opens each outpoint's
-        spending heights; the top block's are the other way round."""
+        spending heights; the top block's are the other way round. A
+        materialized outpoint leaves `held_spent` when its last spender
+        leaves, or when the lowest block, about to be folded, spends it."""
         outputs, spenders, index_rows = self.outputs, self.spenders, self.rows
-        unspent_rows = self.unspent_rows
+        unspent_rows, held_spent = self.unspent_rows, self.held_spent
         for address, rows in delta.groups.items():
             unspent_rows.pop(address, None)
             kept = index_rows[address]
@@ -429,6 +446,12 @@ class OverlayIndex:
                 entry = outputs.get(op)
                 if entry is not None:  # an overlay outpoint is unspent again
                     unspent_rows.pop(entry[0], None)
+            held = by_outpoint.get(op) if bottom or not heights else None
+            if held is not None:
+                spent = held_spent[held[2]]
+                spent.remove(op)
+                if not spent:
+                    del held_spent[held[2]]
 
     def _add_net(self, net: dict[str, int], sign: int) -> None:
         """Add a block's net to the kept sums, or take it out (`sign` -1)."""
@@ -439,20 +462,3 @@ class OverlayIndex:
                 sums[address] = total
             else:
                 del sums[address]
-
-    def settle(self, touched: set[OutPoint], by_outpoint: dict) -> None:
-        """Bring `held_spent` up to date for the outpoints whose spends or
-        materialized entries changed."""
-        for op in touched:
-            address = self.held_address.get(op)
-            entry = by_outpoint.get(op) if op in self.spenders else None
-            if entry is not None:
-                if address is None:
-                    self.held_address[op] = entry[2]
-                    self.held_spent.setdefault(entry[2], set()).add(op)
-            elif address is not None:
-                del self.held_address[op]
-                spent = self.held_spent[address]
-                spent.discard(op)
-                if not spent:
-                    del self.held_spent[address]

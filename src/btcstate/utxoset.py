@@ -12,7 +12,9 @@ rows: serving a page builds nothing per entry.
 An address's materialized outputs are listed once, on the first query that
 needs them, sorted by the page key (height descending, then txid and
 output index) together with their total value; every later write keeps that
-listing current with a bisected insert or delete.
+listing current with a bisected insert or delete. A kept listing lives as
+long as the set, empty while its address holds nothing, so whether an
+address has one never depends on the order of writes.
 
 A block is folded in one of two ways. `apply_block` walks its transactions
 and is the rule. `apply_delta` moves the block's kept overlay delta in per
@@ -20,9 +22,8 @@ address, reusing its rows: the outpoints go in in bulk, and each address's
 rows lead its kept listing, since a folded block lies above every held
 row. It gives `apply_block`'s result and falls back to it whenever the
 order of the block's writes could show: a transaction held twice, an input
-naming one of the block's own transactions, an output whose outpoint is
-held, or a paid address with a kept listing whose every held output the
-block spends.
+naming one of the block's own transactions, or an output whose outpoint is
+held.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ def output_addresses(block: Block, address_of: Callable[[bytes], str]) -> list[s
 class UtxoSet:
     """Outpoint-indexed unspent outputs, each with its height and address,
     an address index for retrieval, a kept listing for each address a
-    query has asked for, and the address of each script a held output
+    query has ever asked for, and the address of each script a held output
     pays. Each script has its own address (`script_address` is one-to-one
     on a network), so a script is held exactly while its address's bucket
     is."""
@@ -94,7 +95,8 @@ class UtxoSet:
         self.by_outpoint: dict[OutPoint, tuple[TxOut, int, str]] = {}
         self.by_address: dict[str, set[OutPoint]] = {}
         self.names: dict[bytes, str] = {}
-        # Built on an address's first query and kept current by every write.
+        # Built on an address's first query and kept current by every write,
+        # also once the address holds nothing.
         self.listings: dict[str, Listing] = {}
 
     def __len__(self) -> int:
@@ -153,12 +155,9 @@ class UtxoSet:
                 del self.names[txout.script_pubkey]
         listing = self.listings.get(address)
         if listing is not None:
-            if bucket:
-                rows = listing.rows
-                del rows[bisect_left(rows, (-height, outpoint.txid, outpoint.vout), key=_page_key)]
-                listing.total -= txout.value
-            else:
-                del self.listings[address]
+            rows = listing.rows
+            del rows[bisect_left(rows, (-height, outpoint.txid, outpoint.vout), key=_page_key)]
+            listing.total -= txout.value
         return True
 
     def listing(self, address: str) -> Listing:
@@ -210,18 +209,11 @@ class UtxoSet:
         held output, so an address's rows lead its kept listing.
 
         The block goes through `apply_block` instead when the order of its
-        writes could show in the result: when it is not `plain`, when an
-        output repeats a held outpoint, or when it spends every held output
-        of an address that has a kept listing and that it also pays (one
-        order of its transactions drops the listing, another keeps it).
+        writes could show in the result: when it is not `plain`, or when an
+        output repeats a held outpoint.
         """
         by_outpoint, by_address, listings = self.by_outpoint, self.by_address, self.listings
-        groups = delta.groups
-        if (
-            not delta.plain
-            or not by_outpoint.keys().isdisjoint(map(_outpoint, delta.rows))
-            or any(by_address[a] <= delta.spent for a in listings.keys() & groups.keys())
-        ):
+        if not delta.plain or not by_outpoint.keys().isdisjoint(map(_outpoint, delta.rows)):
             return self.apply_block(block, height, delta.addresses)
         anomalies = 0
         for outpoint in delta.inputs:
@@ -231,7 +223,7 @@ class UtxoSet:
         by_outpoint.update(
             zip(map(_outpoint, delta.rows), zip(txouts, repeat(height), delta.addresses))
         )
-        for address, rows in groups.items():
+        for address, rows in delta.groups.items():
             bucket = by_address.get(address)
             if bucket is None:
                 bucket = by_address[address] = set()

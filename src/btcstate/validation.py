@@ -34,7 +34,6 @@ MTP_WINDOW = 11
 MAINNET_MAX_TARGET = 0x00000000FFFF0000000000000000000000000000000000000000000000000000
 REGTEST_MAX_TARGET = 0x7FFFFF0000000000000000000000000000000000000000000000000000000000
 
-MAINNET_BITS_LIMIT = 0x1D00FFFF
 REGTEST_BITS = 0x207FFFFF
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from btcstate import validation, wire
+from btcstate import chain, validation, wire
 from btcstate.adapter import (
     MAX_HEADERS_PER_RESPONSE,
     MAX_RESPONSE_BYTES,
@@ -20,7 +20,7 @@ from btcstate.adapter import (
 from btcstate.chain import Hash256, NetworkKind, TxOut, sha256d
 from btcstate.validation import ChainPolicy, ViolationCode
 
-from conftest import NOW, ChainBuilder, random_tree
+from conftest import NOW, ChainBuilder, header_with_bad_pow, random_tree
 
 
 def make_adapter(builder, **cfg_overrides) -> Adapter:
@@ -564,6 +564,53 @@ def test_oversized_headers_message_drops_the_peer_unchecked(builder, monkeypatch
     assert adapter.peers == {5}
     assert len(checked) == 1 and header.hash() in adapter.tree
     adapter.check_invariants()
+
+
+def test_header_failing_a_consensus_check_drops_the_peer(builder):
+    # the first header that breaks a consensus rule ends the message and
+    # the connection; the headers after it are not read
+    adapter = make_adapter(builder, preset_peers=(4, 5))
+    adapter.connect_peers()
+    adapter.take_outbox()
+    first, second = builder.build(2)
+    bad = header_with_bad_pow(first.header)
+    adapter.on_peer_message(4, wire.HeadersMsg((first.header, bad, second.header)), NOW)
+    assert adapter.peers == {5}
+    assert first.header.hash() in adapter.tree
+    assert bad.hash() not in adapter.tree and second.header.hash() not in adapter.tree
+    assert adapter.pending_fetch == {}  # the fetch of `first` left with the peer
+    adapter.check_invariants()
+
+
+def test_header_too_far_ahead_keeps_the_peer(builder):
+    # a header ahead of our clock may become valid later: it is skipped
+    # and the rest of the message is read
+    adapter = make_adapter(builder, preset_peers=(4,))
+    adapter.connect_peers()
+    genesis = builder.genesis.header.hash()
+    ahead = builder.extend(parent=genesis, time=NOW + validation.MAX_FUTURE_DRIFT + 60)
+    rival = builder.extend(parent=genesis)
+    assert adapter.accept_header(ahead.header, NOW) is ViolationCode.TIME_TOO_NEW
+    adapter.on_peer_message(4, wire.HeadersMsg((ahead.header, rival.header)), NOW)
+    assert adapter.peers == {4}
+    assert ahead.header.hash() not in adapter.tree and rival.header.hash() in adapter.tree
+    adapter.check_invariants()
+
+
+def test_stored_block_keeps_its_merkle_root_through_serving_and_checks(builder, monkeypatch):
+    # the adapter's store and the state machine's shape check read one
+    # root, computed once for the block object the response carries
+    adapter = make_adapter(builder)
+    block = builder.extend()
+    assert adapter.accept_header(block.header, NOW) is None
+    roots = []
+    real_root = chain.merkle_root
+    monkeypatch.setattr(chain, "merkle_root", lambda ids: roots.append(ids) or real_root(ids))
+    assert adapter.store_block(block)
+    [(served, _)] = request(adapter, builder.genesis.header).blocks
+    assert served is block
+    validation.check_block_shape(served)
+    assert len(roots) == 1
 
 
 def test_dropped_peers_fetches_asked_of_another_peer(builder):

@@ -817,6 +817,70 @@ def test_folded_output_that_an_applied_block_spends_is_held_spent(builder):
     canister.check_invariants()
 
 
+def test_fold_beside_a_reorg_that_drops_the_spender_leaves_it_unspent(builder, monkeypatch):
+    # The index holds the paying block, a plain one and the spender. One
+    # response brings a heavier branch from the plain block: the paying
+    # block folds while the stale index still holds the spender, so its
+    # output joins `held_spent`, and the spender then leaves from the top,
+    # which takes the output out again.
+    canister = make_canister(builder, delta=4)
+    sources = builder.build(2)
+    pay = pay_probe(builder, sources[0], 1)
+    paid = OutPoint(pay.txid(), 0)
+    paying, plain = builder.extend(extra_txs=(pay,)), builder.extend()
+    spend = Transaction(1, (TxIn(paid, b"sig"),), (TxOut(5, b"\x51"),))
+    spender = builder.extend(extra_txs=(spend,))
+    respond(canister, sources + [paying, plain, spender])
+    assert canister.get_balance(PROBE, NET) == 0
+    assert canister._index.first == canister.tree.height(paying.header.hash())
+    calls: Counter = Counter()
+    count_calls(monkeypatch, OverlayIndex, ("push", "drop_top", "drop_bottom"), calls)
+    respond(canister, builder.build(2, parent=plain.header.hash()))
+    assert canister.anchor == paying.header.hash()
+    assert calls == Counter({"drop_bottom": 1, "drop_top": 1, "push": 2})  # no rebuild
+    assert paid in canister.utxos.by_outpoint
+    assert canister._index.held_spent == {}
+    assert canister.get_balance(PROBE, NET) == 100
+    canister.check_invariants()
+
+
+def test_listing_stays_kept_when_every_held_output_is_spent(builder, monkeypatch):
+    # Twin states fold the same blocks, the queried one through the index
+    # and the other, which has a kept listing but no index, through
+    # `apply_block`. One transaction spends both held outputs of the probe
+    # address and pays it again; a later one spends that output too. The
+    # listing stays kept through both.
+    sources = builder.build(3)
+    earlier = builder.extend(extra_txs=(pay_probe(builder, sources[0], 2),))
+    blocks = sources + [earlier] + builder.build(2)
+    queried, unqueried = make_canister(builder, delta=3), make_canister(builder, delta=3)
+    for canister in (queried, unqueried):
+        respond(canister, blocks)
+        assert canister.anchor == earlier.header.hash()
+    assert queried.get_balance(PROBE, NET) == 100 + 101
+    unqueried.utxos.listing(PROBE)
+    held = [OutPoint(earlier.transactions[1].txid(), vout) for vout in range(2)]
+    repay = Transaction(1, tuple(TxIn(op, b"sig") for op in held), (TxOut(50, PROBE_SCRIPT),))
+    respend = Transaction(1, (TxIn(OutPoint(repay.txid(), 0), b"sig"),), (TxOut(5, b"\x51"),))
+    calls: Counter = Counter()
+    count_calls(monkeypatch, OverlayIndex, ("drop_bottom",), calls)
+    for spending, expected in ((repay, [50]), (respend, [])):
+        spender = builder.extend(extra_txs=(spending,))
+        later = builder.build(2)
+        for canister in (queried, unqueried):
+            respond(canister, [spender])  # the index holds it before it folds
+            respond(canister, later)
+            assert canister.anchor == spender.header.hash()
+            listing = canister.utxos.listings[PROBE]
+            assert [value for _, value, _ in listing.rows] == expected
+            assert list(listing.rows) == overlay_oracle(canister, PROBE)
+            assert listing.total == sum(expected)
+            canister.check_invariants()
+        assert utxo_state(queried.utxos) == utxo_state(unqueried.utxos)
+        assert queried.get_balance(PROBE, NET) == sum(expected)
+    assert unqueried._index is None and calls["drop_bottom"] == 6
+
+
 def test_overlay_index_equality_compares_every_slot_it_does_not_name():
     # `check_invariants` compares the kept index with a fresh build, so a
     # slot added later takes part unless it is named as left out.
@@ -1244,9 +1308,10 @@ def test_repeated_transaction_keeps_the_latest_outputs(builder):
     check([second] * 3)  # the kept listing swapped the older copy out
 
 
-def test_overlay_matches_oracle_over_random_histories():
+def test_overlay_matches_oracle_over_random_histories(monkeypatch):
     """Forks, reorgs (one at least three blocks deep in every history),
-    anchor advances, snapshot round trips, two responses with no query
+    anchor advances folded by the overlay index and by `apply_block`,
+    snapshot round trips, two responses with no query
     between them, walks continued across a one-block extension and kept
     unspent rows both kept and deleted across responses, with
     every balance and page walk checked against a fresh scan and every
@@ -1257,6 +1322,24 @@ def test_overlay_matches_oracle_over_random_histories():
     # kept unspent-row lists that a response left for the next walk, and
     # those that a push, a drop or a rebuild deleted
     rows_kept = rows_dropped = 0
+    # anchor folds that the overlay index made, and those `apply_block` made
+    # with no index or for a block the index did not hold at its bottom
+    folds: Counter = Counter()
+    real_fold, real_apply_block = OverlayIndex.fold, UtxoSet.apply_block
+
+    def fold(index, *args):
+        folds["inside"] += 1
+        anomalies = real_fold(index, *args)
+        folds["inside"] -= 1
+        folds["index"] += anomalies is not None
+        return anomalies
+
+    def apply_block(utxos, *args):
+        folds["apply_block"] += not folds["inside"]  # not a fallback of `apply_delta`
+        return real_apply_block(utxos, *args)
+
+    monkeypatch.setattr(OverlayIndex, "fold", fold)
+    monkeypatch.setattr(UtxoSet, "apply_block", apply_block)
     for seed in range(6):
         rng = random.Random(seed)
         builder = ChainBuilder()
@@ -1317,6 +1400,7 @@ def test_overlay_matches_oracle_over_random_histories():
                 reorgs += canister.reorgs
                 canister = Canister.from_snapshot(canister.snapshot_lines())
                 round_trips += 1
+                deliver([new_block(canister.tree.tip)])  # no index yet: folds by `apply_block`
             elif roll < 0.3:
                 # the walk's next page comes after a one-block extension
                 address = max(addresses, key=lambda a: len(overlay_oracle(canister, a)))
@@ -1357,6 +1441,7 @@ def test_overlay_matches_oracle_over_random_histories():
     assert deep_reorgs == 6 and extended_walks > 0
     assert kept_adds > 0 and kept_spends > 0 and unqueried_pairs > 0
     assert rows_kept > 0 and rows_dropped > 0
+    assert folds["index"] > 0 and folds["apply_block"] > 0
 
 
 # -- send_transaction -----------------------------------------------------------------
