@@ -18,15 +18,18 @@ applied blocks' confirmation counts are taken once per response, in one
 pass down the selected chain, on the first filtered query. Every overlay
 output lies above the anchor and every materialized output at or below it,
 so a listing is the overlay's unspent outputs followed by the kept listing
-minus the outpoints the overlay spends, with no merge. A page token names
-the key of the last entry served, and its continuation bisects to that
-key, so a full walk is linear in its entries. An unfiltered listing reads
-the index's kept list of the address's unspent overlay rows, which the
-first such query fills and a block that touches the address deletes; a
-filtered one scans the address's overlay rows. An unfiltered balance is
-the kept total plus the index's kept sum of the applied blocks' nets for
-the address, two lookups; a filtered balance also subtracts the kept nets
-of the applied blocks above its cut, one lookup per block.
+minus the outpoints the overlay spends, with no merge. A page is one slice
+of the kept listing, trimmed in place (spent rows cut out by position, the
+overlay's rows spliced in at its front), and then one tuple. A page token
+names the key of the last entry served, and its continuation bisects the
+listing's kept page keys to that key, so a full walk is linear in its
+entries and calls no Python key function on the listing. An unfiltered
+listing reads the index's kept list of the address's unspent overlay rows,
+which the first such query fills and a block that touches the address
+deletes; a filtered one scans the address's overlay rows. An unfiltered
+balance is the kept total plus the index's kept sum of the applied blocks'
+nets for the address, two lookups; a filtered balance also subtracts the
+kept nets of the applied blocks above its cut, one lookup per block.
 
 Responses from the sync endpoint are applied one at a time in simulator
 order; the whole state is deterministic given the message sequence.
@@ -117,18 +120,21 @@ def _encode_page_token(tip: Hash256, utxo: Utxo) -> str:
 
 
 def _decode_page_token(token: str) -> tuple[Hash256, tuple[int, bytes, int]]:
-    """The tip the listing was cut from and the page key of its last entry."""
+    """The tip the listing was cut from and the page key of its last entry.
+    Every field must be written as the encoder writes it: the hashes in
+    lowercase hex, the height and output index as plain decimal numbers (as
+    a snapshot's are), the height at least 0 and the index a 32-bit one."""
     parts = token.split(":")
     if len(parts) != 5 or parts[0] != _PAGE_TAG:
         raise FilterRejectedError("unrecognized page token")
     try:
         tip = Hash256.from_rev_hex(parts[1])
-        height = int(parts[2])
+        height = snapshot._bounded("height", parts[2])
         txid = bytes.fromhex(parts[3])
-        vout = int(parts[4])
+        vout = snapshot._bounded("vout", parts[4], snapshot._UINT32_MAX)
     except ValueError:
         raise FilterRejectedError("corrupt page token") from None
-    if len(txid) != 32:
+    if len(txid) != 32 or txid.hex() != parts[3] or tip.rev_hex() != parts[1]:
         raise FilterRejectedError("corrupt page token")
     return tip, (-height, txid, vout)
 
@@ -319,34 +325,39 @@ class Canister:
         limit: Optional[int] = None,
     ) -> list[Utxo]:
         """The address's unspent rows in page order, after `after_key`, at
-        most `limit` of them: the overlay's rows, then the kept listing
-        minus the outpoints the overlay spends. Only the rows returned are
-        copied, and each spent outpoint costs one bisect."""
+        most `limit` of them, in a new list the caller may change: the
+        overlay's rows, then the kept listing minus the outpoints the
+        overlay spends.
+
+        Only the rows returned are copied, and at most one more per spent
+        outpoint: the kept listing is sliced once, from the continuation
+        start to `limit` rows plus one per spent outpoint, and the slice is
+        trimmed in place. The spent rows are cut out by position, the rows
+        past `limit` are deleted, and the overlay's rows are spliced in at
+        its front. The start and each spent row's position come from
+        bisecting the listing's kept page keys, so no Python key function
+        is called."""
         created, spent = self._overlay_index().changes(address, cut, after_key)
-        held = self.utxos.listing(address).rows
-        start = 0 if after_key is None else bisect_right(held, after_key, key=_page_key)
+        listing = self.utxos.listing(address)
+        held, keys = listing.rows, listing.keys
         if limit is None:
             limit = len(created) + len(held)
-        rows = created[:limit]
-        room = limit - len(rows)
+        room = limit - len(created)
+        if room <= 0 or not held:  # the shared empty listing is a tuple
+            return created[:limit]
+        start = 0 if after_key is None else bisect_right(keys, after_key)
         window = held[start : start + room + len(spent)]
         if spent:
-            # Cut the spent rows out by position, found by bisecting to
-            # their keys, rather than testing every row of the window.
             by_outpoint = self.utxos.by_outpoint
-            cuts = sorted(
-                (
-                    bisect_left(held, (-by_outpoint[op][1], op.txid, op.vout), key=_page_key)
-                    for op in spent
-                ),
-                reverse=True,
-            )
+            cuts = [bisect_left(keys, (-by_outpoint[op][1], op.txid, op.vout)) for op in spent]
+            cuts.sort(reverse=True)
             end = start + len(window)
-            for cut_at in cuts:
-                if start <= cut_at < end:
-                    del window[cut_at - start]
-        rows.extend(window[:room])
-        return rows
+            for at in cuts:
+                if start <= at < end:
+                    del window[at - start]
+        del window[room:]
+        window[:0] = created
+        return window
 
     def _check_available(self, network: NetworkKind) -> None:
         if network is not self.network:
@@ -409,11 +420,11 @@ class Canister:
             tip, after_key = _decode_page_token(page)
             cut = self._token_cut(tip)
         rows = self._rows(address, cut, after_key, self.page_size + 1)
-        utxos = tuple(rows[: self.page_size])
         next_token = None
         if len(rows) > self.page_size:
-            next_token = _encode_page_token(tip, utxos[-1])
-        return UtxosPage(utxos, tip, cut, next_token)
+            del rows[self.page_size :]
+            next_token = _encode_page_token(tip, rows[-1])
+        return UtxosPage(tuple(rows), tip, cut, next_token)
 
     def list_utxos(
         self,
@@ -456,9 +467,7 @@ class Canister:
         """Confirmation count of the unstable block containing txid, if any;
         of several, the lowest, and of rivals the first held at its height."""
         tree = self.tree
-        holders = [
-            h for h in tree.bodied() if any(tx.txid() == txid for tx in tree.block(h).transactions)
-        ]
+        holders = [h for h in tree.bodied() if txid in tree.block(h).txid_set()]
         if not holders:
             return None
         first = min(
@@ -507,6 +516,10 @@ class Canister:
             require(
                 listing.rows == rows and listing.total == sum(r[1] for r in rows),
                 "each kept listing is its address's outputs in page order, with their total",
+            )
+            require(
+                listing.keys == list(map(_page_key, rows)),
+                "each kept listing's keys are its rows' page keys",
             )
         require(tree.bodied_matches_scan(), "the tree's kept bodied set equals a scan of has_block")
         bodied = tree.bodied()

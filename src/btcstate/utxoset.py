@@ -11,10 +11,12 @@ rows: serving a page builds nothing per entry.
 
 An address's materialized outputs are listed once, on the first query that
 needs them, sorted by the page key (height descending, then txid and
-output index) together with their total value; every later write keeps that
-listing current with a bisected insert or delete. A kept listing lives as
-long as the set, empty while its address holds nothing, so whether an
-address has one never depends on the order of writes.
+output index) together with their total value. Beside its rows a listing
+keeps each row's page key, a plain tuple, in a parallel list, so a write or
+a query bisects the keys and calls no Python key function; every later
+write keeps both lists current with a bisected insert or delete. A kept
+listing lives as long as the set, empty while its address holds nothing,
+so whether an address has one never depends on the order of writes.
 
 A block is folded in one of two ways. `apply_block` walks its transactions
 and is the rule. `apply_delta` moves the block's kept overlay delta in per
@@ -29,7 +31,7 @@ held.
 from __future__ import annotations
 
 import sys
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from itertools import chain, repeat
 from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
@@ -59,16 +61,19 @@ def _page_key(row: Utxo) -> tuple[int, bytes, int]:
 
 
 class Listing:
-    """One address's materialized outputs in page order, and their total."""
+    """One address's materialized outputs in page order, each row's page
+    key at the same position in `keys`, and their total."""
 
-    __slots__ = ("rows", "total")
+    __slots__ = ("rows", "keys", "total")
 
-    def __init__(self, rows: list[Utxo], total: int):
+    def __init__(self, rows: list[Utxo], keys: list[tuple[int, bytes, int]], total: int):
         self.rows = rows
+        self.keys = keys
         self.total = total
 
 
-_NO_LISTING = Listing((), 0)  # shared by every address with no outputs; a tuple, so never written
+# shared by every address with no outputs; tuples, so never written
+_NO_LISTING = Listing((), (), 0)
 
 
 def _address(script: bytes, network: NetworkKind) -> str:
@@ -122,7 +127,10 @@ class UtxoSet:
         bucket.add(outpoint)
         listing = self.listings.get(address)
         if listing is not None:
-            insort(listing.rows, Utxo(outpoint, txout.value, height), key=_page_key)
+            key = (-height, outpoint.txid, outpoint.vout)
+            at = bisect_left(listing.keys, key)
+            listing.keys.insert(at, key)
+            listing.rows.insert(at, Utxo(outpoint, txout.value, height))
             listing.total += txout.value
 
     def load(self, rows: list[tuple[OutPoint, TxOut, int]]) -> None:
@@ -155,8 +163,9 @@ class UtxoSet:
                 del self.names[txout.script_pubkey]
         listing = self.listings.get(address)
         if listing is not None:
-            rows = listing.rows
-            del rows[bisect_left(rows, (-height, outpoint.txid, outpoint.vout), key=_page_key)]
+            at = bisect_left(listing.keys, (-height, outpoint.txid, outpoint.vout))
+            del listing.keys[at]
+            del listing.rows[at]
             listing.total -= txout.value
         return True
 
@@ -168,12 +177,15 @@ class UtxoSet:
             bucket = self.by_address.get(address)
             if not bucket:
                 return _NO_LISTING
-            rows = []
+            keyed = []
             for outpoint in bucket:
                 txout, height, _ = self.by_outpoint[outpoint]
-                rows.append(Utxo(outpoint, txout.value, height))
-            rows.sort(key=_page_key)
-            listing = self.listings[address] = Listing(rows, sum(row.value for row in rows))
+                key = (-height, outpoint.txid, outpoint.vout)
+                keyed.append((key, Utxo(outpoint, txout.value, height)))
+            keyed.sort()  # by page key; keys are distinct, so no two rows are compared
+            rows = [row for _, row in keyed]
+            keys = [key for key, _ in keyed]
+            listing = self.listings[address] = Listing(rows, keys, sum(row.value for row in rows))
         return listing
 
     def apply_block(
@@ -232,5 +244,6 @@ class UtxoSet:
             listing = listings.get(address)
             if listing is not None:
                 listing.rows[:0] = rows
+                listing.keys[:0] = map(_page_key, rows)
                 listing.total += sum(row.value for row in rows)
         return anomalies

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from btcstate import canister as canister_module
 from btcstate import chain as chain_module
 from btcstate import overlay, utxoset
 from btcstate.adapter import GetSuccessorsResponse
@@ -579,6 +580,85 @@ def test_bad_page_token_rejected(builder):
     forged = header_only.header.hash().rev_hex()
     with pytest.raises(FilterRejectedError, match="above the held blocks"):
         canister.get_utxos(PROBE, NET, page=f"p2:{forged}:{height}:{txid}:{vout}")
+
+
+@pytest.mark.parametrize(
+    "field, text",
+    [
+        ("height", "+2"),
+        ("height", "02"),
+        ("height", "\u0662"),  # an Arabic-Indic two, which int() reads as 2
+        ("height", "0_2"),
+        ("height", "-2"),
+        ("vout", " 3"),
+        ("vout", "-1"),
+        ("vout", str(2**32)),
+        ("vout", str(2**64)),
+        ("txid", None),
+        ("tip", None),
+    ],
+)
+def test_page_token_fields_fail_closed(builder, field, text):
+    # Each field must read as the encoder writes it; int() and fromhex()
+    # take more, and a negative height would end the walk early.
+    canister = make_canister(builder, delta=10, page_size=2)
+    blocks = builder.build(1)
+    blocks.append(builder.extend(extra_txs=(pay_probe(builder, blocks[0], 5),)))
+    respond(canister, blocks)
+    token = canister.get_utxos(PROBE, NET).next_page
+    tag, tip, height, txid, vout = token.split(":")
+    assert height == "2"
+    fields = {"tip": tip, "height": height, "txid": txid, "vout": vout}
+    fields[field] = fields[field].upper() if text is None else text
+    bad = ":".join([tag, *fields.values()])
+    assert bad != token
+    with pytest.raises(FilterRejectedError, match="corrupt page token"):
+        canister.get_utxos(PROBE, NET, page=bad)
+    # the bounds themselves are taken
+    for page in (f"{tag}:{tip}:0:{txid}:{vout}", f"{tag}:{tip}:{height}:{txid}:{2**32 - 1}"):
+        canister.get_utxos(PROBE, NET, page=page)
+
+
+def test_pages_bisect_kept_keys_and_hand_out_stored_rows(builder, monkeypatch):
+    # A walk over a materialized listing of 2,100 rows, five of them spent
+    # and two rows paid by the overlay: every page finds its start and its
+    # spent rows by bisecting the listing's kept keys, and hands out the
+    # stored rows, a slice of the whole listing.
+    canister = make_canister(builder, delta=2, page_size=500)
+    sources = builder.build(3)
+    paying = [builder.extend(extra_txs=(pay_probe(builder, block, 700),)) for block in sources]
+    respond(canister, sources + paying + builder.build(2))
+    listing = canister.utxos.listing(PROBE)
+    assert len(listing.rows) == 2100
+    chosen = [listing.rows[at].outpoint for at in (3, 499, 500, 1200, 2099)]
+    respend = Transaction(
+        1,
+        tuple(TxIn(op, b"sig") for op in chosen),
+        (TxOut(77, PROBE_SCRIPT), TxOut(78, PROBE_SCRIPT)),
+    )
+    spending = builder.extend(extra_txs=(respend,))
+    respond(canister, [spending])
+    assert canister.tree.height(spending.header.hash()) > canister.anchor_height()
+    expected = overlay_oracle(canister, PROBE)
+    assert len(expected) == 2097
+    assert canister.get_balance(PROBE, NET) == sum(value for _, value, _ in expected)
+    calls: Counter = Counter()
+    count_calls(monkeypatch, canister_module, ("_page_key",), calls)
+    count_calls(monkeypatch, utxoset, ("_page_key",), calls)
+    pages = walk(canister, PROBE, canister.get_utxos(PROBE, NET))
+    assert calls == Counter()
+    assert listed(pages) == expected and len(pages) == 5
+    full = canister.list_utxos(PROBE, NET)
+    stored = {id(row) for row in listing.rows} | {id(row) for row in canister._index.rows[PROBE]}
+    for at, page in enumerate(pages):
+        part = full[at * 500 : (at + 1) * 500]
+        assert page.utxos == part and all(u is v for u, v in zip(page.utxos, part))
+        assert all(id(u) in stored for u in page.utxos)
+    monkeypatch.undo()
+    canister.check_invariants()
+    listing.keys.append((1, bytes(32), 0))  # a key left behind by a removed row
+    with pytest.raises(AssertionError, match="keys are its rows' page keys"):
+        canister.check_invariants()
 
 
 def test_page_token_rejected_after_reorg_between_pages(builder):
