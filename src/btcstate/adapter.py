@@ -56,22 +56,6 @@ class AdapterConfig:
         return cls(network, **overrides)
 
 
-@dataclass(frozen=True)
-class GetSuccessorsRequest:
-    """Update request: the requester's anchor header, the hashes above it
-    for which it already holds bodies, and transactions to relay."""
-
-    anchor: BlockHeader
-    processed: frozenset[Hash256]
-    transactions: tuple[bytes, ...] = ()
-
-
-@dataclass(frozen=True)
-class GetSuccessorsResponse:
-    blocks: tuple[tuple[Block, BlockHeader], ...]
-    next_headers: tuple[BlockHeader, ...]
-
-
 @dataclass
 class _TxCacheEntry:
     tx: Transaction
@@ -171,7 +155,9 @@ class Adapter:
 
     # -- request handling (the update protocol) --------------------------------------
 
-    def handle_request(self, req: GetSuccessorsRequest, now: float) -> GetSuccessorsResponse:
+    def handle_request(
+        self, req: wire.GetSuccessorsRequest, now: float
+    ) -> wire.GetSuccessorsResponse:
         """Serve one update request.
 
         The requester holds the anchor and the blocks in `processed`; the
@@ -228,7 +214,7 @@ class Adapter:
                 header = self.tree.header(cur)
                 assert header is not None
                 next_headers.append(header)
-        return GetSuccessorsResponse(tuple(blocks), tuple(next_headers))
+        return wire.GetSuccessorsResponse(tuple(blocks), tuple(next_headers))
 
     def _schedule_fetch(self, hash_: Hash256) -> None:
         if hash_ in self.pending_fetch or not self.peers:

@@ -43,7 +43,6 @@ from functools import partial
 from typing import Iterable, Optional
 
 from btcstate import snapshot
-from btcstate.adapter import GetSuccessorsRequest, GetSuccessorsResponse
 from btcstate.blocktree import BlockTree, DepthKind
 from btcstate.chain import (
     Block,
@@ -64,6 +63,7 @@ from btcstate.validation import (
     check_header,
     check_transaction_shape,
 )
+from btcstate.wire import GetSuccessorsRequest, GetSuccessorsResponse
 
 DEFAULT_DELTA = 144
 DEFAULT_TAU = 2
@@ -336,27 +336,28 @@ class Canister:
         past `limit` are deleted, and the overlay's rows are spliced in at
         its front. The start and each spent row's position come from
         bisecting the listing's kept page keys, so no Python key function
-        is called."""
-        created, spent = self._overlay_index().changes(address, cut, after_key)
+        is called. The overlay's rows come from position `begin` of its
+        list, found the same way."""
+        created, begin, spent = self._overlay_index().changes(address, cut, after_key)
         listing = self.utxos.listing(address)
         held, keys = listing.rows, listing.keys
         if limit is None:
-            limit = len(created) + len(held)
-        room = limit - len(created)
+            limit = len(created) - begin + len(held)
+        room = limit - (len(created) - begin)
         if room <= 0 or not held:  # the shared empty listing is a tuple
-            return created[:limit]
+            return created[begin : begin + limit]
         start = 0 if after_key is None else bisect_right(keys, after_key)
         window = held[start : start + room + len(spent)]
         if spent:
-            by_outpoint = self.utxos.by_outpoint
-            cuts = [bisect_left(keys, (-by_outpoint[op][1], op.txid, op.vout)) for op in spent]
+            stored = self.utxos.by_outpoint
+            cuts = [bisect_left(keys, (-stored[op][0].height, op.txid, op.vout)) for op in spent]
             cuts.sort(reverse=True)
             end = start + len(window)
             for at in cuts:
                 if start <= at < end:
                     del window[at - start]
         del window[room:]
-        window[:0] = created
+        window[:0] = created[begin:]
         return window
 
     def _check_available(self, network: NetworkKind) -> None:
@@ -494,28 +495,28 @@ class Canister:
         require(chain is not None, "the anchor is on the selected chain")
         top = self.anchor_height()
         by_address: dict[str, set[OutPoint]] = {}
-        names: dict[bytes, str] = {}
-        for op, (txout, height, address) in by_outpoint.items():
-            require(height <= top, "materialized outputs lie at or below the anchor")
-            require(
-                address == script_address(txout.script_pubkey, self.network),
-                "each materialized output keeps its script's address",
-            )
+        for op, (row, address) in by_outpoint.items():
+            require(row.outpoint == op, "each stored row lies under its own outpoint")
+            require(row.height <= top, "materialized outputs lie at or below the anchor")
             by_address.setdefault(address, set()).add(op)
-            names[txout.script_pubkey] = address
         require(by_address == utxos.by_address, "the address and outpoint indexes agree")
-        require(names == utxos.names, "the kept names are the held outputs' scripts' addresses")
+        scripts = utxos.scripts
+        require(
+            scripts.keys() == by_address.keys()
+            and all(script_address(script, self.network) == a for a, script in scripts.items()),
+            "each held address keeps one script, which derives that address",
+        )
+        require(
+            utxos.names == {script: a for a, script in scripts.items()},
+            "the kept names are the exact inverse of the kept scripts",
+        )
         for address, listing in utxos.listings.items():
-            rows = sorted(
-                (
-                    (op, by_outpoint[op][0].value, by_outpoint[op][1])
-                    for op in by_address.get(address, ())
-                ),
-                key=_page_key,
-            )
+            rows = sorted((by_outpoint[op][0] for op in by_address.get(address, ())), key=_page_key)
             require(
-                listing.rows == rows and listing.total == sum(r[1] for r in rows),
-                "each kept listing is its address's outputs in page order, with their total",
+                len(listing.rows) == len(rows)
+                and all(kept is row for kept, row in zip(listing.rows, rows))
+                and listing.total == sum(row.value for row in rows),
+                "each kept listing holds its address's stored rows in page order, with their total",
             )
             require(
                 listing.keys == list(map(_page_key, rows)),

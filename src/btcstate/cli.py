@@ -21,19 +21,6 @@ from typing import Optional
 from btcstate.blocktree import BlockTree, DepthKind, TreeStructureError, WorkRatio
 from btcstate.canister import ApiError, Canister
 from btcstate.chain import NetworkKind
-from btcstate.montecarlo import (
-    downtime_analytic,
-    downtime_bound,
-    eclipse_analytic,
-    run_downtime_trials,
-    run_eclipse_trials,
-)
-from btcstate.scenario import (
-    ScenarioParseError,
-    ScenarioRunner,
-    format_metric,
-    parse_scenario,
-)
 from btcstate.snapshot import SnapshotError
 
 EXIT_OK = 0
@@ -59,6 +46,9 @@ def load_scenario_text(spec: str) -> str:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    # The simulator is imported only by the subcommands that run it.
+    from btcstate.scenario import ScenarioParseError, ScenarioRunner, format_metric, parse_scenario
+
     try:
         text = load_scenario_text(args.scenario)
     except FileNotFoundError as exc:
@@ -111,16 +101,22 @@ def _append_csv_rows(out: str, header: list[str], rows: list[list]) -> None:
 
 
 def _cmd_montecarlo(args: argparse.Namespace) -> int:
+    from btcstate import montecarlo
+
     try:
         if args.experiment == "eclipse":
-            estimate = run_eclipse_trials(args.n, args.ell, args.phi, args.trials, args.seed)
+            estimate = montecarlo.run_eclipse_trials(
+                args.n, args.ell, args.phi, args.trials, args.seed
+            )
         else:
-            estimate = run_downtime_trials(args.n, args.f, args.c_star, args.trials, args.seed)
+            estimate = montecarlo.run_downtime_trials(
+                args.n, args.f, args.c_star, args.trials, args.seed
+            )
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
     if args.experiment == "eclipse":
-        one_ref, any_ref = eclipse_analytic(args.n, args.ell, args.phi)
+        one_ref, any_ref = montecarlo.eclipse_analytic(args.n, args.ell, args.phi)
         header = ["experiment", "metric", "estimate", "analytic", "trials", "seed"]
         rows = []
         for label, est, ref in (
@@ -131,8 +127,8 @@ def _cmd_montecarlo(args: argparse.Namespace) -> int:
             print(f"eclipse {label}: estimate={est:.6g} analytic={ref:.6g} rel-err={rel:.3%}")
             rows.append(["eclipse", label, f"{est:.8g}", f"{ref:.8g}", args.trials, args.seed])
     else:
-        ref = downtime_analytic(args.n, args.f, args.c_star)
-        bound = downtime_bound(args.c_star)
+        ref = montecarlo.downtime_analytic(args.n, args.f, args.c_star)
+        bound = montecarlo.downtime_bound(args.c_star)
         rel = abs(estimate.success - ref) / ref if ref else 0.0
         print(
             f"downtime success: estimate={estimate.success:.6g} analytic={ref:.6g} "

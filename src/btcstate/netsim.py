@@ -18,12 +18,7 @@ from enum import Enum
 from typing import Callable, Optional
 
 from btcstate import wire
-from btcstate.adapter import (
-    Adapter,
-    AdapterConfig,
-    GetSuccessorsResponse,
-    UnknownAnchorError,
-)
+from btcstate.adapter import Adapter, AdapterConfig, UnknownAnchorError
 from btcstate.blocktree import BlockTree
 from btcstate.canister import Canister
 from btcstate.chain import (
@@ -574,14 +569,14 @@ class SimWorld:
             req.processed, self.canister.anchor, self.canister.anchor_height()
         )
         if feed is None:
-            self.canister.handle_response(GetSuccessorsResponse((), ()), self.clock)
+            self.canister.handle_response(wire.GetSuccessorsResponse((), ()), self.clock)
             self.observe("round", f"maker={maker}", "malicious-empty")
             return
         block = self.tree.block(feed)
         header = self.tree.header(feed)
         assert block is not None and header is not None
         self.canister.handle_response(
-            GetSuccessorsResponse(((block, header),), ()), self.clock
+            wire.GetSuccessorsResponse(((block, header),), ()), self.clock
         )
         self.observe("round", f"maker={maker}", f"malicious-feed {feed.rev_hex()[:16]}")
 

@@ -1,15 +1,15 @@
 """The overlay index: what the applied chain (the selected chain's bodied
 blocks above the anchor) changes for queries, indexed by address.
 
-A block's outputs, with their addresses and grouped by address, and its
-inputs are derived when it joins the overlay index and kept there while it
-stays applied. The anchor fold of the index's lowest block goes through
-the index (`OverlayIndex.fold`): the block leaves the bottom while the
-materialized set still holds what it spends, then its kept delta moves
-into the set per address (`UtxoSet.apply_delta`), building no row and
-deriving no address, and its outputs that a higher applied block spends
-join `held_spent`. So the index is current after every fold, with no
-repair at the end of the response.
+A block's outputs, as rows grouped by address, each address's script, and
+its inputs are derived when it joins the overlay index and kept there
+while it stays applied. The anchor fold of the index's lowest block goes
+through the index (`OverlayIndex.fold`): the block leaves the bottom while
+the materialized set still holds what it spends, then its kept rows move
+into the set per address (`UtxoSet.apply_delta`), each output staying the
+one row it was built as, and its outputs that a higher applied block
+spends join `held_spent`. So the index is current after every fold, with
+no repair at the end of the response.
 
 The overlay is one index over the applied chain: each address's overlay
 rows in page order, the heights of the blocks that spend each outpoint,
@@ -35,7 +35,8 @@ holds such an outpoint empties the index, and `follow` rebuilds it.
 An unfiltered listing reads each address's overlay rows that no applied
 block spends from a kept list, filled by the address's first unfiltered
 query and deleted when a block joins or leaves that pays the address or
-spends one of its overlay outputs; a page continuation bisects into it.
+spends one of its overlay outputs; a page continuation bisects the page
+keys kept beside it.
 A filtered listing scans the address's rows against the spending heights.
 """
 
@@ -56,19 +57,18 @@ _txid = itemgetter(0)  # an outpoint's txid
 
 class OverlayDelta(NamedTuple):
     """What one unstable block changes for queries: every output as a row,
-    in block order, with the output's address at the same position; the
-    same rows grouped by address, each group in page order; the block's
-    inputs in block order, and the outpoints they spend. Every address of
-    the block is found once, here, by `address_of`, and the anchor fold
-    reuses them, with the rows and groups.
+    grouped by address, each group in page order; each of those addresses
+    under its script in `names`; the block's inputs in block order, and the
+    outpoints they spend. Every address of the block is found once, here,
+    by `address_of`, and the anchor fold stores the groups' rows in the
+    materialized set, taking a newly held address's script from `names`.
 
     `plain` says that no two transactions of the block share a txid and no
     input names one of the block's own transactions, so that the block's
     inputs and outputs touch distinct outpoints whatever their order."""
 
-    rows: list[Utxo]
-    addresses: list[str]
     groups: dict[str, list[Utxo]]
+    names: dict[bytes, str]
     inputs: list[OutPoint]
     spent: frozenset[OutPoint]
     plain: bool
@@ -77,9 +77,8 @@ class OverlayDelta(NamedTuple):
     def of_block(
         cls, block: Block, height: int, address_of: Callable[[bytes], str]
     ) -> "OverlayDelta":
-        rows: list[Utxo] = []
-        addresses: list[str] = []
         groups: dict[str, list[Utxo]] = {}
+        names: dict[bytes, str] = {}
         inputs: list[OutPoint] = []
         txids = set()
         for tx in block.transactions:
@@ -88,20 +87,20 @@ class OverlayDelta(NamedTuple):
             txid = tx.txid()
             txids.add(txid)
             for vout, txout in enumerate(tx.outputs):
-                address = address_of(txout.script_pubkey)
+                script = txout.script_pubkey
+                address = address_of(script)
                 row = Utxo(OutPoint(txid, vout), txout.value, height)
-                rows.append(row)
-                addresses.append(address)
                 group = groups.get(address)
                 if group is None:
                     groups[address] = [row]
+                    names[script] = address
                 else:
                     group.append(row)
         for group in groups.values():
             if len(group) > 1:
                 group.sort(key=_page_key)
         plain = len(txids) == len(block.transactions) and txids.isdisjoint(map(_txid, inputs))
-        return cls(rows, addresses, groups, inputs, frozenset(inputs), plain)
+        return cls(groups, names, inputs, frozenset(inputs), plain)
 
 
 class OverlayIndex:
@@ -125,9 +124,9 @@ class OverlayIndex:
     the first filtered query after the index last followed the chain.
     `unspent_rows` holds, for addresses with overlay rows that an
     unfiltered query asked for, the rows that no applied block spends, as
-    `changes` lists them; a block that joins or leaves deletes the entries
-    of the addresses it pays and of the overlay outputs whose spends it
-    changes.
+    `changes` lists them, with their page keys in a parallel list; a block
+    that joins or leaves deletes the entries of the addresses it pays and
+    of the overlay outputs whose spends it changes.
     """
 
     __slots__ = (
@@ -158,7 +157,7 @@ class OverlayIndex:
         self.held_spent: dict[str, set[OutPoint]] = {}
         self.repeats: list[int] = []
         self.floors: Optional[list[int]] = None
-        self.unspent_rows: dict[str, list[Utxo]] = {}
+        self.unspent_rows: dict[str, tuple[list[Utxo], list[tuple]]] = {}
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, OverlayIndex) and all(
@@ -230,10 +229,11 @@ class OverlayIndex:
         else:
             self.drop_bottom(by_outpoint)
         anomalies = utxos.apply_delta(block, height, delta)
-        for op in self.spenders.keys() & map(_outpoint, delta.rows):
-            held = by_outpoint.get(op)
-            if held is not None:
-                self.held_spent.setdefault(held[2], set()).add(op)
+        spenders = self.spenders
+        for address, rows in delta.groups.items():
+            for op in map(_outpoint, rows):
+                if op in spenders and op in by_outpoint:
+                    self.held_spent.setdefault(address, set()).add(op)
         return anomalies
 
     def confirmed_top(self, tree: BlockTree, min_conf: int) -> int:
@@ -247,24 +247,28 @@ class OverlayIndex:
 
     def changes(
         self, address: str, cut: int, after_key: Optional[tuple[int, bytes, int]] = None
-    ) -> tuple[list[Utxo], list[OutPoint]]:
+    ) -> tuple[list[Utxo], int, list[OutPoint]]:
         """The address's overlay rows at or below height `cut` that no block
-        up to `cut` spends, in page order and after `after_key` (a repeated
-        outpoint lists its highest copy only), and its materialized
-        outpoints that a block up to `cut` spends. At the top, the rows come
-        from the kept list, filled here on the address's first such call;
-        the caller reads the returned rows and changes nothing in them."""
+        up to `cut` spends, in page order (a repeated outpoint lists its
+        highest copy only), the position of the first of them after
+        `after_key`, and its materialized outpoints that a block up to `cut`
+        spends. At the top, the rows come from the kept list, filled here on
+        the address's first such call, and the position from bisecting the
+        page keys kept beside it; the caller reads the returned rows and
+        changes nothing in them."""
         if cut == self.top() and address in self.rows:
-            created = self.unspent_rows.get(address)
-            if created is None:
-                created = self.unspent_rows[address] = self._scan(address, cut)
-            if after_key is not None:
-                created = created[bisect_right(created, after_key, key=_page_key) :]
+            kept = self.unspent_rows.get(address)
+            if kept is None:
+                created = self._scan(address, cut)
+                keys = [(-height, op.txid, op.vout) for op, _, height in created]
+                kept = self.unspent_rows[address] = (created, keys)
+            created, keys = kept
+            start = 0 if after_key is None else bisect_right(keys, after_key)
         else:
-            created = self._scan(address, cut, after_key)
+            created, start = self._scan(address, cut, after_key), 0
         spenders = self.spenders
         spent = [op for op in self.held_spent.get(address, ()) if spenders[op][0] <= cut]
-        return created, spent
+        return created, start, spent
 
     def _scan(
         self, address: str, cut: int, after_key: Optional[tuple[int, bytes, int]] = None
@@ -275,7 +279,8 @@ class OverlayIndex:
         if not rows:
             return []
         spenders = self.spenders
-        lowest = start = bisect_left(rows, (-cut,), key=_page_key)
+        # every row lies at or below the top
+        lowest = start = bisect_left(rows, (-cut,), key=_page_key) if cut < self.top() else 0
         if after_key is not None:
             start = max(start, bisect_right(rows, after_key, key=_page_key))
         if not self.repeats:  # no outpoint has two rows
@@ -324,9 +329,11 @@ class OverlayIndex:
         require(
             self.unspent_rows.keys() <= self.rows.keys()
             and all(
-                kept == self._scan(address, top) for address, kept in self.unspent_rows.items()
+                rows == self._scan(address, top) and keys == list(map(_page_key, rows))
+                for address, (rows, keys) in self.unspent_rows.items()
             ),
-            "each kept list of unspent rows equals a scan of its address's rows",
+            "each kept list of unspent rows equals a scan of its address's rows, "
+            "with their page keys",
         )
         addresses = set(self.rows).union(self.held_spent, *self.nets)
         for cut in range(self.first - 1, top + 1):
@@ -387,8 +394,9 @@ class OverlayIndex:
                     unspent_rows.pop(entry[0], None)
                 held = by_outpoint.get(op)
                 if held is not None:
-                    gained[held[2]] = gained.get(held[2], 0) - held[0].value
-                    self.held_spent.setdefault(held[2], set()).add(op)
+                    row, address = held
+                    gained[address] = gained.get(address, 0) - row.value
+                    self.held_spent.setdefault(address, set()).add(op)
             else:
                 heights.append(height)
         net = {address: value for address, value in gained.items() if value}
@@ -448,10 +456,10 @@ class OverlayIndex:
                     unspent_rows.pop(entry[0], None)
             held = by_outpoint.get(op) if bottom or not heights else None
             if held is not None:
-                spent = held_spent[held[2]]
+                spent = held_spent[held[1]]
                 spent.remove(op)
                 if not spent:
-                    del held_spent[held[2]]
+                    del held_spent[held[1]]
 
     def _add_net(self, net: dict[str, int], sign: int) -> None:
         """Add a block's net to the kept sums, or take it out (`sign` -1)."""

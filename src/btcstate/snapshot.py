@@ -9,7 +9,6 @@ described in README's Data formats section.
 from __future__ import annotations
 
 from functools import partial
-from operator import itemgetter
 from typing import Iterable, NoReturn, Optional
 
 from btcstate.chain import (
@@ -21,8 +20,8 @@ from btcstate.chain import (
     NetworkKind,
     OutPoint,
     Transaction,
-    TxOut,
 )
+from btcstate.utxoset import Utxo
 from btcstate.validation import (
     ChainPolicy,
     ValidationError,
@@ -70,20 +69,18 @@ def snapshot_lines(self) -> list[str]:
         if block is not None:
             lines.append(f"block {block.to_bytes().hex()}")
     # Outpoints sort by txid bytes, then output index. Each distinct txid
-    # and script is formatted once.
+    # and each held address's kept script is formatted once.
     by_outpoint = self.utxos.by_outpoint
+    script_texts = {address: script.hex() for address, script in self.utxos.scripts.items()}
     txid_texts: dict[bytes, str] = {}
-    script_texts: dict[bytes, str] = {}
     for outpoint in sorted(by_outpoint):
-        txout, height, _ = by_outpoint[outpoint]
-        txid, script = outpoint.txid, txout.script_pubkey
+        row, address = by_outpoint[outpoint]
+        txid = outpoint.txid
         txid_text = txid_texts.get(txid)
         if txid_text is None:
             txid_text = txid_texts[txid] = txid.rev_hex()
-        script_text = script_texts.get(script)
-        if script_text is None:
-            script_text = script_texts[script] = script.hex()
-        lines.append(f"utxo {txid_text} {outpoint.vout} {txout.value} {script_text} {height}")
+        script_text = script_texts[address]
+        lines.append(f"utxo {txid_text} {outpoint.vout} {row.value} {script_text} {row.height}")
     for raw in self.outbound_txs:
         lines.append(f"queued-tx {raw.hex()}")
     lines.append("end")
@@ -102,7 +99,7 @@ def from_snapshot(cls, lines: Iterable[str]) -> "Canister":
     fields: dict[str, tuple[int, str]] = {}
     headers: list[tuple[int, BlockHeader]] = []
     blocks: list[tuple[int, Block]] = []
-    utxos: list[tuple[OutPoint, TxOut, int]] = []
+    utxos: list[tuple[Utxo, bytes]] = []
     utxo_linenos: list[int] = []
     # Each distinct txid and script text is decoded once and shared.
     txids: dict[str, Hash256] = {}
@@ -132,7 +129,7 @@ def from_snapshot(cls, lines: Iterable[str]) -> "Canister":
                     _bounded("height", height)
             except ValueError as exc:
                 raise SnapshotError(f"line {lineno}: bad utxo line: {exc}") from None
-            utxos.append((OutPoint(txid, n_vout), TxOut(n_value, script), n_height))
+            utxos.append((Utxo(OutPoint(txid, n_vout), n_value, n_height), script))
             utxo_linenos.append(lineno)
             continue
         line = raw.strip()
@@ -245,7 +242,7 @@ def from_snapshot(cls, lines: Iterable[str]) -> "Canister":
         state.tree.set_block(h, block)
     # Queries list materialized outputs after the overlay's, which
     # holds only if none of them lies above the anchor.
-    if utxos and max(map(itemgetter(2), utxos)) > top:
+    if utxos and max(row.height for row, _ in utxos) > top:
         _refuse_utxos(utxos, utxo_linenos, top)
     state.utxos.load(utxos)
     if len(state.utxos) != len(utxos):
@@ -261,13 +258,11 @@ def from_snapshot(cls, lines: Iterable[str]) -> "Canister":
     return state
 
 
-def _refuse_utxos(
-    utxos: list[tuple[OutPoint, TxOut, int]], linenos: list[int], top: int
-) -> NoReturn:
+def _refuse_utxos(utxos: list[tuple[Utxo, bytes]], linenos: list[int], top: int) -> NoReturn:
     """Name the first utxo line that lies above the anchor's height `top` or
     repeats an earlier line's outpoint."""
     seen: set[OutPoint] = set()
-    for lineno, (outpoint, _, height) in zip(linenos, utxos):
+    for lineno, ((outpoint, _, height), _) in zip(linenos, utxos):
         if height > top:
             raise SnapshotError(
                 f"line {lineno}: utxo height {height} is above the anchor's height {top}"

@@ -1,6 +1,7 @@
-"""In-memory wire records exchanged between sync endpoints and simulated
-peers. These stand in for the real P2P transport; a trace hook renders
-them as single text lines for debugging."""
+"""In-memory wire records: the update protocol between the state machine
+and its sync endpoint, and the messages exchanged between sync endpoints
+and simulated peers. These stand in for the real transports; a trace hook
+renders a peer message as a single text line for debugging."""
 
 from __future__ import annotations
 
@@ -12,6 +13,22 @@ BLOCK_ITEM = "block"
 TX_ITEM = "tx"
 # Most headers one `headers` reply carries (Bitcoin Core's MAX_HEADERS_RESULTS).
 MAX_HEADERS_RESULTS = 2000
+
+
+@dataclass(frozen=True)
+class GetSuccessorsRequest:
+    """Update request: the requester's anchor header, the hashes above it
+    for which it already holds bodies, and transactions to relay."""
+
+    anchor: BlockHeader
+    processed: frozenset[Hash256]
+    transactions: tuple[bytes, ...] = ()
+
+
+@dataclass(frozen=True)
+class GetSuccessorsResponse:
+    blocks: tuple[tuple[Block, BlockHeader], ...]
+    next_headers: tuple[BlockHeader, ...]
 
 
 @dataclass(frozen=True)

@@ -165,10 +165,11 @@ def overlay_oracle(canister, address: str, min_conf: int | None = None) -> list[
             for vout, txout in enumerate(tx.outputs):
                 if script_address(txout.script_pubkey, canister.network) == address:
                     created[OutPoint(txid, vout)] = (txout, tree.height(h))
+    scripts = canister.utxos.scripts
     held = [
-        (op, txout.value, height)
-        for op, (txout, height, _) in canister.utxos.by_outpoint.items()
-        if script_address(txout.script_pubkey, canister.network) == address
+        (op, row.value, row.height)
+        for op, (row, held_address) in canister.utxos.by_outpoint.items()
+        if script_address(scripts[held_address], canister.network) == address
     ]
     entries = [e for e in held if e[0] not in spent]
     entries.extend((op, txout.value, height) for op, (txout, height) in created.items() if op not in spent)

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from btcstate.adapter import Adapter, AdapterConfig, GetSuccessorsRequest
+from btcstate.adapter import Adapter, AdapterConfig
 from btcstate.blocktree import BlockTree, DepthKind, WorkRatio
 from btcstate.canister import (
     ApiUnavailableError,
@@ -25,6 +25,7 @@ from btcstate.montecarlo import run_downtime_trials, run_eclipse_trials, run_for
 from btcstate.netsim import SimParams, SimWorld, replay_utxo_set
 from btcstate.scenario import parse_scenario, ScenarioRunner
 from btcstate.validation import ChainPolicy
+from btcstate.wire import GetSuccessorsRequest, GetSuccessorsResponse
 
 from conftest import EASY_BITS, HARDER_BITS, NOW, ChainBuilder, random_tree
 
@@ -276,8 +277,6 @@ def test_c7_api_contract():
             source2 = builder.coinbase_outpoint(block_batch[-1])
             tx2 = builder.spend(source2, outs[half:])
             block_batch.append(builder.extend(extra_txs=(tx2,)))
-    from btcstate.adapter import GetSuccessorsResponse
-
     all_blocks = blocks + block_batch
     canister.handle_response(
         GetSuccessorsResponse(tuple((b, b.header) for b in all_blocks), ()), NOW

@@ -14,11 +14,11 @@ from btcstate.adapter import (
     MAX_RESPONSE_BYTES,
     Adapter,
     AdapterConfig,
-    GetSuccessorsRequest,
     UnknownAnchorError,
 )
 from btcstate.chain import Hash256, NetworkKind, TxOut, sha256d
 from btcstate.validation import ChainPolicy, ViolationCode
+from btcstate.wire import GetSuccessorsRequest
 
 from conftest import NOW, ChainBuilder, header_with_bad_pow, random_tree
 

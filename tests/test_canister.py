@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from btcstate import canister as canister_module
 from btcstate import chain as chain_module
 from btcstate import overlay, utxoset
-from btcstate.adapter import GetSuccessorsResponse
 from btcstate.blocktree import BlockTree
 from btcstate.canister import (
     ApiUnavailableError,
@@ -38,6 +37,7 @@ from btcstate.netsim import make_coinbase, regtest_genesis_block, replay_utxo_se
 from btcstate.overlay import OverlayDelta, OverlayIndex
 from btcstate.snapshot import SnapshotError
 from btcstate.utxoset import Utxo, UtxoSet
+from btcstate.wire import GetSuccessorsResponse
 
 from conftest import NOW, ChainBuilder, header_with_bad_pow, overlay_oracle
 
@@ -258,9 +258,8 @@ def test_apply_block_coinbase_only(builder):
     anomalies = utxos.apply_block(block, 1)
     assert anomalies == 0
     cb = block.transactions[0]
-    entry = utxos.by_outpoint[OutPoint(cb.txid(), 0)]
-    assert entry[0].value == cb.outputs[0].value
-    assert entry[1] == 1
+    op, txout = OutPoint(cb.txid(), 0), cb.outputs[0]
+    assert utxos.by_outpoint[op] == (Utxo(op, txout.value, 1), addr_of(txout.script_pubkey))
     assert len(utxos) == 1
 
 
@@ -363,7 +362,8 @@ def held_set(held_txs, heights, listed) -> UtxoSet:
     utxos = UtxoSet(NET)
     for tx, height in zip(held_txs, heights):
         for vout, txout in enumerate(tx.outputs):
-            utxos.add(OutPoint(tx.txid(), vout), txout, height, addr_of(txout.script_pubkey))
+            row = Utxo(OutPoint(tx.txid(), vout), txout.value, height)
+            utxos.add(row, addr_of(txout.script_pubkey), txout.script_pubkey)
     for script in listed:
         utxos.listing(addr_of(EQ_SCRIPTS[script]))
     return utxos
@@ -371,7 +371,7 @@ def held_set(held_txs, heights, listed) -> UtxoSet:
 
 def utxo_state(utxos: UtxoSet) -> tuple:
     listings = {a: (listing.rows, listing.total) for a, listing in utxos.listings.items()}
-    return utxos.by_outpoint, utxos.by_address, utxos.names, listings
+    return utxos.by_outpoint, utxos.by_address, utxos.scripts, utxos.names, listings
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -661,6 +661,33 @@ def test_pages_bisect_kept_keys_and_hand_out_stored_rows(builder, monkeypatch):
         canister.check_invariants()
 
 
+def test_walk_through_kept_overlay_rows_calls_no_key_function(builder, monkeypatch):
+    # The probe address holds three materialized rows and three overlay
+    # rows, and a walk of three pages starts in the overlay's rows and
+    # continues through and past them: each page finds its start in the
+    # kept unspent overlay rows and in the kept listing by bisecting page
+    # keys kept beside them, so no module calls `_page_key`.
+    canister = make_canister(builder, delta=3, page_size=2)
+    sources = builder.build(3)
+    folded = builder.extend(extra_txs=(pay_probe(builder, sources[0], 3),))
+    between = builder.build(3)
+    overlaid = builder.extend(extra_txs=(pay_probe(builder, sources[1], 3),))
+    respond(canister, sources + [folded] + between + [overlaid])
+    assert canister.tree.height(folded.header.hash()) <= canister.anchor_height()
+    assert canister.tree.height(overlaid.header.hash()) > canister.anchor_height()
+    expected = overlay_oracle(canister, PROBE)
+    # builds the overlay index and the kept listing
+    assert canister.get_balance(PROBE, NET) == sum(value for _, value, _ in expected)
+    calls: Counter = Counter()
+    for module in (canister_module, overlay, utxoset):
+        count_calls(monkeypatch, module, ("_page_key",), calls)
+    pages = walk(canister, PROBE, canister.get_utxos(PROBE, NET))
+    monkeypatch.undo()
+    assert calls == Counter()
+    assert len(pages) == 3 and listed(pages) == expected
+    assert [len(canister._index.unspent_rows[PROBE][0])] == [3]
+    canister.check_invariants()
+
 def test_page_token_rejected_after_reorg_between_pages(builder):
     canister = make_canister(builder, delta=10, page_size=2)
     trunk = builder.build(2)
@@ -801,8 +828,9 @@ def test_repeated_confirmations_of_tx_rehash_nothing(builder, monkeypatch):
 def test_fold_derives_no_address_for_a_block_the_index_holds(builder, monkeypatch):
     # Twin states take the same blocks; one is queried before the response
     # that folds its lowest applied block, so the fold reads that block's
-    # addresses from the overlay index, while the other derives them. Only
-    # the fold is counted, not the index's upkeep that ends the response.
+    # addresses from the overlay index, while the other derives each new
+    # script's once, as its first output is held. Only the fold is counted,
+    # not the index's upkeep that ends the response.
     sources = builder.build(2)
     paying = builder.extend(extra_txs=(pay_probe(builder, sources[0], 3),))
     later = builder.build(2)
@@ -821,7 +849,8 @@ def test_fold_derives_no_address_for_a_block_the_index_holds(builder, monkeypatc
         respond(canister, later[1:])
         derived.append(folds["script_address"])
     monkeypatch.undo()
-    assert derived == [0, sum(len(tx.outputs) for tx in paying.transactions)]
+    scripts = [out.script_pubkey for tx in paying.transactions for out in tx.outputs]
+    assert derived == [0, len(set(scripts))] and len(set(scripts)) < len(scripts)
     for canister in (queried, unqueried):
         assert canister.anchor == paying.header.hash()
         canister.check_invariants()
@@ -867,9 +896,10 @@ def test_fold_of_a_block_the_index_holds_builds_and_derives_nothing(builder, mon
     monkeypatch.undo()
     outputs = sum(len(tx.outputs) for tx in paying.transactions)
     assert work[0] == Counter()
-    # every script but the coinbase's is held, so it alone is derived
+    # every script but the coinbase's is held, so it alone is derived; each
+    # output is stored as one new row
     assert work[1] == Counter(
-        {"OutPoint": outputs, "Utxo": 3, "script_address": 1, "txid": len(paying_txs)}
+        {"OutPoint": outputs, "Utxo": outputs, "script_address": 1, "txid": len(paying_txs)}
     )
     kept = queried.utxos.listings[PROBE].rows
     assert len(kept) == 5 and all(row is mine for row, mine in zip(kept, delta.groups[PROBE]))
@@ -878,6 +908,56 @@ def test_fold_of_a_block_the_index_holds_builds_and_derives_nothing(builder, mon
         assert canister.get_balance(PROBE, NET) == 100 + 101 + 100 + 101 + 102
         canister.check_invariants()
 
+
+def assert_one_row_per_output(utxos: UtxoSet) -> None:
+    """Each address's listing, kept or built now, holds the very rows the
+    set stores under its outpoints, one per output."""
+    for address, held in utxos.by_address.items():
+        rows = utxos.listing(address).rows
+        assert len(rows) == len(held)
+        assert all(utxos.by_outpoint[row.outpoint][0] is row for row in rows)
+
+
+def test_each_output_is_held_as_one_stored_row(builder):
+    # Twin states fold the paying block, the queried one from the index's
+    # delta and the other through `apply_block`, each with a kept listing
+    # for every address it held before; a snapshot load then lists every
+    # address for the first time. On each path an output is one stored
+    # row, which its address's listing holds, and a row folded from the
+    # index is the one its block's delta built.
+    sources = builder.build(3)
+    earlier = builder.extend(extra_txs=(pay_probe(builder, sources[0], 2),))
+    paying = builder.extend(extra_txs=(pay_probe(builder, sources[1], 3),))
+    later = builder.build(2)
+    queried, unqueried = make_canister(builder, delta=3), make_canister(builder, delta=3)
+    for canister in (queried, unqueried):
+        respond(canister, sources + [earlier, paying] + later[:1])
+        assert canister.anchor == earlier.header.hash()
+        for address in list(canister.utxos.by_address):
+            canister.utxos.listing(address)
+    queried.get_balance(PROBE, NET)
+    delta = queried._index.delta(paying.header.hash(), queried.anchor_height() + 1)
+    for canister in (queried, unqueried):
+        respond(canister, later[1:])
+        assert canister.anchor == paying.header.hash()
+        assert_one_row_per_output(canister.utxos)
+        canister.check_invariants()
+    held = queried.utxos.by_outpoint
+    assert all(held[row.outpoint][0] is row for rows in delta.groups.values() for row in rows)
+    restored = Canister.from_snapshot(queried.snapshot_lines())
+    assert restored.utxos.listings == {}
+    assert_one_row_per_output(restored.utxos)
+    restored.check_invariants()
+    # the kept script map is checked: each script derives its address, and
+    # the names are its inverse
+    scripts, names = restored.utxos.scripts, restored.utxos.names
+    scripts[PROBE] = b"\x51"
+    with pytest.raises(AssertionError, match="keeps one script, which derives that address"):
+        restored.check_invariants()
+    scripts[PROBE] = PROBE_SCRIPT
+    names[b"\x51"] = PROBE
+    with pytest.raises(AssertionError, match="exact inverse of the kept scripts"):
+        restored.check_invariants()
 
 def test_folded_output_that_an_applied_block_spends_is_held_spent(builder):
     # The paying block folds while the block above it, which spends one of
@@ -1303,7 +1383,7 @@ def test_block_life_derives_each_address_and_hash_once(builder, monkeypatch):
     unheld = 0  # outputs whose script no held output paid when their block joined the overlay
     for block in blocks:
         respond(canister, [block])
-        held = {txout.script_pubkey for txout, _, _ in canister.utxos.by_outpoint.values()}
+        held = set(canister.utxos.scripts.values())
         scripts = [out.script_pubkey for tx in block.transactions for out in tx.outputs]
         unheld += sum(script not in held for script in scripts)
         canister.get_balance(PROBE, NET)
@@ -1348,7 +1428,7 @@ def test_held_script_address_reused_until_its_last_output_folds_away(builder, mo
     assert canister.utxos.names[PROBE_SCRIPT] == PROBE
     second = pay_probe(builder, sources[1], 1)
     assert take([builder.extend(extra_txs=(second,))] + builder.build(2)) == 0
-    held = [op for op, (_, _, address) in canister.utxos.by_outpoint.items() if address == PROBE]
+    held = [op for op, (_, address) in canister.utxos.by_outpoint.items() if address == PROBE]
     assert len(held) == 2
     spend = Transaction(1, tuple(TxIn(op, b"sig") for op in held), (TxOut(150, b"\x51"),))
     assert take([builder.extend(extra_txs=(spend,))] + builder.build(2)) == 0
@@ -1691,6 +1771,7 @@ def test_snapshot_roundtrip_at_production_shape(builder):
     assert restored.snapshot_lines() == lines
     assert restored.utxos.by_outpoint == canister.utxos.by_outpoint
     assert restored.utxos.by_address == canister.utxos.by_address
+    assert restored.utxos.scripts == canister.utxos.scripts
     assert restored.utxos.names == canister.utxos.names
     for script in REUSED_SCRIPTS:
         address = addr_of(script)

@@ -1,10 +1,14 @@
-"""Every module of the package and of the tests uses each name it imports.
+"""Every module of the package and of the tests uses each name it imports,
+and the state machine imports none of the sync endpoint and simulator.
 
-A static check on the syntax tree, so it needs no linter: a name bound by
-an import must be read somewhere in the module, in code, in an annotation
-(quoted or not) or in `__all__`."""
+The first is a static check on the syntax tree, so it needs no linter: a
+name bound by an import must be read somewhere in the module, in code, in
+an annotation (quoted or not) or in `__all__`."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,3 +62,22 @@ def test_module_uses_every_name_it_imports(path):
         f"{name} (line {line})" for name, line in imported_names(tree).items() if name not in read
     ]
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def test_state_machine_imports_no_endpoint_or_simulator():
+    # The state machine shares only the update protocol (`wire`) with its
+    # sync endpoint, so loading a snapshot and answering a query, as the
+    # `api` subcommand does, imports no endpoint or simulator code.
+    probe = (
+        "import sys, btcstate.canister, btcstate.snapshot, btcstate.cli; "
+        "print(' '.join(sorted(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert "btcstate.canister" in loaded
+    unwanted = {f"btcstate.{name}" for name in ("adapter", "netsim", "montecarlo", "scenario")}
+    assert not loaded & unwanted

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from btcstate.adapter import GetSuccessorsResponse
 from btcstate.canister import Canister
 from btcstate.chain import NetworkKind, p2pkh_script, script_address, sha256d
 from btcstate.snapshot import SnapshotError
+from btcstate.wire import GetSuccessorsResponse
 
 from conftest import NOW, ChainBuilder
 
