@@ -29,7 +29,13 @@ from btcstate.chain import (
     SerializationError,
     Transaction,
 )
-from btcstate.validation import ChainPolicy, ViolationCode, header_violation
+from btcstate.validation import (
+    ChainPolicy,
+    ValidationError,
+    ViolationCode,
+    check_block_shape,
+    header_violation,
+)
 from btcstate.wire import BLOCK_ITEM, MAX_HEADERS_RESULTS, TX_ITEM
 
 MAX_HEADERS_PER_RESPONSE = 100
@@ -141,12 +147,16 @@ class Adapter:
         return None
 
     def store_block(self, block: Block) -> bool:
-        """Keep a body whose header is already known and whose merkle root
-        commits to its transactions; anything else is ignored."""
+        """Keep a body whose header is already known and that passes the
+        state machine's shape check (`check_block_shape`), so a body the
+        state machine would refuse never takes the place of one it would
+        take; anything else is ignored."""
         h = block.header.hash()
         if h not in self.tree or self.tree.has_block(h):
             return False
-        if block.computed_merkle_root() != block.header.merkle_root:
+        try:
+            check_block_shape(block)
+        except ValidationError:
             return False
         self.tree.set_block(h, block)
         self.pending_fetch.pop(h, None)
@@ -162,11 +172,12 @@ class Adapter:
 
         The requester holds the anchor and the blocks in `processed`; the
         rest of the anchor's subtree is offered in breadth-first order
-        (`BlockTree.bfs`: by height, siblings ascending by hash), which
-        walks only the blocks outside `processed`. A block is returned when
-        the requester lacks it and its parent is available to the
-        requester (the anchor itself, something the requester holds, or a
-        block earlier in this response). The response size limit is soft:
+        (`BlockTree.bfs`: by height, then path order), which lists the
+        kept nodes above the anchor minus `processed` and walks nothing.
+        A block is returned when the requester lacks it and its parent is
+        available to the requester (the anchor itself, something the
+        requester holds, or a block earlier in this response). The
+        response size limit is soft:
         the block that crosses it is still included, then collection stops.
         At or above the checkpoint height only a single block is returned
         per response. Headers the requester lacks that are not returned as

@@ -9,10 +9,11 @@ that drive confirmation reporting and anchor advancement.
 
 Cumulative chain work from the root is fixed on each node when it is
 inserted (Bitcoin Core's nChainWork). The selected chain, root to tip, is
-kept as a list indexed by height and advanced as nodes come and go, so a
-path along it is a slice. A block on that chain has the tip in its subtree,
-and the tip holds the most chain work in the tree, so its work depth is
-the tip's chain work minus its own, plus its own work: one subtraction.
+kept as a list indexed by height and advanced as nodes come and go, so
+whether a block is on it is one lookup (`selected_at(height) == hash`).
+A block on that chain has the tip in its subtree, and the tip holds the
+most chain work in the tree, so its work depth is the tip's chain work
+minus its own, plus its own work: one subtraction.
 Every other depth is memoized per node and invalidated along the ancestor
 path on insertion, so repeated queries after incremental growth stay cheap
 and exactly match a from-scratch traversal. The confirmation counts of the
@@ -20,13 +21,14 @@ selected chain's blocks come in one pass down from the tip, each block's
 depth from its chain child's and its side children's; the pass memoizes
 nothing on the chain, so the next insert at the tip invalidates nothing.
 
-A tree that serves update requests walks the anchor's subtree minus the
+A tree that serves update requests lists the anchor's subtree minus the
 blocks the requester holds (`bfs` with a skip set). For that it keeps, from
-its first such walk on, the set of its nodes above a height mark that
-follows the walks' start heights; the blocks the requester lacks are that
-set minus the skip set, one set difference, so a round costs what the
-requester lacks rather than what it holds. The hashes of the bodied nodes
-are kept as a frozenset, rebuilt only after the bodies change.
+its first such listing on, the set of its nodes above a height mark that
+follows the listings' start heights; the blocks the requester lacks are
+that set minus the skip set, one set difference, kept where they descend
+from the start and sorted once into breadth-first order, so a round costs
+what the requester lacks rather than what it holds. The hashes of the
+bodied nodes are kept as a frozenset, rebuilt only after the bodies change.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
 from functools import cmp_to_key
-from itertools import filterfalse
 from typing import AbstractSet, Iterable, Iterator, Optional
 
 from btcstate.chain import Block, BlockHeader, CompactBitsError, Hash256, work_from_bits
@@ -320,43 +321,39 @@ class BlockTree:
         parents before children, siblings ascending by internal-byte hash,
         so each level is in path order (`_path_before`).
 
-        The nodes in `skip` are left out and their subtrees are not walked
-        through: an unskipped child of a skipped node inside the subtree
-        joins the walk as a root at its own level, in path order against
-        the nodes already there. Those roots are found among the kept
-        nodes above `start`'s height minus `skip`, one set difference that
-        never iterates `skip` in Python; the walk then visits only the
-        nodes it yields.
+        The nodes in `skip` are left out. The rest are the kept nodes above
+        `start`'s height minus `skip`, one set difference that never
+        iterates `skip` in Python, less those outside `start`'s subtree,
+        sorted once by height and then path order.
         """
         top = self._node(self.root if start is None else start)
-        nodes, skipped = self._nodes, skip.__contains__
-        by_path = cmp_to_key(lambda a, b: -1 if self._path_before(nodes[a], nodes[b]) else 1)
-        joins: dict[int, list[Hash256]] = {}
+        nodes = self._nodes
         if skip:
-            for h in self._above_mark(top.height).difference(skip):
-                node = nodes[h]
-                parent = nodes[node.prev]
-                if (
-                    parent.height > top.height
-                    and skipped(parent.hash)
-                    and self._descends(parent, top)
-                ):
-                    joins.setdefault(node.height, []).append(h)
-        if top.hash not in skip:
-            yield top.hash
-        level = list(filterfalse(skipped, top.children))
-        height = top.height + 1
-        while level or joins:
-            if not level:
-                height = min(joins)
-            for root in joins.pop(height, ()):
-                insort(level, root, key=by_path)
+            lacking = [
+                h
+                for h in self._above_mark(top.height).difference(skip)
+                if self._descends(nodes[h], top)
+            ]
+            lacking.sort(key=cmp_to_key(self._walk_order))
+            if top.hash not in skip:
+                yield top.hash
+            yield from lacking
+            return
+        yield top.hash
+        level = top.children
+        while level:
             below: list[Hash256] = []
             for h in level:
                 yield h
-                below.extend(filterfalse(skipped, nodes[h].children))
+                below.extend(nodes[h].children)
             level = below
-            height += 1
+
+    def _walk_order(self, a: Hash256, b: Hash256) -> int:
+        """Breadth-first order of two distinct nodes: by height, then path."""
+        x, y = self._nodes[a], self._nodes[b]
+        if x.height != y.height:
+            return x.height - y.height
+        return -1 if self._path_before(x, y) else 1
 
     def _above_mark(self, height: int) -> set[Hash256]:
         """The kept set of the nodes above `height`, its mark moved there
@@ -505,27 +502,6 @@ class BlockTree:
         while a.prev != b.prev:
             a, b = self._nodes[a.prev], self._nodes[b.prev]
         return a.hash < b.hash
-
-    def path_to(self, hash_: Hash256, since: Optional[Hash256] = None) -> Optional[list[Hash256]]:
-        """The blocks from `since` (the root by default) to `hash_`, both
-        included, in chain order; None when `since` is not `hash_` or one
-        of its ancestors. A block on the selected chain is answered with a
-        slice of it; any other walks only the blocks between the two."""
-        node = self._node(hash_)
-        stop = self._node(self.root if since is None else since)
-        if self._on_chain(node):
-            if stop.height > node.height or not self._on_chain(stop):
-                return None
-            return self._chain[stop.height : node.height + 1]
-        path = []
-        while node.height > stop.height:
-            path.append(node.hash)
-            node = self._nodes[node.prev]
-        if node is not stop:
-            return None
-        path.append(node.hash)
-        path.reverse()
-        return path
 
     def selected_at(self, height: int) -> Optional[Hash256]:
         """The selected chain's block at `height`; None above the tip."""

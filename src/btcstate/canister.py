@@ -215,14 +215,14 @@ class Canister:
         the lowest unstable block is work-stable, append reported headers,
         and recompute the synced flag. Invalid items are skipped one by
         one; a bad pair never poisons the rest of the response."""
-        old_tip = self.tree.tip
+        tree, old_tip = self.tree, self.tree.tip
         for block, header in resp.blocks:
             if self._ingest_block(block, header, now):
                 self._advance_anchor()
         for header in resp.next_headers:
             self._ingest_header(header, now)
         self.synced = self._bodies_within_tau()
-        if old_tip not in self.tree or self.tree.path_to(self.tree.tip, old_tip) is None:
+        if old_tip not in tree or tree.selected_at(tree.height(old_tip)) != old_tip:
             self.reorgs += 1
         if self._index is not None:
             self._index.follow(self.tree, self.anchor_height(), self.utxos)
@@ -464,18 +464,6 @@ class Canister:
 
     # -- metrics helpers ---------------------------------------------------------
 
-    def confirmations_of_tx(self, txid: Hash256) -> Optional[int]:
-        """Confirmation count of the unstable block containing txid, if any;
-        of several, the lowest, and of rivals the first held at its height."""
-        tree = self.tree
-        holders = [h for h in tree.bodied() if txid in tree.block(h).txid_set()]
-        if not holders:
-            return None
-        first = min(
-            holders, key=lambda h: (tree.height(h), tree.at_height(tree.height(h)).index(h))
-        )
-        return tree.confirmations(first)
-
     def current_tip_height(self) -> int:
         return self.tree.height(self.tree.tip)
 
@@ -491,9 +479,8 @@ class Canister:
                 raise AssertionError(f"broken invariant: {invariant}")
 
         require(self.anchor in tree, "the anchor is in the tree")
-        chain = tree.path_to(tree.tip, self.anchor)
-        require(chain is not None, "the anchor is on the selected chain")
         top = self.anchor_height()
+        require(tree.selected_at(top) == self.anchor, "the anchor is on the selected chain")
         by_address: dict[str, set[OutPoint]] = {}
         for op, (row, address) in by_outpoint.items():
             require(row.outpoint == op, "each stored row lies under its own outpoint")

@@ -275,14 +275,11 @@ def merkle_root(txids: list[Hash256]) -> Hash256:
 @dataclass(frozen=True, slots=True)
 class Block:
     """A header and its transactions; the merkle root of the transactions
-    and the set of their txids are computed on first use and kept."""
+    is computed on first use and kept."""
 
     header: BlockHeader
     transactions: tuple[Transaction, ...]
     _root: Optional[Hash256] = field(default=None, init=False, compare=False, repr=False)
-    _txid_set: Optional[frozenset[Hash256]] = field(
-        default=None, init=False, compare=False, repr=False
-    )
 
     def to_bytes(self) -> bytes:
         parts = [self.header.to_bytes(), write_varint(len(self.transactions))]
@@ -302,13 +299,6 @@ class Block:
             root = merkle_root(self.txids())
             object.__setattr__(self, "_root", root)
         return root
-
-    def txid_set(self) -> frozenset[Hash256]:
-        kept = self._txid_set
-        if kept is None:
-            kept = frozenset(self.txids())
-            object.__setattr__(self, "_txid_set", kept)
-        return kept
 
     def size(self) -> int:
         """Length of the serialization, from each transaction's kept length."""

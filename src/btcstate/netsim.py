@@ -581,11 +581,16 @@ class SimWorld:
         self.observe("round", f"maker={maker}", f"malicious-feed {feed.rev_hex()[:16]}")
 
     def _update_attack_metrics(self) -> None:
+        """Follow the corrupting transaction, which only the adversary's
+        first fork block holds: that block's confirmation count while the
+        state machine holds its body, and whether its output was folded."""
         txid = self.adversary.corrupting_txid
-        if txid is None:
+        if txid is None or not self.adversary.fork:
             return
-        conf = self.canister.confirmations_of_tx(txid)
-        if conf is not None:
+        tree = self.canister.tree
+        first = self.adversary.fork[0]
+        if first in tree and tree.has_block(first):
+            conf = tree.confirmations(first)
             self.corrupting_max_conf = max(self.corrupting_max_conf, conf)
             if self.canister.synced:
                 self.corrupting_max_conf_synced = max(

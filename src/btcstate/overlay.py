@@ -60,7 +60,8 @@ class OverlayDelta(NamedTuple):
     grouped by address, each group in page order; each of those addresses
     under its script in `names`; the block's inputs in block order, and the
     outpoints they spend. Every address of the block is found once, here,
-    by `address_of`, and the anchor fold stores the groups' rows in the
+    by `address_of` on the first output paying its script (each script has
+    its own address), and the anchor fold stores the groups' rows in the
     materialized set, taking a newly held address's script from `names`.
 
     `plain` says that no two transactions of the block share a txid and no
@@ -88,14 +89,13 @@ class OverlayDelta(NamedTuple):
             txids.add(txid)
             for vout, txout in enumerate(tx.outputs):
                 script = txout.script_pubkey
-                address = address_of(script)
                 row = Utxo(OutPoint(txid, vout), txout.value, height)
-                group = groups.get(address)
-                if group is None:
+                address = names.get(script)
+                if address is None:
+                    address = names[script] = address_of(script)
                     groups[address] = [row]
-                    names[script] = address
                 else:
-                    group.append(row)
+                    groups[address].append(row)
         for group in groups.values():
             if len(group) > 1:
                 group.sort(key=_page_key)

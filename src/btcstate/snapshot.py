@@ -208,7 +208,7 @@ def from_snapshot(cls, lines: Iterable[str]) -> "Canister":
     state.anchor = _snapshot_field(fields, "anchor", Hash256.from_rev_hex)
     if state.anchor not in state.tree:
         raise SnapshotError(f"anchor {state.anchor.rev_hex()} is not in the snapshot's tree")
-    if state.tree.path_to(state.tree.tip, state.anchor) is None:
+    if state.tree.selected_at(state.anchor_height()) != state.anchor:
         raise SnapshotError(
             f"anchor {state.anchor.rev_hex()} is not on the snapshot's selected chain"
         )

@@ -4,9 +4,10 @@ A header is accepted only when its parent is locally known, its compact
 difficulty matches the policy's expected target at that height, its hash
 satisfies that target, and its timestamp lies strictly after the median
 of the previous eleven ancestors and at most two hours past current time.
-Blocks additionally need a matching merkle root and an available parent
-body. Transaction spending conditions are deliberately never verified;
-the system trusts proof of work and the upstream network's vetting.
+Blocks additionally need a matching merkle root, no txid twice and an
+available parent body. Transaction spending conditions are deliberately
+never verified; the system trusts proof of work and the upstream
+network's vetting.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ class ViolationCode(Enum):
     MERKLE_MISMATCH = "merkle-mismatch"
     MISSING_PARENT_BODY = "missing-parent-body"
     BAD_COINBASE = "bad-coinbase"
+    DUPLICATE_TX = "bad-txns-duplicate"
 
 
 class ValidationError(Exception):
@@ -160,8 +162,11 @@ def check_transaction_shape(tx: Transaction, name: str = "transaction") -> None:
 def check_block_shape(block: Block) -> None:
     """Structural block checks that need no chain context.
 
-    The merkle root must commit to the transactions; the first transaction
-    must be the only coinbase. Spend validity is out of scope by design.
+    The merkle root must commit to the transactions, and no txid may occur
+    twice: a repeated subtree leaves the root unchanged (CVE-2012-2459), so
+    a root that matches does not on its own pin the body. The first
+    transaction must be the only coinbase. Spend validity is out of scope
+    by design.
     """
     if not block.transactions:
         raise ValidationError(ViolationCode.MALFORMED, "block has no transactions")
@@ -174,6 +179,8 @@ def check_block_shape(block: Block) -> None:
             raise ValidationError(ViolationCode.BAD_COINBASE, f"tx {i} has a null previous output")
     if block.computed_merkle_root() != block.header.merkle_root:
         raise ValidationError(ViolationCode.MERKLE_MISMATCH, "merkle root does not match header")
+    if len(set(block.txids())) != len(block.transactions):
+        raise ValidationError(ViolationCode.DUPLICATE_TX, "block holds one txid twice")
 
 
 def check_block(block: Block, tree: BlockTree, anchor: Hash256) -> None:

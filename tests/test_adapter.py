@@ -16,6 +16,7 @@ from btcstate.adapter import (
     AdapterConfig,
     UnknownAnchorError,
 )
+from btcstate.canister import Canister
 from btcstate.chain import Hash256, NetworkKind, TxOut, sha256d
 from btcstate.validation import ChainPolicy, ViolationCode
 from btcstate.wire import GetSuccessorsRequest
@@ -595,6 +596,34 @@ def test_header_too_far_ahead_keeps_the_peer(builder):
     assert adapter.peers == {4}
     assert ahead.header.hash() not in adapter.tree and rival.header.hash() in adapter.tree
     adapter.check_invariants()
+
+
+def test_mutated_body_refused_at_both_ends(builder):
+    # CVE-2012-2459: a merkle level of odd length pairs its last hash with
+    # itself, so [cb, t1, t2, t2] has the root of [cb, t1, t2]. Stored first,
+    # the mutated body would shut the honest one out of the adapter.
+    funding = builder.build(2)
+    t1, t2 = (builder.spend(builder.coinbase_outpoint(b), [(1, b"\x51")]) for b in funding)
+    honest = builder.extend(extra_txs=(t1, t2))
+    mutated = chain.Block(honest.header, honest.transactions + (t2,))
+    assert mutated.computed_merkle_root() == honest.header.merkle_root
+    with pytest.raises(validation.ValidationError) as refused:
+        validation.check_block_shape(mutated)
+    assert refused.value.code is ViolationCode.DUPLICATE_TX
+    adapter = make_adapter(builder)
+    feed_chain(adapter, funding)
+    assert adapter.accept_header(honest.header, NOW) is None
+    assert not adapter.store_block(mutated)
+    assert adapter.store_block(honest)
+    state = Canister(builder.genesis.header, NetworkKind.REGTEST, delta=10)
+    pairs = tuple((b, b.header) for b in funding) + ((mutated, mutated.header),)
+    state.handle_response(wire.GetSuccessorsResponse(pairs, ()), NOW)
+    assert state.blocks_ingested == 2 and honest.header.hash() not in state.tree
+    resp = request(adapter, builder.genesis.header, state.build_request().processed)
+    assert [block for block, _ in resp.blocks] == [honest]
+    state.handle_response(resp, NOW)
+    assert state.tree.block(honest.header.hash()) is honest
+    state.check_invariants()
 
 
 def test_stored_block_keeps_its_merkle_root_through_serving_and_checks(builder, monkeypatch):

@@ -259,7 +259,8 @@ def test_kept_tip_height_and_depths_match_brute_force_through_inserts_and_remova
         walked = [tree.tip]
         while tree.parent(walked[-1]) is not None:
             walked.append(tree.parent(walked[-1]))
-        assert tree.current_chain() == tree.path_to(tree.tip) == walked[::-1] == best
+        assert tree.current_chain() == walked[::-1] == best
+        assert [tree.selected_at(i) for i in range(len(best) + 1)] == best + [None]
         assert tree.max_height() == max(tree.height(h) for h in tree.hashes())
         for h in tree.hashes():
             assert tree.depth(h, WORK) == brute_depth(tree, h, WORK)
@@ -281,15 +282,11 @@ def test_kept_tip_height_and_depths_match_brute_force_through_inserts_and_remova
             assert tree.depth(h, kind) == brute_depth(tree, h, kind)
 
 
-def test_path_to_walks_between_ancestor_and_node():
+def test_selected_at_tells_the_selected_chain_from_its_rivals():
     tree, ids = two_fork_tree()
-    assert tree.path_to(ids["a3"]) == [ids["g"], ids["a1"], ids["a2"], ids["a3"]]
-    assert tree.path_to(ids["a3"], ids["a1"]) == [ids["a1"], ids["a2"], ids["a3"]]
-    assert tree.path_to(ids["a2"], ids["a2"]) == [ids["a2"]]
-    assert tree.path_to(ids["a3"], ids["b1"]) is None  # a rival, not an ancestor
-    assert tree.path_to(ids["a1"], ids["a3"]) is None  # a descendant
-    with pytest.raises(UnknownBlockError):
-        tree.path_to(ids["a3"], name_hash("nowhere"))
+    chain = [ids["g"], ids["a1"], ids["a2"], ids["a3"]]
+    assert [tree.selected_at(i) for i in range(-1, 5)] == [None] + chain + [None]
+    assert tree.selected_at(tree.height(ids["b1"])) == ids["a1"]  # b1 lost the fork
 
 
 # -- incremental vs brute force -----------------------------------------------------

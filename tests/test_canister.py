@@ -190,6 +190,27 @@ def test_invalid_block_skipped_rest_processed(builder):
     assert canister.blocks_ingested == 1
 
 
+def test_bad_items_skipped_among_good_ones(builder):
+    # A block paired with another block's header, a block whose header is
+    # too far ahead of the clock and a header without proof of work, each
+    # among good items: the good ones are all applied.
+    canister = make_canister(builder, delta=10)
+    g1, g2, g3, g4 = builder.build(4)
+    late = builder.extend(parent=g1.header.hash(), time=NOW + 3 * 3600)
+    bad_pow = header_with_bad_pow(g3.header)
+    resp = GetSuccessorsResponse(
+        ((g1, g1.header), (g2, g3.header), (late, late.header), (g2, g2.header), (g3, g3.header)),
+        (bad_pow, g4.header),
+    )
+    canister.handle_response(resp, NOW)
+    assert canister.blocks_ingested == 3
+    assert all(canister.tree.has_block(b.header.hash()) for b in (g1, g2, g3))
+    assert g4.header.hash() in canister.tree and not canister.tree.has_block(g4.header.hash())
+    assert late.header.hash() not in canister.tree and bad_pow.hash() not in canister.tree
+    assert canister.tree.tip == g4.header.hash() and canister.synced
+    canister.check_invariants()
+
+
 def test_gap_beyond_tau_unsyncs_and_api_errors(builder):
     canister = make_canister(builder, delta=10, tau=2)
     blocks = builder.build(2)
@@ -433,6 +454,9 @@ def test_filter_above_delta_rejected(builder):
     with pytest.raises(FilterRejectedError):
         canister.get_balance(PROBE, NET, min_confirmations=7)
     canister.get_utxos(PROBE, NET, min_confirmations=6)
+    for query in (canister.get_utxos, canister.get_balance):
+        with pytest.raises(FilterRejectedError, match="must be positive"):
+            query(PROBE, NET, min_confirmations=0)
 
 
 def test_network_mismatch_rejected(builder):
@@ -785,44 +809,6 @@ def test_repeated_queries_rederive_no_txid_or_address(builder, monkeypatch):
     while page.next_page is not None:
         page, later = counted(lambda: cold.get_utxos(PROBE, NET, page=page.next_page))
         assert later == none
-
-
-def test_confirmations_of_tx_in_rival_blocks_reads_the_first_held(builder):
-    # One transaction in two rival blocks at height 1, b ahead of a by one
-    # block: the answer is the block held first at that height.
-    g = builder.genesis.header.hash()
-    tx = builder.spend(builder.coinbase_outpoint(builder.genesis), [(1, PROBE_SCRIPT)])
-    a = builder.extend(parent=g, extra_txs=(tx,))
-    b = builder.extend(parent=g, extra_txs=(tx,))
-    b2 = builder.extend(parent=b.header.hash())
-    for held, want in (([a, b, b2], -1), ([b, a, b2], 1)):
-        canister = make_canister(builder, delta=10)
-        respond(canister, held)
-        assert canister.tree.at_height(1) == [blk.header.hash() for blk in held[:2]]
-        assert canister.confirmations_of_tx(tx.txid()) == want
-
-
-def test_repeated_confirmations_of_tx_rehash_nothing(builder, monkeypatch):
-    canister = make_canister(builder, delta=10)
-    sources = builder.build(2)
-    payment = pay_probe(builder, sources[0], 2)
-    paying = builder.extend(extra_txs=(payment,))
-    respond(canister, sources + [paying] + builder.build(2))
-    txid, unknown = payment.txid(), Hash256(sha256d(b"unknown"))
-    digests = {"sha256d": 0}
-    real_sha256d = chain_module.sha256d
-
-    def counting_sha256d(data):
-        digests["sha256d"] += 1
-        return real_sha256d(data)
-
-    monkeypatch.setattr(chain_module, "sha256d", counting_sha256d)
-    want = canister.tree.confirmations(paying.header.hash())
-    assert want == 3
-    for _ in range(2):
-        assert canister.confirmations_of_tx(txid) == want
-        assert canister.confirmations_of_tx(unknown) is None
-        assert digests["sha256d"] == 0
 
 
 def test_fold_derives_no_address_for_a_block_the_index_holds(builder, monkeypatch):
@@ -1352,9 +1338,9 @@ def test_fold_rebuilds_the_index_only_while_it_holds_a_repeat(builder, monkeypat
 
 def test_block_life_derives_each_address_and_hash_once(builder, monkeypatch):
     # From a block's first query through its fold to the spend of its
-    # output: an output's address is derived once, when its block joins the
-    # overlay, and only when no held output pays its script; every header
-    # and transaction object is hashed once.
+    # output: a script's address is derived once per block, when the block
+    # joins the overlay, and only when no held output pays the script; every
+    # header and transaction object is hashed once.
     canister = make_canister(builder, delta=2)
     sources = builder.build(2)
     paying = builder.extend(extra_txs=(pay_probe(builder, sources[0], 3),))
@@ -1380,12 +1366,12 @@ def test_block_life_derives_each_address_and_hash_once(builder, monkeypatch):
     # rebuilt from bytes, as blocks arrive off the wire; parsing is part of
     # a block's life (it keeps each transaction's txid)
     blocks = [Block.from_bytes(b.to_bytes()) for b in built]
-    unheld = 0  # outputs whose script no held output paid when their block joined the overlay
+    unheld = 0  # each block's distinct scripts that no held output paid when it joined the overlay
     for block in blocks:
         respond(canister, [block])
         held = set(canister.utxos.scripts.values())
-        scripts = [out.script_pubkey for tx in block.transactions for out in tx.outputs]
-        unheld += sum(script not in held for script in scripts)
+        scripts = {out.script_pubkey for tx in block.transactions for out in tx.outputs}
+        unheld += len(scripts - held)
         canister.get_balance(PROBE, NET)
     assert canister.anchor == spending.header.hash()  # folded, and the paying block before it
     assert paid not in canister.utxos.by_outpoint

@@ -1,6 +1,9 @@
 """Scenario parsing, the runner, and the command-line interface."""
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +15,7 @@ from btcstate.cli import bundled_scenario_names, load_scenario_text, main
 from btcstate.scenario import (
     Scenario,
     ScenarioParseError,
+    ScenarioRunner,
     eval_assertion,
     parse_scenario,
     run_scenario_text,
@@ -270,6 +274,57 @@ def test_every_bundled_scenario_green_within_budget(name, tmp_path):
         for f in ("report.csv", "observations.csv")
     )
     assert digests == BUNDLED_OUTPUT_SHA256[name]
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_bundled_outputs_do_not_depend_on_the_hash_seed(hash_seed, tmp_path):
+    # Sets of hashes and strings iterate in an order the hash seed picks;
+    # no output may follow that order. Each run takes a fraction of a second.
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED=hash_seed)
+    probe = "import sys; from btcstate.cli import main; sys.exit(main(sys.argv[1:]))"
+    for name in ("fork-attack", "pagination-stress"):
+        out = tmp_path / name
+        done = subprocess.run(
+            [sys.executable, "-c", probe, "run", name, "--out", str(out)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        digests = tuple(
+            hashlib.sha256((out / f).read_bytes()).hexdigest()
+            for f in ("report.csv", "observations.csv")
+        )
+        assert digests == BUNDLED_OUTPUT_SHA256[name], name
+
+
+def test_malicious_maker_feeds_fork_blocks_that_the_budget_keeps_harmless(monkeypatch):
+    # The bundled downtime-attack seed finds nothing to feed in any malicious
+    # round; on seed 28 the malicious maker feeds fork blocks after the
+    # downtime. Each fed block is ingested, the corrupting transaction's block
+    # is counted while held, and the budgeted fork never folds.
+    runner = ScenarioRunner(parse_scenario(load_scenario_text("downtime-attack")), seed=28)
+    world = runner.world
+    tree, fork = world.canister.tree, world.adversary.fork
+    fed = []
+    real_round = world._malicious_round
+
+    def malicious_round(maker):
+        real_round(maker)
+        detail = world.observations[-1][3]
+        if detail.startswith("malicious-feed "):
+            (h,) = [h for h in fork if h.rev_hex().startswith(detail.split()[1])]
+            assert tree.has_block(h)
+            fed.append(h)
+
+    monkeypatch.setattr(world, "_malicious_round", malicious_round)
+    result = runner.run()
+    assert result.ok, result.failures
+    assert fed and fed[0] == fork[0]
+    assert result.metrics["corrupting_tx_max_conf"] >= 0
+    assert result.metrics["state_corrupted"] == 0
 
 
 def test_wire_trace_flag():
