@@ -361,3 +361,7 @@ class Adapter:
             "every announcer names a known header without a body",
         )
         require(tree.bodied_matches_scan(), "the tree's kept bodied set equals a scan of has_block")
+        require(
+            tree.kept_facts_match_scan(),
+            "each node's kept time window and work equal a walk up the tree",
+        )

@@ -7,8 +7,14 @@ block is its depth clipped by its lead over every other block at the same
 height; a block on a losing fork scores negative. These are the quantities
 that drive confirmation reporting and anchor advancement.
 
-Cumulative chain work from the root is fixed on each node when it is
-inserted (Bitcoin Core's nChainWork). The selected chain, root to tip, is
+Each node keeps, fixed when it is inserted, three facts its parent's node
+already holds most of: its work, taken from the parent when the two share
+their bits and computed from the bits only where they differ; its
+cumulative chain work from the root (Bitcoin Core's nChainWork); and its
+time window, the header times of the node and its up to MTP_WINDOW - 1
+nearest ancestors, the parent's window with the node's own time appended
+and the oldest dropped, so median-time-past reads one tuple rather than
+walking eleven ancestors. The selected chain, root to tip, is
 kept as a list indexed by height and advanced as nodes come and go, so
 whether a block is on it is one lookup (`selected_at(height) == hash`).
 A block on that chain has the tip in its subtree, and the tip holds the
@@ -82,9 +88,15 @@ class WorkRatio:
         return self.num / self.den
 
 
+# The blocks median-time-past is taken over: a block and its ten nearest
+# ancestors (Bitcoin Core's nMedianTimeSpan).
+MTP_WINDOW = 11
+
+
 class _Node:
     __slots__ = (
-        "hash", "prev", "height", "bits", "header", "block", "children", "work", "chain_work"
+        "hash", "prev", "height", "bits", "header", "block", "children", "work", "chain_work",
+        "times",
     )
 
     def __init__(
@@ -101,8 +113,16 @@ class _Node:
         self.header = header
         self.block: Optional[Block] = None
         self.children: list[Hash256] = []  # ascending by hash
-        self.work = work_from_bits(bits)
-        self.chain_work = self.work + (parent.chain_work if parent is not None else 0)
+        own = header.time if header is not None else None
+        self.times: tuple[Optional[int], ...]
+        if parent is None:
+            self.work = work_from_bits(bits)
+            self.chain_work = self.work
+            self.times = (own,)
+        else:
+            self.work = parent.work if parent.bits == bits else work_from_bits(bits)
+            self.chain_work = parent.chain_work + self.work
+            self.times = (parent.times + (own,))[-MTP_WINDOW:]
 
 
 class BlockTree:
@@ -292,15 +312,25 @@ class BlockTree:
         scan = {h for h, node in self._nodes.items() if node.block is not None}
         return self._bodied == scan and self.bodied() == scan
 
-    def ancestor_headers(self, hash_: Hash256, count: int) -> list[Optional[BlockHeader]]:
-        """The headers of up to `count` blocks ending at `hash_`, newest
-        first, stopping early at the root."""
-        node = self._node(hash_)
-        headers = [node.header]
-        while len(headers) < count and node.prev is not None:
-            node = self._nodes[node.prev]
-            headers.append(node.header)
-        return headers
+    def time_window(self, hash_: Hash256) -> tuple[Optional[int], ...]:
+        """The header times of up to MTP_WINDOW blocks ending at `hash_`,
+        oldest first, stopping early at the root; None for a node inserted
+        without a header."""
+        return self._node(hash_).times
+
+    def kept_facts_match_scan(self) -> bool:
+        """Whether every node's kept time window and work equal a walk up
+        its ancestors and its own bits: an invariant check, one pass over
+        the tree."""
+        for node in self._nodes.values():
+            times: list[Optional[int]] = []
+            walk: Optional[_Node] = node
+            while walk is not None and len(times) < MTP_WINDOW:
+                times.append(walk.header.time if walk.header is not None else None)
+                walk = self._nodes[walk.prev] if walk.prev is not None else None
+            if node.times != tuple(reversed(times)) or node.work != work_from_bits(node.bits):
+                return False
+        return True
 
     def hashes(self) -> Iterator[Hash256]:
         return iter(self._nodes)

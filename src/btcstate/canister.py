@@ -510,6 +510,10 @@ class Canister:
                 "each kept listing's keys are its rows' page keys",
             )
         require(tree.bodied_matches_scan(), "the tree's kept bodied set equals a scan of has_block")
+        require(
+            tree.kept_facts_match_scan(),
+            "each node's kept time window and work equal a walk up the tree",
+        )
         bodied = tree.bodied()
         for h in bodied:
             require(tree.height(h) > top, "bodies are held only above the anchor")

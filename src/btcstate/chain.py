@@ -275,11 +275,13 @@ def merkle_root(txids: list[Hash256]) -> Hash256:
 @dataclass(frozen=True, slots=True)
 class Block:
     """A header and its transactions; the merkle root of the transactions
-    is computed on first use and kept."""
+    is computed on first use and kept, and so is a passed shape check
+    (`validation.check_block_shape`)."""
 
     header: BlockHeader
     transactions: tuple[Transaction, ...]
     _root: Optional[Hash256] = field(default=None, init=False, compare=False, repr=False)
+    _checked: bool = field(default=False, init=False, compare=False, repr=False)
 
     def to_bytes(self) -> bytes:
         parts = [self.header.to_bytes(), write_varint(len(self.transactions))]

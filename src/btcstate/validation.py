@@ -30,7 +30,6 @@ from btcstate.chain import (
 )
 
 MAX_FUTURE_DRIFT = 2 * 60 * 60  # seconds
-MTP_WINDOW = 11
 
 MAINNET_MAX_TARGET = 0x00000000FFFF0000000000000000000000000000000000000000000000000000
 REGTEST_MAX_TARGET = 0x7FFFFF0000000000000000000000000000000000000000000000000000000000
@@ -106,13 +105,12 @@ def expected_bits(tree: BlockTree, prev_hash: Hash256, policy: ChainPolicy) -> i
 
 
 def median_time_past(tree: BlockTree, prev_hash: Hash256) -> int:
-    """Median of the times of up to the last eleven blocks ending at prev."""
-    times = []
-    for header in tree.ancestor_headers(prev_hash, MTP_WINDOW):
-        if header is None:
-            raise ValidationError(ViolationCode.MALFORMED, "timestamp check needs full headers")
-        times.append(header.time)
-    times.sort()
+    """Median of the times of up to the last eleven blocks ending at prev:
+    the time window the tree keeps on prev's node."""
+    window = tree.time_window(prev_hash)
+    if None in window:
+        raise ValidationError(ViolationCode.MALFORMED, "timestamp check needs full headers")
+    times = sorted(window)
     return times[len(times) // 2]
 
 
@@ -167,7 +165,15 @@ def check_block_shape(block: Block) -> None:
     a root that matches does not on its own pin the body. The first
     transaction must be the only coinbase. Spend validity is out of scope
     by design.
+
+    A block that passes is marked (`Block._checked`, Bitcoin Core's
+    `CBlock::fChecked`) and a marked block returns at once: a block is
+    immutable, so its verdict is too. A block that fails keeps nothing and
+    is refused again on every call; a decoded copy is a new object and is
+    checked again.
     """
+    if block._checked:
+        return
     if not block.transactions:
         raise ValidationError(ViolationCode.MALFORMED, "block has no transactions")
     for i, tx in enumerate(block.transactions):
@@ -181,6 +187,7 @@ def check_block_shape(block: Block) -> None:
         raise ValidationError(ViolationCode.MERKLE_MISMATCH, "merkle root does not match header")
     if len(set(block.txids())) != len(block.transactions):
         raise ValidationError(ViolationCode.DUPLICATE_TX, "block holds one txid twice")
+    object.__setattr__(block, "_checked", True)
 
 
 def check_block(block: Block, tree: BlockTree, anchor: Hash256) -> None:

@@ -3,11 +3,13 @@ its limits, the transaction cache, configuration and peers, and peer
 messages."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from btcstate import adapter as adapter_module
 from btcstate import chain, validation, wire
 from btcstate.adapter import (
     MAX_HEADERS_PER_RESPONSE,
@@ -18,6 +20,7 @@ from btcstate.adapter import (
 )
 from btcstate.canister import Canister
 from btcstate.chain import Hash256, NetworkKind, TxOut, sha256d
+from btcstate.netsim import SimParams, SimWorld
 from btcstate.validation import ChainPolicy, ViolationCode
 from btcstate.wire import GetSuccessorsRequest
 
@@ -640,6 +643,45 @@ def test_stored_block_keeps_its_merkle_root_through_serving_and_checks(builder, 
     assert served is block
     validation.check_block_shape(served)
     assert len(roots) == 1
+
+
+def test_each_block_object_gets_one_full_shape_pass_in_a_synced_world(monkeypatch):
+    # Four adapters store every block and the state machine checks it
+    # again: five checks of one block object, of which the first reads its
+    # transactions and the rest return the kept verdict.
+    calls, full, held, reads = Counter(), Counter(), {}, []
+    real_shape, real_tx_shape = validation.check_block_shape, validation.check_transaction_shape
+
+    def tx_shape(tx, name="transaction"):
+        reads.append(tx)
+        real_tx_shape(tx, name)
+
+    def block_shape(block):
+        held[id(block)] = block  # no id is reused while the count runs
+        calls[id(block)] += 1
+        start = len(reads)
+        try:
+            real_shape(block)
+        finally:
+            full[id(block)] += len(reads) > start
+
+    monkeypatch.setattr(validation, "check_transaction_shape", tx_shape)
+    monkeypatch.setattr(validation, "check_block_shape", block_shape)
+    monkeypatch.setattr(adapter_module, "check_block_shape", block_shape)
+    params = SimParams(
+        n=4, f=0, ell=2, phi=0.0, peer_count=8, honest_block_interval=120.0, round_interval=40.0
+    )
+    world = SimWorld(params, 1, delta=6)
+    state = world.canister
+    assert world.run_until(
+        lambda: world.honest_height() >= 30
+        and state.max_body_height() == world.honest_height()
+        and state.synced,
+        max_duration=1e6,
+    )
+    assert len(calls) == world.honest_height() + 1  # the genesis block too
+    assert sorted(Counter(calls.values()).items()) == [(4, 1), (5, 30)]
+    assert set(full.values()) == {1}
 
 
 def test_dropped_peers_fetches_asked_of_another_peer(builder):

@@ -2,7 +2,10 @@
 proof of work, timestamps, merkle commitment."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from btcstate import validation
 from btcstate.blocktree import BlockTree
 from btcstate.chain import (
     Block,
@@ -16,6 +19,7 @@ from btcstate.chain import (
     merkle_root,
     sha256d,
     target_to_bits,
+    work_from_bits,
 )
 from btcstate.netsim import make_coinbase, mine_header
 from btcstate.validation import (
@@ -31,7 +35,7 @@ from btcstate.validation import (
     median_time_past,
 )
 
-from conftest import NOW, ChainBuilder
+from conftest import EASY_BITS, HARDER_BITS, NOW, ChainBuilder, name_hash
 
 
 def make_regtest():
@@ -123,6 +127,71 @@ def test_median_time_past_near_the_root_and_without_headers(builder):
     with pytest.raises(ValidationError) as err:
         median_time_past(raw, raw.root)
     assert err.value.code is ViolationCode.MALFORMED
+
+
+def walked_times(tree, h):
+    """The header times of `h` and up to ten nearest ancestors, newest
+    first, by a walk up the parents; None for a node without a header."""
+    times = []
+    while h is not None and len(times) < 11:
+        header = tree.header(h)
+        times.append(None if header is None else header.time)
+        h = tree.parent(h)
+    return times
+
+
+def assert_window_and_work_match_walks(tree):
+    for h in tree:
+        times = walked_times(tree, h)
+        if None in times:
+            with pytest.raises(ValidationError) as err:
+                median_time_past(tree, h)
+            assert err.value.code is ViolationCode.MALFORMED
+        else:
+            assert median_time_past(tree, h) == sorted(times)[len(times) // 2]
+        assert tree.node_work(h) == work_from_bits(tree.bits(h))
+        parent = tree.parent(h)
+        below = tree.chain_work(parent) if parent is not None else 0
+        assert tree.chain_work(h) == below + tree.node_work(h)
+    assert tree.kept_facts_match_scan()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_kept_time_window_and_work_match_a_parent_walk(data):
+    # Header times that go back and forth, forks, removals, raw nodes and a
+    # raw root, or a retargeting chain whose bits change every four blocks;
+    # then the same tree loaded from its dump, where no node has a header.
+    retarget = data.draw(st.booleans(), label="retarget")
+    policy = ChainPolicy(
+        NetworkKind.MAINNET,
+        retarget_interval=4,
+        target_spacing=600,
+        max_target=bits_to_target(EASY_BITS),
+    )
+    if not retarget and data.draw(st.booleans(), label="raw root"):
+        tree = BlockTree((name_hash("raw root"), EASY_BITS))
+    else:
+        start = target_to_bits(policy.max_target // 4) if retarget else EASY_BITS
+        tree = BlockTree(BlockHeader(1, name_hash("pre"), name_hash("m"), 5_000, start, 0))
+    nodes = [tree.root]
+    for i in range(data.draw(st.integers(1, 40), label="steps")):
+        parent = nodes[-1] if data.draw(st.integers(0, 3)) else data.draw(st.sampled_from(nodes))
+        step = data.draw(st.integers(0, 9), label="step")
+        if step == 0 and len(nodes) > 1:
+            tree.remove_subtree(data.draw(st.sampled_from(nodes[1:])))
+            nodes = [h for h in nodes if h in tree]
+        elif step == 1 and not retarget:
+            nodes.append(tree.add_raw(name_hash(f"raw {i}"), parent, EASY_BITS))
+        else:
+            time = data.draw(st.integers(0, 10_000), label="time")
+            if retarget:
+                bits = expected_bits(tree, parent, policy)
+            else:
+                bits = data.draw(st.sampled_from((EASY_BITS, HARDER_BITS)), label="bits")
+            nodes.append(tree.add_header(BlockHeader(1, parent, name_hash(f"m{i}"), time, bits, 0)))
+    assert_window_and_work_match_walks(tree)
+    assert_window_and_work_match_walks(BlockTree.from_dump(tree.dump_lines()))
 
 
 # -- retargeting -----------------------------------------------------------------
@@ -278,6 +347,45 @@ def test_block_shape_rules():
     with pytest.raises(ValidationError) as err:
         check_block_shape(Block(empty_header, ()))
     assert err.value.code is ViolationCode.MALFORMED
+
+
+def test_a_passed_shape_check_is_kept_on_the_block_object(builder, monkeypatch):
+    source = builder.extend()
+    spend = builder.spend(builder.coinbase_outpoint(source), [(1, b"\x51")])
+    block = builder.extend(extra_txs=(spend,))
+    reads = []
+    real_shape, real_txid = validation.check_transaction_shape, Transaction.txid
+    monkeypatch.setattr(
+        validation,
+        "check_transaction_shape",
+        lambda tx, name="transaction": reads.append(name) or real_shape(tx, name),
+    )
+    monkeypatch.setattr(Transaction, "txid", lambda tx: reads.append("txid") or real_txid(tx))
+    check_block_shape(block)
+    assert reads.count("txid") >= 2 and "tx 1" in reads
+    reads.clear()
+    check_block_shape(block)
+    assert reads == []  # the kept verdict, as CBlock::fChecked
+    copy = Block.from_bytes(block.to_bytes())
+    assert copy == block and copy is not block
+    reads.clear()
+    check_block_shape(copy)
+    assert "tx 0" in reads and "tx 1" in reads  # a decoded copy is checked again
+    cb = block.transactions[0]
+    perturbed = Transaction(cb.version, cb.inputs, cb.outputs, cb.lock_time + 1)
+    twice = (cb, spend, spend)
+    twice_header = BlockHeader(
+        1, block.header.prev, merkle_root([tx.txid() for tx in twice]), 0, REGTEST_BITS, 0
+    )
+    bad = {
+        ViolationCode.MERKLE_MISMATCH: Block(block.header, (perturbed, spend)),
+        ViolationCode.DUPLICATE_TX: Block(twice_header, twice),
+    }
+    for code, refused in bad.items():
+        for _ in range(3):
+            with pytest.raises(ValidationError) as err:
+                check_block_shape(refused)
+            assert err.value.code is code
 
 
 def test_pow_check_iff_hash_at_most_target(builder):
